@@ -87,16 +87,16 @@ const SIM: &str = "sim_input_cycles_per_image and sim_energy_nj_per_image on eve
 /// Metrics of an untraced run (`--trace 0`).
 #[rustfmt::skip]
 pub const END_TO_END: &[Metric] = &[
-    e2e("throughput_rps", "1/s", Higher, 0.25, "completed responses per second of the main step (goodput under the open loop)"),
+    e2e("throughput_rps", "1/s", Higher, 0.25, "completed responses per second over the span of the step that saturates the server (the main step, or the capacity step under an open loop)"),
     e2e("latency_p50_ms", "ms", Lower, 0.25, "client-observed median latency of the main step"),
     e2e("latency_p99_ms", "ms", Lower, 0.25, "client-observed p99 latency of the main step"),
     e2e("low.latency_p50_ms", "ms", Lower, 0.25, "median latency with one request in flight (the low step)"),
     e2e("low.latency_p99_ms", "ms", Lower, 0.25, "p99 latency with one request in flight (the low step)"),
     e2e("success_rate", "ratio", Higher, 0.01, "1 - error_rate: requests answered with a correct output over requests attempted"),
-    e2e("slo_attainment", "ratio", Higher, 0.05, "share of the main step's attempted requests answered within the workload's latency limit"),
+    e2e("slo_attainment", "ratio", Higher, 0.1, "share of the main step's attempted requests answered within the workload's latency limit"),
     e2e("sim_input_cycles_per_image", "count", Lower, 0.02, "simulated input cycles per image, from layer_stats()"),
     e2e("sim_energy_nj_per_image", "nJ", Lower, 0.02, "simulated dynamic energy per image, from per_layer_energy_pj"),
-    e2e("peak_rss_mb", "MB", Lower, 0.1, "VmHWM of the benchmark process"),
+    e2e("peak_rss_mb", "MB", Lower, 0.2, "VmHWM of the benchmark process"),
     e2e("setup_s", "s", Lower, 0.25, "build, polarize and map the network and bind the server (median of repeats)"),
 ];
 
@@ -155,7 +155,7 @@ pub const PER_LAYER: &[Metric] = &[
     layer("cmp.L0.forms_over_isaac.bmax", "ratio", Lower, "FORMS/ISAAC throughput gap at max_batch"),
     layer("cmp.L0.forms.batch_gain", "ratio", Higher, "b1/bmax ns per MVM on FORMS: throughput_rps on table5-forms-closed"),
     layer("cmp.L0.isaac.batch_gain", "ratio", Higher, "b1/bmax ns per MVM on ISAAC (ISAAC is not served end to end)"),
-    layer("trace.overhead_ratio", "ratio", Higher, "traced over untraced throughput of the main step"),
+    layer("trace.overhead_ratio", "ratio", Higher, "1 by construction: every trace measurement runs outside the server, after the load"),
 ];
 
 /// The metric schema of a run mode.
@@ -392,7 +392,6 @@ mod tests {
     fn rejects_a_wrong_output() {
         let reply = |index, v: f32| Reply {
             index,
-            at_ns: 0,
             latency_ns: 1,
             overhead_ns: 0,
             outcome: Ok(vec![v, 2.0]),

@@ -18,9 +18,6 @@ use crate::workload::{payload, Workload};
 pub struct Reply {
     /// Payload index (regenerates the input).
     pub index: u64,
-    /// When the request entered the step, from the step's start: its send
-    /// (closed loop) or its scheduled send (open loop).
-    pub at_ns: u64,
     /// Client-observed latency: from the send (closed loop) or from the
     /// scheduled send time (open loop) to the reply.
     pub latency_ns: u64,
@@ -36,7 +33,7 @@ pub struct Reply {
 pub struct Step {
     /// Every reply, in no particular order.
     pub replies: Vec<Reply>,
-    /// How long the step offered load for.
+    /// From the step's start to its last reply.
     pub span: Duration,
     /// How late each send ran against its schedule. In a closed loop the
     /// schedule is "send when a slot frees", so this is the turnaround
@@ -44,80 +41,34 @@ pub struct Step {
     pub lag_ns: Vec<u64>,
 }
 
-/// Length of the windows [`Step::summary`] cuts a step into.
-pub const WINDOW: Duration = Duration::from_millis(500);
-
-/// Share of a step's windows [`Step::summary`] pools.
-pub const KEEP: f64 = 0.25;
-
 /// A step's end-to-end figures.
 #[derive(Clone, Copy, Debug)]
 pub struct Summary {
-    /// Mean latency of completed requests.
-    pub mean_ms: f64,
     /// Median latency of completed requests.
     pub p50_ms: f64,
     /// 99th-percentile latency of completed requests.
     pub p99_ms: f64,
     /// Share of attempted requests completed within the latency limit.
     pub slo_attainment: f64,
-    /// Requests pooled.
-    pub pooled: usize,
 }
 
 impl Step {
-    /// The step's figures over its steadiest windows. The step is cut into
-    /// [`WINDOW`]s by the time each request entered it, and the [`KEEP`]
-    /// share of windows whose slowest request was fastest is pooled
-    /// (windows holding a failed request are always pooled, so failures are
-    /// never dropped). On a shared host the cores can switch between a fast and a
-    /// much slower state for seconds at a time (about 1.6× on the 2-vCPU
-    /// host the committed figures come from) and stall for a fraction of a
-    /// second now and then. A run's share of slow time varies from run to
-    /// run; pooling its fastest windows keeps runs of the same code in
-    /// agreement.
+    /// The step's figures over every one of its replies. A failed request
+    /// counts against `slo_attainment` and is left out of the percentiles.
     pub fn summary(&self, slo_ms: f64) -> Summary {
-        let width = ns(WINDOW);
-        let count = self
+        let mut latencies: Vec<f64> = self
             .replies
-            .iter()
-            .map(|r| r.at_ns / width + 1)
-            .max()
-            .unwrap_or(0);
-        let mut windows: Vec<Vec<&Reply>> = vec![Vec::new(); count as usize];
-        for r in &self.replies {
-            windows[(r.at_ns / width) as usize].push(r);
-        }
-        windows.retain(|w| !w.is_empty());
-        let slowest_ns = |w: &Vec<&Reply>| w.iter().map(|r| r.latency_ns).max();
-        let failing = |w: &Vec<&Reply>| w.iter().any(|r| r.outcome.is_err());
-        windows.sort_by_key(|w| (!failing(w), slowest_ns(w)));
-        let keep = ((windows.len() as f64 * KEEP).ceil() as usize)
-            .max(windows.iter().filter(|w| failing(w)).count());
-        let pool: Vec<&Reply> = windows[..keep].iter().flatten().copied().collect();
-        let mut latencies: Vec<f64> = pool
             .iter()
             .filter(|r| r.outcome.is_ok())
             .map(|r| r.latency_ns as f64 / 1e6)
             .collect();
         latencies.sort_by(f64::total_cmp);
         Summary {
-            mean_ms: latencies.iter().sum::<f64>() / latencies.len().max(1) as f64,
             p50_ms: quantile(&latencies, 0.5),
             p99_ms: quantile(&latencies, 0.99),
             slo_attainment: latencies.iter().filter(|&&l| l <= slo_ms).count() as f64
-                / pool.len().max(1) as f64,
-            pooled: pool.len(),
+                / self.replies.len().max(1) as f64,
         }
-    }
-
-    /// The step with every entry time moved `by` later, so steps run one
-    /// after another keep distinct windows once merged.
-    pub fn shifted(mut self, by: Duration) -> Step {
-        for r in &mut self.replies {
-            r.at_ns += ns(by);
-        }
-        self
     }
 
     /// Completed requests per second over the whole step.
@@ -160,7 +111,8 @@ fn connect(addr: SocketAddr) -> Result<NetClient, String> {
 
 /// Runs a closed-loop step: `connections` client threads (one connection
 /// each) keep `in_flight` requests outstanding until `duration` has
-/// passed, then drain. Payload indices are handed out from `next`.
+/// passed, then drain. The step's span runs to the last reply. Payload
+/// indices are handed out from `next`.
 ///
 /// # Errors
 ///
@@ -178,7 +130,7 @@ pub fn closed_step(
     let end = start + duration;
     let parts: Vec<Result<Step, String>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..connections)
-            .map(|_| scope.spawn(|| closed_connection(addr, w, seed, next, in_flight, start, end)))
+            .map(|_| scope.spawn(|| closed_connection(addr, w, seed, next, in_flight, end)))
             .collect();
         handles
             .into_iter()
@@ -192,7 +144,7 @@ pub fn closed_step(
     for part in parts {
         step.merge(part?);
     }
-    step.span = duration;
+    step.span = start.elapsed();
     Ok(step)
 }
 
@@ -202,7 +154,6 @@ fn closed_connection(
     seed: u64,
     next: &AtomicU64,
     in_flight: usize,
-    start: Instant,
     end: Instant,
 ) -> Result<Step, String> {
     let mut client = connect(addr)?;
@@ -231,7 +182,6 @@ fn closed_connection(
         let latency = ns(now - sent);
         step.replies.push(Reply {
             index,
-            at_ns: ns(sent.saturating_duration_since(start)),
             latency_ns: latency,
             overhead_ns: latency as i64 - ns(reply.server_latency) as i64,
             outcome: reply.outcome,
@@ -300,7 +250,6 @@ pub fn open_step(
                     now,
                     Reply {
                         index: first + k as u64,
-                        at_ns: ns(*offset),
                         latency_ns: ns(now.saturating_duration_since(start + *offset)),
                         overhead_ns: -(ns(reply.server_latency) as i64),
                         outcome: reply.outcome,
@@ -319,7 +268,7 @@ pub fn open_step(
     });
     let (sends, got) = (sends?, got?);
     Ok(Step {
-        span: plan.duration,
+        span: Instant::now().saturating_duration_since(start),
         lag_ns: sends.iter().map(|(lag, _)| *lag).collect(),
         replies: got
             .into_iter()
@@ -330,4 +279,60 @@ pub fn open_step(
             })
             .collect(),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn reply(index: u64, latency_ms: u64, ok: bool) -> Reply {
+        Reply {
+            index,
+            latency_ns: latency_ms * 1_000_000,
+            overhead_ns: 0,
+            outcome: if ok {
+                Ok(vec![0.0])
+            } else {
+                Err(WireStatus::Shed)
+            },
+        }
+    }
+
+    /// A short burst of slow replies and one failure, among many fast
+    /// ones, lower `slo_attainment` below 1 and set the p99.
+    #[test]
+    fn summary_counts_every_reply_against_the_limit() {
+        let mut step = Step::default();
+        step.replies = (0..400).map(|i| reply(i, 10, true)).collect();
+        for r in &mut step.replies[200..206] {
+            r.latency_ns = 80_000_000;
+        }
+        step.replies[300].outcome = Err(WireStatus::Shed);
+        let s = step.summary(50.0);
+        assert_eq!(s.slo_attainment, 393.0 / 400.0);
+        assert_eq!(s.p50_ms, 10.0);
+        assert_eq!(s.p99_ms, 80.0);
+
+        let clean = Step {
+            replies: (0..10).map(|i| reply(i, 10, true)).collect(),
+            ..Step::default()
+        };
+        assert_eq!(clean.summary(50.0).slo_attainment, 1.0);
+    }
+
+    #[test]
+    fn goodput_counts_completed_replies_over_the_span() {
+        let mut step = Step {
+            replies: vec![reply(0, 1, true), reply(1, 1, false), reply(2, 1, true)],
+            span: Duration::from_millis(500),
+            ..Step::default()
+        };
+        assert_eq!(step.goodput_rps(), 4.0);
+        step.merge(Step {
+            replies: vec![reply(3, 1, true)],
+            span: Duration::from_millis(500),
+            ..Step::default()
+        });
+        assert_eq!(step.goodput_rps(), 3.0);
+    }
 }

@@ -21,26 +21,44 @@ pub const WEIGHT_BITS: u32 = 8;
 pub const INPUT_BITS: u32 = 16;
 /// Replica threads of the serving core, as many as the host has cores.
 const REPLICAS: usize = 2;
-/// Share of a run spent in the `low` step.
-const LOW_SHARE: f64 = 0.4;
 
-/// How the clients drive the server.
+/// A closed loop: `connections` clients each keep `in_flight` requests
+/// outstanding and send the next one as soon as a reply arrives.
+#[derive(Clone, Copy, Debug)]
+pub struct ClosedLoop {
+    /// Concurrent connections.
+    pub connections: usize,
+    /// Requests each connection keeps in flight.
+    pub in_flight: usize,
+}
+
+/// How the clients drive the server in the main step.
 #[derive(Clone, Copy, Debug)]
 pub enum Load {
-    /// Closed loop: `connections` clients each keep `in_flight` requests
-    /// outstanding and send the next one as soon as a reply arrives.
-    Closed {
-        /// Concurrent connections of the main step.
-        connections: usize,
-        /// Requests each connection keeps in flight in the main step.
-        in_flight: usize,
-    },
+    /// Closed loop; `throughput_rps` is its goodput.
+    Closed(ClosedLoop),
     /// Open loop: Poisson arrivals at a fixed offered rate from one
-    /// connection (a sender thread and a receiver thread).
+    /// connection (a sender thread and a receiver thread). Below capacity
+    /// an open loop completes what it is offered, so its goodput is the
+    /// offered rate; `throughput_rps` comes from a closed-loop `capacity`
+    /// step that keeps the server saturated.
     Open {
         /// Offered rate, in requests per second.
         rps: f64,
+        /// Load of the capacity step.
+        capacity: ClosedLoop,
     },
+}
+
+/// Durations of a run's steps.
+#[derive(Clone, Copy, Debug)]
+pub struct StepTimes {
+    /// The `low` step.
+    pub low: Duration,
+    /// The main step.
+    pub main: Duration,
+    /// The capacity step (zero under a closed-loop main step).
+    pub capacity: Duration,
 }
 
 /// One benchmark workload.
@@ -86,13 +104,18 @@ impl Workload {
         }
     }
 
-    /// Durations of the `low` and main steps of an untraced run.
-    pub fn steps(&self, seconds: f64) -> (Duration, Duration) {
-        let low = seconds * LOW_SHARE;
-        (
-            Duration::from_secs_f64(low),
-            Duration::from_secs_f64(seconds - low),
-        )
+    /// Splits a run of `seconds` between its steps.
+    pub fn steps(&self, seconds: f64) -> StepTimes {
+        let (low, capacity) = match self.load {
+            Load::Closed(_) => (0.4, 0.0),
+            Load::Open { .. } => (0.3, 0.25),
+        };
+        let of = |share: f64| Duration::from_secs_f64(seconds * share);
+        StepTimes {
+            low: of(low),
+            main: of(1.0 - low - capacity),
+            capacity: of(capacity),
+        }
     }
 }
 
@@ -146,18 +169,23 @@ fn table5() -> Workload {
             zero_fraction: 0.5,
         },
         max_batch: 4,
-        load: Load::Closed {
+        // Deep enough that each request waits behind about three batches:
+        // shallower loops cluster replies one batch time apart, and the
+        // p50 then jumps between clusters from run to run.
+        load: Load::Closed(ClosedLoop {
             connections: 2,
-            in_flight: 8,
-        },
-        slo_ms: 250.0,
+            in_flight: 16,
+        }),
+        slo_ms: 500.0,
     }
 }
 
 /// The downscaled Table-V VGG stack of the quant bench: 321 small MVMs
 /// per image, so lowering, quantization, digital layers and per-request
 /// serving costs take a larger share than on the Table-V stack. The open
-/// loop offers 700 requests/s, about 60% of the ~1200 the server sustains.
+/// loop offers 400 requests/s: under half of what the capacity step
+/// measures on a 2-vCPU host in good periods (900–1200 requests/s), and
+/// still about 60% when the host's slow periods cut capacity to 660.
 fn vgg_small() -> Workload {
     Workload {
         name: "vgg-small-open",
@@ -179,7 +207,13 @@ fn vgg_small() -> Workload {
         },
         inputs: ActivationModel::HalfNormal { sigma: 1.0 },
         max_batch: 8,
-        load: Load::Open { rps: 700.0 },
+        load: Load::Open {
+            rps: 400.0,
+            capacity: ClosedLoop {
+                connections: 2,
+                in_flight: 8,
+            },
+        },
         slo_ms: 50.0,
     }
 }
