@@ -82,6 +82,7 @@ const VGG_P50: &str = "latency_p50_ms on vgg-small-open";
 const TABLE5_TPUT: &str = "throughput_rps on table5-forms-closed";
 const VGG_EXEC: &str =
     "latency_p50_ms and throughput_rps on vgg-small-open, hardly table5-forms-closed";
+const TAIL: &str = "end-to-end tail latency (main or low step), reported without a bound: host stalls on a shared 2-vCPU machine spread it past 0.25 between runs";
 const SIM: &str = "sim_input_cycles_per_image and sim_energy_nj_per_image on every workload";
 
 /// Metrics of an untraced run (`--trace 0`).
@@ -89,9 +90,7 @@ const SIM: &str = "sim_input_cycles_per_image and sim_energy_nj_per_image on eve
 pub const END_TO_END: &[Metric] = &[
     e2e("throughput_rps", "1/s", Higher, 0.25, "completed responses per second over the span of the step that saturates the server (the main step, or the capacity step under an open loop)"),
     e2e("latency_p50_ms", "ms", Lower, 0.25, "client-observed median latency of the main step"),
-    e2e("latency_p99_ms", "ms", Lower, 0.25, "client-observed p99 latency of the main step"),
     e2e("low.latency_p50_ms", "ms", Lower, 0.25, "median latency with one request in flight (the low step)"),
-    e2e("low.latency_p99_ms", "ms", Lower, 0.25, "p99 latency with one request in flight (the low step)"),
     e2e("success_rate", "ratio", Higher, 0.01, "1 - error_rate: requests answered with a correct output over requests attempted"),
     e2e("slo_attainment", "ratio", Higher, 0.1, "share of the main step's attempted requests answered within the workload's latency limit"),
     e2e("sim_input_cycles_per_image", "count", Lower, 0.02, "simulated input cycles per image, from layer_stats()"),
@@ -101,9 +100,14 @@ pub const END_TO_END: &[Metric] = &[
 ];
 
 /// Metrics of a traced run (`--trace 1`). `L0`/`L1` are weight-layer
-/// indices; every workload has at least two weight layers.
+/// indices; every workload has at least two weight layers. The two p99
+/// latencies come first: they are end-to-end figures of the traced run's
+/// load, kept out of [`END_TO_END`] because no bound of at most 0.25 holds
+/// them between runs of the same code.
 #[rustfmt::skip]
 pub const PER_LAYER: &[Metric] = &[
+    layer("latency_p99_ms", "ms", Lower, TAIL),
+    layer("low.latency_p99_ms", "ms", Lower, TAIL),
     layer("loadgen.lag_p99_ms", "ms", Lower, "validity check of the load generator, not a target"),
     layer("net.overhead_p50_us", "us", Lower, VGG_P50),
     layer("net.overhead_p99_us", "us", Lower, VGG_P50),

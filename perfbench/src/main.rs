@@ -43,7 +43,7 @@ use workload::{build_network, map, payload, ClosedLoop, Design, Load, StepTimes,
 
 /// Set-ups at the start of each round of an untraced run; `setup_s` is
 /// the median of these and the run's own set-up.
-const SETUPS_PER_ROUND: usize = 5;
+const SETUPS_PER_ROUND: usize = 3;
 /// Images per reference forward of the correctness check.
 const VERIFY_CHUNK: usize = 64;
 /// An open-loop run is invalid when its sender's median lag behind the
@@ -151,7 +151,7 @@ impl Steps {
 
 /// Rounds a run is split into: each round runs set-ups and then a slice of
 /// every step, so each figure samples the host over the whole run.
-const ROUNDS: u32 = 4;
+const ROUNDS: u32 = 8;
 /// Length of each step of the warm-up round, which runs before the first
 /// round so that replica scratch buffers, connection threads and allocator
 /// pools reach their steady size. Its replies are verified and counted as
@@ -276,7 +276,9 @@ fn run(w: &Workload, args: &Args) -> Result<ResultLine, String> {
     }
 
     // Correctness: every output, bitwise, against the reference executor.
+    let verify_start = Instant::now();
     let images = verify(&mut exec, w, args.seed, &replies)?;
+    let verify_s = verify_start.elapsed().as_secs_f64();
     let cycles: u64 = exec
         .layer_stats()
         .iter()
@@ -286,7 +288,6 @@ fn run(w: &Workload, args: &Args) -> Result<ResultLine, String> {
     cross_check(&mut exec, &net, w, args.seed)?;
     let serve_residual = checks::check_stages(&telemetry)?;
 
-    let (main, low) = (steps.main.summary(w.slo_ms), steps.low.summary(w.slo_ms));
     let metrics = if args.trace {
         traced_metrics(
             w,
@@ -299,12 +300,11 @@ fn run(w: &Workload, args: &Args) -> Result<ResultLine, String> {
         )?
     } else {
         setup_s.sort_by(f64::total_cmp);
+        let (main, low) = (steps.main.summary(w.slo_ms), steps.low.summary(w.slo_ms));
         vec![
             ("throughput_rps", steps.throughput_rps()),
             ("latency_p50_ms", main.p50_ms),
-            ("latency_p99_ms", main.p99_ms),
             ("low.latency_p50_ms", low.p50_ms),
-            ("low.latency_p99_ms", low.p99_ms),
             ("success_rate", 1.0 - failed as f64 / attempted as f64),
             ("slo_attainment", main.slo_attainment),
             ("sim_input_cycles_per_image", cycles as f64 / images as f64),
@@ -315,11 +315,13 @@ fn run(w: &Workload, args: &Args) -> Result<ResultLine, String> {
     };
     eprintln!(
         "perfbench: {}: {attempted} requests ({failed} failed), {images} outputs \
-         verified; low step {} requests, main step {}, capacity step {}; sender lag p50 \
-         {lag_p50:.3} ms, p99 {lag_p99:.3} ms",
+         verified in {verify_s:.1} s; low step {} requests (p99 {:.3} ms), main step {} (p99 {:.3} ms), \
+         capacity step {}; sender lag p50 {lag_p50:.3} ms, p99 {lag_p99:.3} ms",
         w.name,
         steps.low.replies.len(),
+        steps.low.summary(w.slo_ms).p99_ms,
         steps.main.replies.len(),
+        steps.main.summary(w.slo_ms).p99_ms,
         steps.capacity.as_ref().map_or(0, |s| s.replies.len()),
     );
     Ok(ResultLine {
@@ -524,6 +526,8 @@ fn traced_metrics<E: Design>(
     let s = &telemetry.stages;
 
     let mut m: Vec<(&'static str, f64)> = vec![
+        ("latency_p99_ms", steps.main.summary(w.slo_ms).p99_ms),
+        ("low.latency_p99_ms", steps.low.summary(w.slo_ms).p99_ms),
         ("loadgen.lag_p99_ms", lag_ms(&steps.main, 0.99)),
         ("net.overhead_p50_us", quantile(&overhead, 0.5)),
         ("net.overhead_p99_us", quantile(&overhead, 0.99)),
