@@ -83,6 +83,20 @@ echo "== network front-end bench (smoke) =="
 # and exits non-zero on any violation.
 cargo run --release --offline -p forms-bench --bin net -- --smoke
 
+echo "== end-to-end loopback benchmark (self-tests + short runs) =="
+# perfbench is a workspace of its own (path deps on the repo crates), so
+# the workspace test above does not reach it: run its validator
+# self-tests, then a short untraced run of each workload. A run exits
+# non-zero on any reply that differs bitwise from forward_parallel, any
+# replay or input-cycle cross-check mismatch, or any serving-stage
+# telescoping failure.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+for workload in table5-forms-closed vgg-small-open; do
+    cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 3 --trace 0
+done
+echo "ok: perfbench replies verified on every workload"
+
 echo "== dependency freeze =="
 # Every [dependencies] / [dev-dependencies] / [build-dependencies] entry in
 # every manifest must be an in-tree forms-* path crate. Anything else means

@@ -154,10 +154,12 @@ impl forms_hwmodel::DynamicActivity for FormsActivity {
 /// Each fragment's weight window is rebuilt once per tile and swept over
 /// all of the tile's samples, so the tile size trades window-build
 /// amortization against working-set residency. At the paper's full shape
-/// (fragment 8, 128 columns × 4 cells) one tile holds an 8×512 integer
-/// window (8 KiB), 32 packed plane sets and 32×128 accumulators — around
-/// 64 KiB, comfortably inside L2 — while paying each window build only
-/// once per 32 samples.
+/// (fragment 8, 128 weight columns) the integer fast path holds an 8×128
+/// window of signed `i64` weight codes (8 KiB: each weight's four 2-bit
+/// cell slices folded back into its code and negated by the fragment's
+/// sign indicator), 32 packed plane sets (4 KiB at 16 planes) and 32×128
+/// `i64` accumulators (32 KiB) — around 44 KiB, inside L2 — while paying
+/// each window build only once per 32 samples.
 pub const MATMUL_TILE: usize = 32;
 
 /// Reusable working memory of one [`MappedLayer`] MVM.
@@ -191,21 +193,20 @@ pub struct MvmScratch {
     /// Batched path: packed bit planes of the whole tile (see
     /// [`pack_tile_bit_planes`]).
     tile_planes: Vec<u64>,
-    /// Batched fast path: integer image of the fragment window (see
+    /// Batched fast path: integer cell codes of one window row (see
     /// [`Crossbar::integral_dequant_codes`]).
     icell: Vec<u16>,
-    /// Batched fast path: integer column currents of one shift cycle.
-    icurr: Vec<u32>,
-    /// Batched fast path: per-cell-column shift-&-add accumulators of one
-    /// sample.
-    cell_acc: Vec<u64>,
+    /// Batched fast path: signed weight codes of the fragment window,
+    /// row-major over the compact weight columns.
+    wcodes: Vec<i64>,
 }
 
-/// Accumulates one active window row into the integer column currents.
+/// Adds one active window row of signed weight codes, weighted by its
+/// bit plane `2^cycle`, into one sample's digital accumulators.
 #[inline]
-fn add_row_u16(icurr: &mut [u32], row: &[u16]) {
-    for (acc, &v) in icurr.iter_mut().zip(row) {
-        *acc += u32::from(v);
+fn add_row_shifted(accs: &mut [i64], wcodes: &[i64], cycle: usize) {
+    for (acc, &w) in accs.iter_mut().zip(wcodes) {
+        *acc += w << cycle;
     }
 }
 
@@ -262,7 +263,8 @@ impl MappedLayer {
     /// [`ExecError::AllZero`] for an all-zero matrix,
     /// [`ExecError::NotMatrix`] when `matrix` is not rank-2 and
     /// [`ExecError::UnsupportedConfig`] when the fragment size does not
-    /// divide the crossbar dimension.
+    /// divide the crossbar dimension or a column's worst-case accumulation
+    /// would overflow the `i64` digital accumulators.
     pub fn map(matrix: &Tensor, config: MappingConfig) -> Result<Self, ExecError> {
         if matrix.shape().rank() != 2 {
             return Err(ExecError::NotMatrix {
@@ -288,6 +290,18 @@ impl MappedLayer {
         let compact_rows = row_index.len();
         let compact_cols = col_index.len();
         let fragments_per_col = compact_rows.div_ceil(m);
+        // Worst case of one column's signed accumulator: every compact row
+        // holds the largest code its cells can store (a stuck-at fault may
+        // exceed the quantizer's) and every input is at full scale.
+        let slicer = BitSlicer::new(config.weight_bits, config.cell.bits());
+        let max_stored_code =
+            (1u128 << (config.cells_per_weight() as u32 * config.cell.bits())) - 1;
+        let max_input_code = (1u128 << config.input_bits) - 1;
+        if compact_rows as u128 * max_stored_code * max_input_code > i64::MAX as u128 {
+            return Err(ExecError::UnsupportedConfig {
+                reason: "worst-case column accumulation overflows the i64 accumulators",
+            });
+        }
 
         // Polarization check + sign extraction on the compact matrix.
         let mut signs = Vec::with_capacity(compact_cols * fragments_per_col);
@@ -320,7 +334,6 @@ impl MappedLayer {
         } else {
             1.0
         };
-        let slicer = BitSlicer::new(config.weight_bits, config.cell.bits());
         let cpw = config.cells_per_weight();
 
         // Physical crossbar grid.
@@ -569,9 +582,11 @@ impl MappedLayer {
     /// weight window is materialized once per tile and swept over every
     /// sample, instead of once per sample as the per-sample path must.
     /// Pristine arrays additionally take an integer fast path (see
-    /// [`integer_matmul_path`](Self::integer_matmul_path)) that replaces
-    /// per-current ADC division with exact integer adds and skips planes
-    /// whose packed input bits are all zero; drifted arrays fall back to
+    /// [`integer_matmul_path`](Self::integer_matmul_path)) that folds each
+    /// weight's cell slices and its fragment's sign into one signed code,
+    /// adds `±code << plane` per set input bit straight into the output
+    /// accumulators and skips planes whose packed input bits are all
+    /// zero; drifted arrays fall back to
     /// an f64 path that preserves the per-sample ascending-row summation
     /// order, keeping results bitwise identical either way.
     ///
@@ -669,16 +684,20 @@ impl MappedLayer {
                         tile_eic,
                         tile_planes,
                         icell,
-                        icurr,
-                        cell_acc,
+                        wcodes,
                         accs,
                         ..
                     } = scratch;
-                    // Integer window, once per (fragment, tile).
-                    icell.clear();
-                    icell.resize(frag_rows * cell_cols, 0);
+                    // Signed weight-code window, once per (fragment,
+                    // tile). Lossless conversion is the identity and
+                    // shift-&-add is linear, so each weight's cell slices
+                    // fold back into its code and the sign indicator into
+                    // its sign: every set input bit then adds `±code <<
+                    // cycle` straight into the sample's accumulators.
+                    wcodes.clear();
+                    wcodes.resize(frag_rows * ncols, 0);
+                    icell.resize(cell_cols, 0);
                     for r in 0..frag_rows {
-                        let row = &mut icell[r * cell_cols..(r + 1) * cell_cols];
                         for xc in 0..self.xb_cols {
                             let col_lo = xc * dim;
                             if col_lo >= cell_cols {
@@ -686,48 +705,43 @@ impl MappedLayer {
                             }
                             let col_hi = (col_lo + dim).min(cell_cols);
                             self.crossbars[xr * self.xb_cols + xc]
-                                .integral_row_into(row_lo + r, &mut row[col_lo..col_hi]);
+                                .integral_row_into(row_lo + r, &mut icell[col_lo..col_hi]);
+                        }
+                        let row = &mut wcodes[r * ncols..(r + 1) * ncols];
+                        for ((ci, w), slices) in
+                            row.iter_mut().enumerate().zip(icell.chunks_exact(cpw))
+                        {
+                            let code = slices
+                                .iter()
+                                .fold(0i64, |code, &s| (code << cell_bits) + i64::from(s));
+                            let positive = self.signs[ci * self.fragments_per_col + frag];
+                            *w = if positive { code } else { -code };
                         }
                     }
                     for (si, &eic) in tile_eic.iter().enumerate() {
                         if eic == 0 {
                             continue;
                         }
-                        cell_acc.clear();
-                        cell_acc.resize(cell_cols, 0);
+                        let sample_accs = &mut accs[si * ncols..][..ncols];
                         let planes = &tile_planes[si * stride..][..eic as usize * words];
                         for (cycle, plane) in planes.chunks_exact(words).enumerate() {
                             if plane_is_zero(plane) {
                                 continue;
                             }
-                            icurr.clear();
-                            icurr.resize(cell_cols, 0);
                             for_each_set_bit(plane, |i| {
                                 if i < frag_rows {
-                                    add_row_u16(icurr, &icell[i * cell_cols..(i + 1) * cell_cols]);
+                                    add_row_shifted(
+                                        sample_accs,
+                                        &wcodes[i * ncols..(i + 1) * ncols],
+                                        cycle,
+                                    );
                                 }
                             });
-                            for (acc, &c) in cell_acc.iter_mut().zip(icurr.iter()) {
-                                *acc += u64::from(c) << cycle;
-                            }
                         }
                         // Lossless conversion is the identity, so the
                         // conversions are counted arithmetically: every
                         // column converts every slice each shift cycle.
                         stats.adc_conversions += u64::from(eic) * (cell_cols as u64);
-                        let sample_accs = &mut accs[si * ncols..][..ncols];
-                        for (ci, acc) in sample_accs.iter_mut().enumerate() {
-                            let mut frag_total = 0u64;
-                            for &s in &cell_acc[ci * cpw..(ci + 1) * cpw] {
-                                frag_total = (frag_total << cell_bits) + s;
-                            }
-                            let positive = self.signs[ci * self.fragments_per_col + frag];
-                            *acc += if positive {
-                                frag_total as i64
-                            } else {
-                                -(frag_total as i64)
-                            };
-                        }
                     }
                 } else {
                     let MvmScratch {
@@ -1602,6 +1616,99 @@ mod tests {
         let (want, want_stats) = matmul_oracle(&mapped, &codes, &scales);
         assert_eq!(outs, want);
         assert_eq!(stats, want_stats);
+    }
+
+    /// A fragment-polarized matrix whose fragment signs mix along each
+    /// column and whose magnitudes cover the full weight-code range.
+    fn mixed_sign_matrix(rows: usize, cols: usize, m: usize) -> Tensor {
+        Tensor::from_fn(&[rows, cols], |i| {
+            let (r, c) = (i / cols, i % cols);
+            let h = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
+            let sign = if ((r / m) * 7 + c * 3) % 5 < 2 {
+                -1.0
+            } else {
+                1.0
+            };
+            let magnitude = if i == 0 { 255 } else { h % 256 };
+            sign * magnitude as f32 / 255.0
+        })
+    }
+
+    /// Full-range 16-bit codes with all-zero and low-magnitude fragments
+    /// mixed in, so both the skipped and the high planes are driven.
+    fn full_range_codes(rows: usize, samples: usize, m: usize) -> (Vec<u32>, Vec<f32>) {
+        let codes: Vec<u32> = (0..samples * rows)
+            .map(|i| {
+                let (s, r) = (i / rows, i % rows);
+                let h = (i as u64 + 1).wrapping_mul(0xD1B5_4A32_D192_ED03) >> 32;
+                match (r / m + s) % 5 {
+                    0 => 0,
+                    1 => (h % 16) as u32,
+                    _ if i % 97 == 0 => 0xFFFF,
+                    _ => (h % 0x1_0000) as u32,
+                }
+            })
+            .collect();
+        let scales: Vec<f32> = (0..samples).map(|s| 0.001 + 0.0007 * s as f32).collect();
+        (codes, scales)
+    }
+
+    #[test]
+    fn batched_matmul_is_bitwise_at_the_benchmark_shape() {
+        // The paper's 128×128 / w8 / a16 point: a window spanning three
+        // crossbar rows and several crossbar columns, full-range input
+        // codes (planes 8–15 shift the codes furthest), and 1-, 2- and
+        // 4-bit cells, so the fast path folds 8, 4 and 2 slices per weight.
+        let (rows, cols) = (300usize, 70usize);
+        let w = mixed_sign_matrix(rows, cols, 8);
+        for cell_bits in [1u32, 2, 4] {
+            for zero_skipping in [true, false] {
+                let cfg = MappingConfig {
+                    cell: CellSpec::new(cell_bits, 1.0, 61.0),
+                    zero_skipping,
+                    ..MappingConfig::paper(8)
+                };
+                let mapped = MappedLayer::map(&w, cfg).unwrap();
+                assert!(mapped.integer_matmul_path(), "pristine map must be fast");
+                assert!(mapped.crossbar_count() >= 6, "window must span crossbars");
+                let mut scratch = MvmScratch::default();
+                for samples in [1usize, 16, MATMUL_TILE + 1] {
+                    let (codes, scales) = full_range_codes(rows, samples, 8);
+                    let mut outs = vec![0.0f32; samples * cols];
+                    let stats = mapped.matmul_into(&codes, &scales, &mut scratch, &mut outs);
+                    let (want, want_stats) = matmul_oracle(&mapped, &codes, &scales);
+                    let tag = format!("cell={cell_bits} skip={zero_skipping} n={samples}");
+                    assert_eq!(outs, want, "{tag}");
+                    assert_eq!(stats, want_stats, "{tag}");
+                    if zero_skipping {
+                        assert!(stats.fragments_skipped > 0, "{tag}: no fragment skipped");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rejects_configs_whose_accumulators_could_overflow() {
+        // 4 rows × (2^32 − 1) × (2^31 − 1) ≈ 2^65 overflows i64; the same
+        // matrix at 16-bit inputs fits and computes the exact product.
+        let w = Tensor::from_vec(vec![1.0; 8], &[4, 2]);
+        let wide = MappingConfig {
+            weight_bits: 32,
+            input_bits: 31,
+            ..small_config(4)
+        };
+        assert!(matches!(
+            MappedLayer::map(&w, wide).unwrap_err(),
+            ExecError::UnsupportedConfig { .. }
+        ));
+        let fits = MappingConfig {
+            input_bits: 16,
+            ..wide
+        };
+        let mapped = MappedLayer::map(&w, fits).unwrap();
+        let (out, _) = mapped.matvec(&[0xFFFF; 4], 1.0);
+        assert_eq!(out, vec![4.0 * 65535.0; 2]);
     }
 
     #[test]

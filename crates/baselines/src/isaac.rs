@@ -64,13 +64,11 @@ pub struct IsaacScratch {
     tile_codes: Vec<u32>,
     /// Batched path: packed bit planes of the whole tile.
     tile_planes: Vec<u64>,
-    /// Batched fast path: integer image of the block window.
+    /// Batched fast path: integer cell codes of one window row.
     icell: Vec<u16>,
-    /// Batched fast path: integer column currents of one bit plane.
-    icurr: Vec<u32>,
-    /// Batched fast path: per-cell-column shift-&-add accumulators of one
-    /// sample.
-    cell_acc: Vec<u64>,
+    /// Batched fast path: offset-encoded weight codes of the block window,
+    /// row-major over the compact weight columns.
+    wcodes: Vec<i64>,
 }
 
 /// A signed weight matrix mapped with ISAAC's offset encoding.
@@ -119,8 +117,9 @@ impl IsaacLayer {
     /// # Errors
     ///
     /// Returns an [`ExecError`] if `matrix` is not rank-2 or entirely
-    /// zero, or if `weight_bits < 2` (the offset encoding needs a sign
-    /// bit's worth of bias).
+    /// zero, if `weight_bits < 2` (the offset encoding needs a sign bit's
+    /// worth of bias), or if a column's worst-case accumulation would
+    /// overflow the `i64` digital accumulators.
     pub fn map_with(
         matrix: &Tensor,
         weight_bits: u32,
@@ -146,12 +145,28 @@ impl IsaacLayer {
             return Err(ExecError::AllZero);
         }
 
-        let levels = ((1u64 << (weight_bits - 1)) - 1) as f32;
+        // Clamp in integers: above 24 weight bits the f32 image of the top
+        // level rounds up past it, and its encoding would wrap.
+        let max_k = (1i64 << (weight_bits - 1)) - 1;
+        let levels = max_k as f32;
         let abs_max = matrix.abs_max();
         let step = if abs_max > 0.0 { abs_max / levels } else { 1.0 };
         let bias = 1u64 << (weight_bits - 1);
         let slicer = BitSlicer::new(weight_bits, cell.bits());
         let cpw = slicer.cells_per_weight();
+
+        // Worst case of one column's signed accumulator: every row holds
+        // the largest code its cells can store (a stuck-at fault may exceed
+        // the encoder's), every input is at full scale, and the offset
+        // correction subtracts the bias for every input `1`.
+        let max_stored_code = (1u128 << (cpw as u32 * cell.bits())) - 1;
+        let max_input_code = (1u128 << input_bits) - 1;
+        let worst = row_index.len() as u128 * (max_stored_code + u128::from(bias)) * max_input_code;
+        if worst > i64::MAX as u128 {
+            return Err(ExecError::UnsupportedConfig {
+                reason: "worst-case column accumulation overflows the i64 accumulators",
+            });
+        }
 
         let xb_rows = row_index.len().div_ceil(crossbar_dim);
         let xb_cols = (col_index.len() * cpw).div_ceil(crossbar_dim);
@@ -162,7 +177,7 @@ impl IsaacLayer {
         for (ci, &c) in col_index.iter().enumerate() {
             for (ri, &r) in row_index.iter().enumerate() {
                 let w = matrix.data()[r * cols + c];
-                let k = (w / step).round().clamp(-levels, levels) as i64;
+                let k = ((w / step).round() as i64).clamp(-max_k, max_k);
                 col_abs_sums[ci] += k.unsigned_abs();
                 let encoded = (k + bias as i64) as u32;
                 let (xr, row_in_xb) = (ri / crossbar_dim, ri % crossbar_dim);
@@ -427,9 +442,11 @@ impl IsaacLayer {
     ///
     /// Samples are processed in tiles; per row block the weight window is
     /// materialized once per tile and swept over every sample. Pristine
-    /// arrays take an integer fast path (ADC conversion is the identity),
-    /// drifted arrays fall back to an f64 path preserving the per-sample
-    /// ascending-row summation order.
+    /// arrays take an integer fast path (ADC conversion is the identity,
+    /// so each weight's cell slices fold into its encoded code and every
+    /// set input bit adds `code << plane` straight into the output
+    /// accumulators); drifted arrays fall back to an f64 path preserving
+    /// the per-sample ascending-row summation order.
     ///
     /// # Panics
     ///
@@ -500,16 +517,20 @@ impl IsaacLayer {
                     let IsaacScratch {
                         tile_planes,
                         icell,
-                        icurr,
-                        cell_acc,
+                        wcodes,
                         accs,
                         ..
                     } = scratch;
-                    // Integer window, once per (block, tile).
-                    icell.clear();
-                    icell.resize(block_rows * cell_cols, 0);
+                    // Encoded weight-code window, once per (block, tile):
+                    // lossless conversion is the identity and shift-&-add
+                    // is linear, so each weight's cell slices fold back
+                    // into its encoded code and every set input bit adds
+                    // `code << plane` straight into the sample's
+                    // accumulators.
+                    wcodes.clear();
+                    wcodes.resize(block_rows * ncols, 0);
+                    icell.resize(cell_cols, 0);
                     for r in 0..block_rows {
-                        let row = &mut icell[r * cell_cols..(r + 1) * cell_cols];
                         for xc in 0..self.xb_cols {
                             let col_lo = xc * dim;
                             if col_lo >= cell_cols {
@@ -517,12 +538,17 @@ impl IsaacLayer {
                             }
                             let col_hi = (col_lo + dim).min(cell_cols);
                             self.crossbars[block * self.xb_cols + xc]
-                                .integral_row_into(r, &mut row[col_lo..col_hi]);
+                                .integral_row_into(r, &mut icell[col_lo..col_hi]);
+                        }
+                        let row = &mut wcodes[r * ncols..(r + 1) * ncols];
+                        for (w, slices) in row.iter_mut().zip(icell.chunks_exact(cpw)) {
+                            *w = slices
+                                .iter()
+                                .fold(0i64, |code, &s| (code << cell_bits) + i64::from(s));
                         }
                     }
                     for si in 0..t {
-                        cell_acc.clear();
-                        cell_acc.resize(cell_cols, 0);
+                        let sample_accs = &mut accs[si * ncols..][..ncols];
                         let planes = &tile_planes[si * stride..(si + 1) * stride];
                         let mut offset = 0u64;
                         for (plane, mask) in planes.chunks_exact(words).enumerate() {
@@ -533,31 +559,21 @@ impl IsaacLayer {
                             if plane_is_zero(mask) {
                                 continue;
                             }
-                            icurr.clear();
-                            icurr.resize(cell_cols, 0);
                             for_each_set_bit(mask, |i| {
                                 if i < block_rows {
-                                    let row = &icell[i * cell_cols..(i + 1) * cell_cols];
-                                    for (acc, &v) in icurr.iter_mut().zip(row) {
-                                        *acc += u32::from(v);
+                                    let row = &wcodes[i * ncols..(i + 1) * ncols];
+                                    for (acc, &w) in sample_accs.iter_mut().zip(row) {
+                                        *acc += w << plane;
                                     }
                                 }
                             });
-                            for (acc, &c) in cell_acc.iter_mut().zip(icurr.iter()) {
-                                *acc += u64::from(c) << plane;
-                            }
                         }
                         // Lossless conversion is the identity; conversions
                         // are counted arithmetically (every column converts
                         // every slice each bit plane).
                         stats.adc_conversions += n_planes as u64 * cell_cols as u64;
-                        let sample_accs = &mut accs[si * ncols..][..ncols];
-                        for (ci, acc) in sample_accs.iter_mut().enumerate() {
-                            let mut encoded_total = 0u64;
-                            for &s in &cell_acc[ci * cpw..(ci + 1) * cpw] {
-                                encoded_total = (encoded_total << cell_bits) + s;
-                            }
-                            *acc += encoded_total as i64 - offset as i64;
+                        for acc in sample_accs.iter_mut() {
+                            *acc -= offset as i64;
                         }
                     }
                 } else {
@@ -968,6 +984,18 @@ mod tests {
         let (want, want_stats) = matmul_oracle(&layer, &codes, &scales);
         assert_eq!(outs, want);
         assert_eq!(stats, want_stats);
+    }
+
+    #[test]
+    fn rejects_configs_whose_accumulators_could_overflow() {
+        // 4 rows × ((2^32 − 1) + 2^31) × (2^31 − 1) overflows i64; the
+        // same matrix at 16-bit inputs fits and computes the exact product.
+        let w = Tensor::from_vec(vec![1.0; 8], &[4, 2]);
+        let err = IsaacLayer::map_with(&w, 32, 31, 16, CellSpec::paper_2bit()).unwrap_err();
+        assert!(matches!(err, ExecError::UnsupportedConfig { .. }));
+        let layer = IsaacLayer::map_with(&w, 32, 16, 16, CellSpec::paper_2bit()).unwrap();
+        let (out, _) = layer.matvec(&[0xFFFF; 4], 1.0);
+        assert_eq!(out, vec![4.0 * 65535.0; 2]);
     }
 
     #[test]
