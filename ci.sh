@@ -83,6 +83,13 @@ echo "== network front-end bench (smoke) =="
 # and exits non-zero on any violation.
 cargo run --release --offline -p forms-bench --bin net -- --smoke
 
+echo "== network serving example =="
+# The README-facing walk-through of the builder-only API: serves a mapped
+# FORMS model on an ephemeral loopback port, pipelines requests, surfaces
+# a deadline as a wire status, fetches telemetry over the socket, and
+# exits non-zero if any step fails.
+cargo run --release --offline --quiet --example net_serve
+
 echo "== end-to-end loopback benchmark (self-tests + short runs) =="
 # perfbench is a workspace of its own (path deps on the repo crates), so
 # the workspace test above does not reach it: run its validator

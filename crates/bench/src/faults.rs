@@ -13,7 +13,8 @@
 //!    bit-plane path, and records top-1 agreement with the clean mapping
 //!    plus mean relative output error. [`validate`] requires the FORMS
 //!    curves to degrade more slowly than ISAAC's in aggregate.
-//! 2. **Serving fault storm** — runs [`serve_resilient`] with paced
+//! 2. **Serving fault storm** — runs
+//!    [`run_resilient`](forms_serve::ServerBuilder::run_resilient) with paced
 //!    replicas, poisons one replica persistently mid-run, and checks the
 //!    availability story: the poisoned replica quarantines after its
 //!    rebuild budget, every response that *completes* is bitwise-identical
@@ -33,10 +34,7 @@ use forms_dnn::{Layer, Network, WeightLayerMut};
 use forms_exec::{Executor, FaultCampaign, FaultableEngine};
 use forms_reram::CellSpec;
 use forms_rng::{Rng, StdRng};
-use forms_serve::{
-    serve_resilient, HealthPolicy, PacedConfig, PacedEngine, ResilientConfig, ServeConfig,
-    ServeError,
-};
+use forms_serve::{HealthPolicy, PacedConfig, PacedEngine, ServeConfig, ServeError, Server};
 use forms_tensor::Tensor;
 
 use crate::json::JsonValue;
@@ -410,23 +408,22 @@ fn storm_network(spec: &FaultsBenchSpec) -> Network {
 /// completing pristine responses.
 fn run_storm(pristine: &Executor<PacedEngine<MappedLayer>>, spec: &FaultsBenchSpec) -> StormResult {
     let replicas = 2;
-    let config = ResilientConfig {
-        serve: ServeConfig {
+    let builder = Server::builder()
+        .config(ServeConfig {
             replicas,
             queue_capacity: spec.storm_requests.max(4),
             max_batch: 2,
             max_delay: Duration::from_micros(200),
             default_deadline: None,
-        },
-        policy: HealthPolicy {
+        })
+        .health(HealthPolicy {
             // Tolerate the raw density so the sentinel path (not the
             // density gate) is what refuses corrupted batches.
             max_fault_density: 1.0,
             max_rebuilds: 1,
             backoff: Duration::from_micros(100),
             backoff_multiplier: 2.0,
-        },
-    };
+        });
     // Full-scale inputs: every input code is at the top of the range, so a
     // stuck-high array has no quantization headroom to hide in.
     let request = vec![1.0f32; spec.rows];
@@ -444,7 +441,7 @@ fn run_storm(pristine: &Executor<PacedEngine<MappedLayer>>, spec: &FaultsBenchSp
     // quarantine shows up in telemetry, up to a generous cap.
     let max_waves = 200;
     let ((requests, completed_outputs, degraded_seen), telemetry) =
-        serve_resilient(pristine, &[spec.rows], &config, |handle, faults| {
+        builder.run_resilient(pristine, &[spec.rows], |handle, faults| {
             let mut outputs: Vec<Vec<f32>> = Vec::new();
             let mut degraded = 0usize;
             let mut requests = 0usize;

@@ -35,12 +35,12 @@ use forms_arch::{MappedLayer, MappingConfig};
 use forms_baselines::{IsaacConfig, IsaacLayer};
 use forms_dnn::{Layer, Network, WeightLayerMut};
 use forms_exec::{CrossbarEngine, Executor, FaultCampaign};
-use forms_net::{serve_net, serve_net_resilient, ClientConfig, NetClient, NetConfig, WireStatus};
+use forms_net::{ClientConfig, NetClient, NetConfig, NetServerExt, WireStatus};
 use forms_reram::CellSpec;
 use forms_rng::StdRng;
 use forms_serve::{
-    run_open_loop, serve, HealthPolicy, OpenLoopSpec, PacedConfig, PacedEngine, ResilientConfig,
-    ServeConfig, TelemetrySnapshot,
+    run_open_loop, HealthPolicy, OpenLoopSpec, PacedConfig, PacedEngine, ServeConfig, Server,
+    TelemetrySnapshot,
 };
 use forms_tensor::Tensor;
 use forms_workloads::{poisson_arrivals, synth_request, ActivationModel};
@@ -453,7 +453,6 @@ where
     E: CrossbarEngine,
     E::Stats: Sync,
 {
-    let serve_config = spec.serve_config(replicas);
     let net_config = NetConfig {
         // Roomy in-flight window: the open-loop schedule must never stall
         // on the backpressure bound, or the measurement degenerates into
@@ -463,8 +462,9 @@ where
     };
     let base = spec.requests / connections;
     let extra = spec.requests % connections;
-    let ((outcomes, elapsed), telemetry) =
-        serve_net(executor, &[spec.rows], &serve_config, &net_config, |net| {
+    let ((outcomes, elapsed), telemetry) = Server::builder()
+        .config(spec.serve_config(replicas))
+        .run_net(executor, &[spec.rows], &net_config, |net| {
             let addr = net.addr();
             let started = Instant::now();
             let outcomes: Vec<ConnOutcome> = std::thread::scope(|scope| {
@@ -551,9 +551,10 @@ where
         model: ActivationModel::half_normal(0.4),
         deadline: None,
     };
-    let (report, _telemetry) = serve(executor, &[spec.rows], &spec.serve_config(replicas), |h| {
-        run_open_loop(h, &load)
-    });
+    let (report, _telemetry) =
+        Server::builder()
+            .config(spec.serve_config(replicas))
+            .run(executor, &[spec.rows], |h| run_open_loop(h, &load));
     report.throughput_rps()
 }
 
@@ -623,45 +624,46 @@ fn run_storm(spec: &NetBenchSpec) -> NetStormResult {
         .clone()
         .forward(&Tensor::from_vec(request.clone(), &[1, spec.rows]))
         .into_vec();
-    let config = ResilientConfig {
-        serve: ServeConfig {
+    let builder = Server::builder()
+        .config(ServeConfig {
             replicas,
             queue_capacity: spec.storm_requests.max(4),
             max_batch: 2,
             max_delay: Duration::from_micros(200),
             default_deadline: None,
-        },
-        policy: HealthPolicy {
+        })
+        .health(HealthPolicy {
             // Tolerate the raw density so the sentinel path (not the
             // density gate) is what refuses corrupted batches.
             max_fault_density: 1.0,
             max_rebuilds: 1,
             backoff: Duration::from_micros(100),
             backoff_multiplier: 2.0,
-        },
-    };
+        });
     let poison = FaultCampaign::stuck_at(0x570_12A, 0.0, 0.35);
     let warmup = spec.storm_requests / 3;
     let max_waves = 400;
-    let ((requests, ok_outputs, degraded, wire_errors), telemetry) = serve_net_resilient(
-        &pristine,
-        &[spec.rows],
-        &config,
-        &NetConfig::default(),
-        |net, faults| {
-            let addr = net.addr();
-            let service = net.service().clone();
-            let request = &request;
-            std::thread::scope(|scope| {
-                let worker = scope.spawn(move || {
-                    let mut client = NetClient::connect(addr, ClientConfig::default())
-                        .expect("storm client connects");
-                    let mut ok_outputs: Vec<Vec<f32>> = Vec::new();
-                    let mut degraded = 0usize;
-                    let mut wire_errors = 0usize;
-                    let mut requests = 0usize;
-                    let mut drive =
-                        |n: usize, ok: &mut Vec<Vec<f32>>, deg: &mut usize, wire: &mut usize| {
+    let ((requests, ok_outputs, degraded, wire_errors), telemetry) = builder
+        .run_net_resilient(
+            &pristine,
+            &[spec.rows],
+            &NetConfig::default(),
+            |net, faults| {
+                let addr = net.addr();
+                let service = net.service().clone();
+                let request = &request;
+                std::thread::scope(|scope| {
+                    let worker = scope.spawn(move || {
+                        let mut client = NetClient::connect(addr, ClientConfig::default())
+                            .expect("storm client connects");
+                        let mut ok_outputs: Vec<Vec<f32>> = Vec::new();
+                        let mut degraded = 0usize;
+                        let mut wire_errors = 0usize;
+                        let mut requests = 0usize;
+                        let mut drive = |n: usize,
+                                         ok: &mut Vec<Vec<f32>>,
+                                         deg: &mut usize,
+                                         wire: &mut usize| {
                             for _ in 0..n {
                                 match client.call(request, None) {
                                     Ok(reply) => match reply.outcome {
@@ -673,26 +675,26 @@ fn run_storm(spec: &NetBenchSpec) -> NetStormResult {
                                 }
                             }
                         };
-                    drive(warmup, &mut ok_outputs, &mut degraded, &mut wire_errors);
-                    requests += warmup;
-                    faults.poison(0, poison);
-                    // Recovery is asynchronous: keep offering small waves
-                    // until the quarantine shows up in telemetry, capped.
-                    let mut waves = 0;
-                    while requests < spec.storm_requests
-                        || (service.telemetry().quarantines == 0 && waves < max_waves)
-                    {
-                        drive(2, &mut ok_outputs, &mut degraded, &mut wire_errors);
-                        requests += 2;
-                        waves += 1;
-                    }
-                    (requests, ok_outputs, degraded, wire_errors)
-                });
-                worker.join().expect("storm client thread")
-            })
-        },
-    )
-    .expect("storm listener binds");
+                        drive(warmup, &mut ok_outputs, &mut degraded, &mut wire_errors);
+                        requests += warmup;
+                        faults.poison(0, poison);
+                        // Recovery is asynchronous: keep offering small waves
+                        // until the quarantine shows up in telemetry, capped.
+                        let mut waves = 0;
+                        while requests < spec.storm_requests
+                            || (service.telemetry().quarantines == 0 && waves < max_waves)
+                        {
+                            drive(2, &mut ok_outputs, &mut degraded, &mut wire_errors);
+                            requests += 2;
+                            waves += 1;
+                        }
+                        (requests, ok_outputs, degraded, wire_errors)
+                    });
+                    worker.join().expect("storm client thread")
+                })
+            },
+        )
+        .expect("storm listener binds");
     let corrupted = ok_outputs.iter().filter(|o| **o != clean).count();
     println!(
         "storm: {} requests over one socket -> {} completed ({} corrupted), {} degraded statuses, {} wire errors, {} quarantined",

@@ -28,13 +28,13 @@ use forms_exec::{CrossbarEngine, Executor};
 use forms_reram::CellSpec;
 use forms_rng::StdRng;
 use forms_serve::{
-    run_open_loop, serve, OpenLoopSpec, PacedConfig, PacedEngine, ServeConfig, TelemetrySnapshot,
+    run_open_loop, OpenLoopSpec, PacedConfig, PacedEngine, ServeConfig, Server, TelemetrySnapshot,
 };
 use forms_workloads::ActivationModel;
 
 use crate::json::JsonValue;
 use crate::mvm::polarized_matrix;
-use crate::timing::{percentile, LogHistogram};
+use crate::timing::percentile;
 
 /// Shapes, pacing and sweep axes for one suite run.
 #[derive(Clone, Debug)]
@@ -283,9 +283,12 @@ where
                 model: ActivationModel::half_normal(0.4),
                 deadline: None,
             };
-            let (report, telemetry) = serve(executor, &[spec.rows], &config, |handle| {
-                run_open_loop(handle, &load)
-            });
+            let (report, telemetry) =
+                Server::builder()
+                    .config(config)
+                    .run(executor, &[spec.rows], |handle| {
+                        run_open_loop(handle, &load)
+                    });
             // Live round-trip gate: the snapshot this point embeds must
             // survive its own JSON rendering bit-for-bit.
             let rendered = telemetry.to_json().pretty();
@@ -294,17 +297,17 @@ where
             )
             .expect("telemetry JSON parses back");
             assert_eq!(reparsed, telemetry, "telemetry JSON round-trip drifted");
-            // Exact client-side percentiles from the sorted samples, plus
-            // the bucketed mean as a cross-check aggregate.
+            // Exact client-side percentiles and mean from the samples.
             let ns: Vec<f64> = report
                 .latencies
                 .iter()
                 .map(|d| d.as_nanos() as f64)
                 .collect();
-            let mut hist = LogHistogram::new();
-            for &v in &ns {
-                hist.record_ns(v);
-            }
+            let mean_ns = if ns.is_empty() {
+                0.0
+            } else {
+                ns.iter().sum::<f64>() / ns.len() as f64
+            };
             let point = SweepPoint {
                 design,
                 replicas,
@@ -312,7 +315,7 @@ where
                 throughput_rps: report.throughput_rps(),
                 p50_ms: percentile(&ns, 0.50) / 1e6,
                 p99_ms: percentile(&ns, 0.99) / 1e6,
-                mean_ms: hist.mean_ns() / 1e6,
+                mean_ms: mean_ns / 1e6,
                 shed_rate: report.shed_rate(),
                 completed: report.completed,
                 shed: report.shed,

@@ -8,9 +8,7 @@
 //!
 //! The quantile machinery is shared by every suite: [`percentile`]
 //! extracts p50/p95/p99 from sorted samples (batch timings here,
-//! client-side latencies in the serving suite), and [`LogHistogram`]
-//! aggregates large sample streams into fixed log-spaced buckets when
-//! keeping every sample would be wasteful.
+//! client-side latencies in the serving suite).
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -33,139 +31,6 @@ pub fn percentile(sorted: &[f64], q: f64) -> f64 {
     let hi = pos.ceil() as usize;
     let frac = pos - lo as f64;
     sorted[lo] + frac * (sorted[hi] - sorted[lo])
-}
-
-/// Number of [`LogHistogram`] buckets.
-pub const LOG_HISTOGRAM_BUCKETS: usize = 64;
-/// Lower edge of bucket 1 in nanoseconds (bucket 0 catches smaller
-/// values).
-pub const LOG_HISTOGRAM_LO_NS: f64 = 1_000.0;
-/// Geometric growth factor between consecutive bucket edges: every
-/// estimate is within ±19% across six decades of latency.
-pub const LOG_HISTOGRAM_GROWTH: f64 = std::f64::consts::SQRT_2;
-
-/// A fixed log-spaced-bucket histogram over nanosecond observations, for
-/// aggregating sample streams too large to keep sorted in memory.
-#[derive(Clone, Debug)]
-pub struct LogHistogram {
-    buckets: [u64; LOG_HISTOGRAM_BUCKETS],
-    count: u64,
-    sum_ns: f64,
-    max_ns: f64,
-}
-
-impl LogHistogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        Self {
-            buckets: [0; LOG_HISTOGRAM_BUCKETS],
-            count: 0,
-            sum_ns: 0.0,
-            max_ns: 0.0,
-        }
-    }
-
-    fn bucket_index(ns: f64) -> usize {
-        if ns < LOG_HISTOGRAM_LO_NS {
-            return 0;
-        }
-        let octaves = (ns / LOG_HISTOGRAM_LO_NS).log2() / LOG_HISTOGRAM_GROWTH.log2();
-        (octaves as usize + 1).min(LOG_HISTOGRAM_BUCKETS - 1)
-    }
-
-    fn bucket_lower(i: usize) -> f64 {
-        if i == 0 {
-            0.0
-        } else {
-            LOG_HISTOGRAM_LO_NS * LOG_HISTOGRAM_GROWTH.powi(i as i32 - 1)
-        }
-    }
-
-    fn bucket_upper(i: usize) -> f64 {
-        LOG_HISTOGRAM_LO_NS * LOG_HISTOGRAM_GROWTH.powi(i as i32)
-    }
-
-    /// Records one observation in nanoseconds.
-    pub fn record_ns(&mut self, ns: f64) {
-        self.buckets[Self::bucket_index(ns)] += 1;
-        self.count += 1;
-        self.sum_ns += ns;
-        self.max_ns = self.max_ns.max(ns);
-    }
-
-    /// Records one observation as a [`Duration`].
-    pub fn record(&mut self, d: Duration) {
-        self.record_ns(d.as_nanos() as f64);
-    }
-
-    /// Observations recorded so far.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean observation in nanoseconds (0 when empty).
-    pub fn mean_ns(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum_ns / self.count as f64
-        }
-    }
-
-    /// Largest observation in nanoseconds (exact, not bucketed).
-    pub fn max_ns(&self) -> f64 {
-        self.max_ns
-    }
-
-    /// Estimates the `q`-quantile (`0 < q <= 1`) in nanoseconds by
-    /// geometric interpolation within the bucket holding the target rank;
-    /// 0 when empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is outside `(0, 1]`.
-    pub fn quantile_ns(&self, q: f64) -> f64 {
-        assert!(q > 0.0 && q <= 1.0, "quantile must be in (0, 1]");
-        if self.count == 0 {
-            return 0.0;
-        }
-        let rank = (q * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            if seen + c >= rank {
-                let lo = Self::bucket_lower(i).max(1.0);
-                let hi = Self::bucket_upper(i).min(self.max_ns).max(lo);
-                let frac = (rank - seen) as f64 / c as f64;
-                return lo * (hi / lo).powf(frac);
-            }
-            seen += c;
-        }
-        self.max_ns
-    }
-
-    /// Median estimate in nanoseconds.
-    pub fn p50_ns(&self) -> f64 {
-        self.quantile_ns(0.50)
-    }
-
-    /// 95th-percentile estimate in nanoseconds.
-    pub fn p95_ns(&self) -> f64 {
-        self.quantile_ns(0.95)
-    }
-
-    /// 99th-percentile estimate in nanoseconds.
-    pub fn p99_ns(&self) -> f64 {
-        self.quantile_ns(0.99)
-    }
-}
-
-impl Default for LogHistogram {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 /// Harness configuration.
@@ -383,25 +248,6 @@ mod tests {
         assert!(r.p50_ns() <= r.p95_ns());
         assert!(r.p95_ns() <= r.p99_ns());
         assert_eq!(r.median_ns(), r.p50_ns());
-    }
-
-    #[test]
-    fn log_histogram_brackets_its_samples() {
-        let mut h = LogHistogram::new();
-        for _ in 0..95 {
-            h.record(Duration::from_micros(100));
-        }
-        for _ in 0..5 {
-            h.record(Duration::from_millis(50));
-        }
-        assert_eq!(h.count(), 100);
-        let p50 = h.p50_ns();
-        assert!((50_000.0..200_000.0).contains(&p50), "p50 {p50}");
-        let p99 = h.p99_ns();
-        assert!((25.0e6..100.0e6).contains(&p99), "p99 {p99}");
-        assert!(h.p95_ns() <= p99 + 1e-9);
-        assert_eq!(h.max_ns(), 50.0e6);
-        assert_eq!(LogHistogram::new().p50_ns(), 0.0);
     }
 
     #[test]

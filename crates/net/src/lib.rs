@@ -17,12 +17,16 @@
 //!   [`Frame`], [`WireStatus`] (one code per
 //!   [`ServeError`](forms_serve::ServeError) variant), and a *total*
 //!   decoder: arbitrary bytes yield a typed [`WireError`], never a panic.
-//! - [`server`]: [`serve_net`] binds a blocking listener and multiplexes
-//!   N connections onto one admission queue under `std::thread::scope`;
-//!   per-connection reader/writer threads with a bounded in-flight window
-//!   for backpressure; rejections return as wire statuses on the live
-//!   connection; shutdown drains in-flight requests before the listener
-//!   closes. [`serve_net_resilient`] is the fault-tolerant sibling.
+//! - [`server`]: [`NetServerExt`] adds
+//!   [`run_net`](NetServerExt::run_net) to `forms-serve`'s
+//!   [`ServerBuilder`](forms_serve::ServerBuilder): it binds a blocking
+//!   listener and multiplexes N connections onto one admission queue under
+//!   `std::thread::scope`; per-connection reader/writer threads with a
+//!   bounded in-flight window for backpressure; rejections return as wire
+//!   statuses on the live connection; shutdown drains in-flight requests
+//!   before the listener closes.
+//!   [`run_net_resilient`](NetServerExt::run_net_resilient) is the
+//!   fault-tolerant sibling.
 //! - [`client`]: [`NetClient`] — pipelined requests, per-request
 //!   timeouts, reconnect-with-backoff, a telemetry fetch that parses the
 //!   server's [`TelemetrySnapshot`](forms_serve::TelemetrySnapshot) JSON
@@ -35,8 +39,8 @@
 //! # Example
 //!
 //! ```
-//! use forms_net::{serve_net, ClientConfig, NetClient, NetConfig};
-//! use forms_serve::ServeConfig;
+//! use forms_net::{ClientConfig, NetClient, NetConfig, NetServerExt};
+//! use forms_serve::Server;
 //! # use forms_exec::Executor;
 //! # let mut rng = forms_rng::StdRng::seed_from_u64(0);
 //! # let mut net = forms_dnn::Network::new(vec![
@@ -52,18 +56,18 @@
 //! # });
 //! # let exec = Executor::<forms_arch::MappedLayer>::map_network(
 //! #     &net, &forms_arch::MappingConfig::paper(8), 16).unwrap();
-//! let (serve, net_cfg) = (ServeConfig::default(), NetConfig::default());
-//! let ((), telemetry) = serve_net(&exec, &[1, 4, 4], &serve, &net_cfg, |net| {
-//!     let addr = net.addr();
-//!     std::thread::scope(|s| {
-//!         s.spawn(move || {
-//!             let mut client = NetClient::connect(addr, ClientConfig::default()).unwrap();
-//!             let reply = client.call(&[0.5; 16], None).unwrap();
-//!             assert_eq!(reply.outcome.unwrap().len(), 4);
+//! let ((), telemetry) = Server::builder()
+//!     .run_net(&exec, &[1, 4, 4], &NetConfig::default(), |net| {
+//!         let addr = net.addr();
+//!         std::thread::scope(|s| {
+//!             s.spawn(move || {
+//!                 let mut client = NetClient::connect(addr, ClientConfig::default()).unwrap();
+//!                 let reply = client.call(&[0.5; 16], None).unwrap();
+//!                 assert_eq!(reply.outcome.unwrap().len(), 4);
+//!             });
 //!         });
-//!     });
-//! })
-//! .unwrap();
+//!     })
+//!     .unwrap();
 //! assert_eq!(telemetry.completed, 1);
 //! ```
 
@@ -76,6 +80,4 @@ pub mod server;
 
 pub use client::{ClientConfig, ClientError, NetClient, NetReceiver, NetReply, NetSender};
 pub use protocol::{Frame, FrameKind, WireError, WireStatus};
-pub use server::{
-    serve_net, serve_net_resilient, NetConfig, NetConfigError, NetHandle, NetServerExt,
-};
+pub use server::{NetConfig, NetConfigError, NetHandle, NetServerExt};

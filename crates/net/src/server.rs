@@ -1,8 +1,11 @@
 //! The blocking TCP front-end: N connections multiplexed onto one
 //! `forms-serve` admission queue.
 //!
-//! [`serve_net`] wraps [`forms_serve::serve`] with a loopback-friendly
-//! listener:
+//! [`NetServerExt`] gives [`ServerBuilder`] two network-facing modes,
+//! [`run_net`](NetServerExt::run_net) and
+//! [`run_net_resilient`](NetServerExt::run_net_resilient), which wrap
+//! [`ServerBuilder::run`] and [`ServerBuilder::run_resilient`] with a
+//! loopback-friendly listener:
 //!
 //! ```text
 //!  TcpListener ── acceptor ──► per-connection reader ──► sync_channel ──► writer
@@ -41,8 +44,7 @@ use std::time::{Duration, Instant};
 
 use forms_exec::{CrossbarEngine, Executor, FaultableEngine};
 use forms_serve::{
-    FaultInjector, ResilientConfig, ServeConfig, ServeError, Server, ServerBuilder, ServiceHandle,
-    TelemetrySnapshot, Ticket,
+    FaultInjector, ServeError, ServerBuilder, ServiceHandle, TelemetrySnapshot, Ticket,
 };
 
 use crate::protocol::{
@@ -50,9 +52,9 @@ use crate::protocol::{
 };
 
 /// Front-end sizing and timeout policy. Purely transport-level: the
-/// wrapped serving core is sized by its own [`ServeConfig`], passed
-/// separately, so a knob like the deadline or queue bound exists in
-/// exactly one place.
+/// wrapped serving core is sized by the builder's
+/// [`ServeConfig`](forms_serve::ServeConfig), so a knob like the deadline
+/// or queue bound exists in exactly one place.
 #[derive(Clone, Copy, Debug)]
 pub struct NetConfig {
     /// Address to bind; port 0 picks an ephemeral port (the bound address
@@ -279,61 +281,6 @@ impl NetServerExt for ServerBuilder {
             }),
         )
     }
-}
-
-/// Runs the serving core and a TCP front-end over it for the duration of
-/// `client` — the function form of [`NetServerExt::run_net`], kept as a
-/// thin wrapper so pre-builder callers read naturally.
-///
-/// # Errors
-///
-/// Returns the bind error if the listen socket cannot be created; the
-/// service is not started in that case.
-///
-/// # Panics
-///
-/// As [`NetServerExt::run_net`].
-pub fn serve_net<E, R>(
-    executor: &Executor<E>,
-    sample_dims: &[usize],
-    serve: &ServeConfig,
-    net: &NetConfig,
-    client: impl FnOnce(&NetHandle) -> R,
-) -> std::io::Result<(R, TelemetrySnapshot)>
-where
-    E: CrossbarEngine,
-    E::Stats: Sync,
-{
-    Server::builder()
-        .config(*serve)
-        .run_net(executor, sample_dims, net, client)
-}
-
-/// The resilient sibling of [`serve_net`] — the function form of
-/// [`NetServerExt::run_net_resilient`], kept as a thin wrapper.
-///
-/// # Errors
-///
-/// Returns the bind error if the listen socket cannot be created.
-///
-/// # Panics
-///
-/// As [`NetServerExt::run_net_resilient`].
-pub fn serve_net_resilient<E, R>(
-    pristine: &Executor<E>,
-    sample_dims: &[usize],
-    config: &ResilientConfig,
-    net: &NetConfig,
-    client: impl FnOnce(&NetHandle, &FaultInjector<'_>) -> R,
-) -> std::io::Result<(R, TelemetrySnapshot)>
-where
-    E: FaultableEngine,
-    E::Stats: Sync,
-{
-    Server::builder()
-        .config(config.serve)
-        .health(config.policy)
-        .run_net_resilient(pristine, sample_dims, net, client)
 }
 
 fn bind(config: &NetConfig) -> std::io::Result<TcpListener> {

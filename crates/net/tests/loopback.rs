@@ -10,9 +10,9 @@ use forms_arch::{MappedLayer, MappingConfig};
 use forms_dnn::{Layer, Network, WeightLayerMut};
 use forms_exec::{Executor, FaultCampaign};
 use forms_net::protocol::{read_frame, write_frame, Frame};
-use forms_net::{serve_net, serve_net_resilient, ClientConfig, NetClient, NetConfig, WireStatus};
+use forms_net::{ClientConfig, NetClient, NetConfig, NetServerExt, WireStatus};
 use forms_rng::StdRng;
-use forms_serve::{HealthPolicy, PacedConfig, PacedEngine, ResilientConfig, ServeConfig};
+use forms_serve::{HealthPolicy, PacedConfig, PacedEngine, ServeConfig, Server};
 use forms_tensor::Tensor;
 
 const ROWS: usize = 16;
@@ -69,25 +69,27 @@ fn socket_call_is_bitwise_identical_to_in_process_submission() {
         replicas: 2,
         ..ServeConfig::default()
     };
-    let ((), telemetry) = serve_net(&exec, &[ROWS], &serve, &NetConfig::default(), |net| {
-        let in_process = net
-            .service()
-            .submit(sample(1.0))
-            .unwrap()
-            .wait()
-            .unwrap()
-            .output;
-        let addr = net.addr();
-        std::thread::scope(|s| {
-            s.spawn(move || {
-                let mut client = NetClient::connect(addr, ClientConfig::default()).unwrap();
-                let reply = client.call(&sample(1.0), None).unwrap();
-                assert_eq!(reply.outcome.unwrap(), in_process);
-                assert!(reply.server_latency > Duration::ZERO);
+    let ((), telemetry) = Server::builder()
+        .config(serve)
+        .run_net(&exec, &[ROWS], &NetConfig::default(), |net| {
+            let in_process = net
+                .service()
+                .submit(sample(1.0))
+                .unwrap()
+                .wait()
+                .unwrap()
+                .output;
+            let addr = net.addr();
+            std::thread::scope(|s| {
+                s.spawn(move || {
+                    let mut client = NetClient::connect(addr, ClientConfig::default()).unwrap();
+                    let reply = client.call(&sample(1.0), None).unwrap();
+                    assert_eq!(reply.outcome.unwrap(), in_process);
+                    assert!(reply.server_latency > Duration::ZERO);
+                });
             });
-        });
-    })
-    .unwrap();
+        })
+        .unwrap();
     assert_eq!(telemetry.completed, 2);
     assert_eq!(telemetry.submitted, 2);
 }
@@ -96,25 +98,27 @@ fn socket_call_is_bitwise_identical_to_in_process_submission() {
 fn pipelined_requests_resolve_in_send_order() {
     let exec = executor();
     let (serve, net_cfg) = (ServeConfig::default(), NetConfig::default());
-    let ((), telemetry) = serve_net(&exec, &[ROWS], &serve, &net_cfg, |net| {
-        let addr = net.addr();
-        std::thread::scope(|s| {
-            s.spawn(move || {
-                let mut client = NetClient::connect(addr, ClientConfig::default()).unwrap();
-                let expected: Vec<u64> = (0..16)
-                    .map(|i| client.send(&sample(i as f32 / 16.0), None).unwrap())
-                    .collect();
-                assert_eq!(client.in_flight(), 16);
-                for want in expected {
-                    let reply = client.recv().unwrap();
-                    assert_eq!(reply.id, want);
-                    assert_eq!(reply.outcome.unwrap().len(), COLS);
-                }
-                assert_eq!(client.in_flight(), 0);
+    let ((), telemetry) = Server::builder()
+        .config(serve)
+        .run_net(&exec, &[ROWS], &net_cfg, |net| {
+            let addr = net.addr();
+            std::thread::scope(|s| {
+                s.spawn(move || {
+                    let mut client = NetClient::connect(addr, ClientConfig::default()).unwrap();
+                    let expected: Vec<u64> = (0..16)
+                        .map(|i| client.send(&sample(i as f32 / 16.0), None).unwrap())
+                        .collect();
+                    assert_eq!(client.in_flight(), 16);
+                    for want in expected {
+                        let reply = client.recv().unwrap();
+                        assert_eq!(reply.id, want);
+                        assert_eq!(reply.outcome.unwrap().len(), COLS);
+                    }
+                    assert_eq!(client.in_flight(), 0);
+                });
             });
-        });
-    })
-    .unwrap();
+        })
+        .unwrap();
     assert_eq!(telemetry.completed, 16);
 }
 
@@ -130,42 +134,44 @@ fn rejections_are_statuses_on_a_live_connection_not_disconnects() {
         max_delay: Duration::ZERO,
         default_deadline: None,
     };
-    let ((), telemetry) = serve_net(&exec, &[ROWS], &serve, &NetConfig::default(), |net| {
-        let addr = net.addr();
-        std::thread::scope(|s| {
-            s.spawn(move || {
-                let mut client = NetClient::connect(addr, ClientConfig::default()).unwrap();
-                // Wrong payload length → BadShape with both lengths.
-                let reply = client.call(&[1.0; 3], None).unwrap();
-                assert_eq!(reply.outcome, Err(WireStatus::BadShape));
-                // An impossible deadline → DeadlineExceeded.
-                let reply = client
-                    .call(&sample(1.0), Some(Duration::from_micros(1)))
-                    .unwrap();
-                assert_eq!(reply.outcome, Err(WireStatus::DeadlineExceeded));
-                // Blast a capacity-1 queue through a 20 ms device: most
-                // requests shed, and the connection survives all of it.
-                let sent: Vec<u64> = (0..12)
-                    .map(|_| client.send(&sample(0.5), None).unwrap())
-                    .collect();
-                let mut shed = 0usize;
-                let mut completed = 0usize;
-                for _ in &sent {
-                    match client.recv().unwrap().outcome {
-                        Ok(_) => completed += 1,
-                        Err(WireStatus::Shed) => shed += 1,
-                        Err(other) => panic!("unexpected status {other}"),
+    let ((), telemetry) = Server::builder()
+        .config(serve)
+        .run_net(&exec, &[ROWS], &NetConfig::default(), |net| {
+            let addr = net.addr();
+            std::thread::scope(|s| {
+                s.spawn(move || {
+                    let mut client = NetClient::connect(addr, ClientConfig::default()).unwrap();
+                    // Wrong payload length → BadShape with both lengths.
+                    let reply = client.call(&[1.0; 3], None).unwrap();
+                    assert_eq!(reply.outcome, Err(WireStatus::BadShape));
+                    // An impossible deadline → DeadlineExceeded.
+                    let reply = client
+                        .call(&sample(1.0), Some(Duration::from_micros(1)))
+                        .unwrap();
+                    assert_eq!(reply.outcome, Err(WireStatus::DeadlineExceeded));
+                    // Blast a capacity-1 queue through a 20 ms device: most
+                    // requests shed, and the connection survives all of it.
+                    let sent: Vec<u64> = (0..12)
+                        .map(|_| client.send(&sample(0.5), None).unwrap())
+                        .collect();
+                    let mut shed = 0usize;
+                    let mut completed = 0usize;
+                    for _ in &sent {
+                        match client.recv().unwrap().outcome {
+                            Ok(_) => completed += 1,
+                            Err(WireStatus::Shed) => shed += 1,
+                            Err(other) => panic!("unexpected status {other}"),
+                        }
                     }
-                }
-                assert!(completed >= 1, "at least the head request completes");
-                assert!(shed >= 1, "a capacity-1 queue under blast must shed");
-                // The same connection still serves a clean request.
-                let reply = client.call(&sample(1.0), None).unwrap();
-                assert!(reply.is_ok());
+                    assert!(completed >= 1, "at least the head request completes");
+                    assert!(shed >= 1, "a capacity-1 queue under blast must shed");
+                    // The same connection still serves a clean request.
+                    let reply = client.call(&sample(1.0), None).unwrap();
+                    assert!(reply.is_ok());
+                });
             });
-        });
-    })
-    .unwrap();
+        })
+        .unwrap();
     assert!(telemetry.shed >= 1);
     assert!(telemetry.expired >= 1);
 }
@@ -174,37 +180,39 @@ fn rejections_are_statuses_on_a_live_connection_not_disconnects() {
 fn telemetry_frame_round_trips_the_snapshot_over_the_wire() {
     let exec = executor();
     let (serve, net_cfg) = (ServeConfig::default(), NetConfig::default());
-    let ((), final_snapshot) = serve_net(&exec, &[ROWS], &serve, &net_cfg, |net| {
-        let addr = net.addr();
-        let handle_snapshot = std::thread::scope(|s| {
-            s.spawn(move || {
-                let mut client = NetClient::connect(addr, ClientConfig::default()).unwrap();
-                for _ in 0..3 {
-                    assert!(client.call(&sample(1.0), None).unwrap().is_ok());
-                }
-                client.telemetry().unwrap()
-            })
-            .join()
-            .unwrap()
-        });
-        // The wire snapshot is the service's own snapshot, not a copy
-        // with drift: fetch in-process telemetry after the client is done
-        // and check the wire one is consistent with it.
-        let direct = net.telemetry();
-        assert_eq!(handle_snapshot.completed, 3);
-        assert_eq!(handle_snapshot.plan, direct.plan);
-        assert!(direct.completed >= handle_snapshot.completed);
-        // The v2 tracing extensions survive the wire: per-stage counts
-        // match the completions and per-layer attribution is populated.
-        for stage in handle_snapshot.stages.in_order() {
-            assert_eq!(stage.count, 3, "every stage sees every completion");
-        }
-        assert!(
-            handle_snapshot.layers.iter().any(|l| l.mvms > 0),
-            "per-layer attribution crossed the wire"
-        );
-    })
-    .unwrap();
+    let ((), final_snapshot) = Server::builder()
+        .config(serve)
+        .run_net(&exec, &[ROWS], &net_cfg, |net| {
+            let addr = net.addr();
+            let handle_snapshot = std::thread::scope(|s| {
+                s.spawn(move || {
+                    let mut client = NetClient::connect(addr, ClientConfig::default()).unwrap();
+                    for _ in 0..3 {
+                        assert!(client.call(&sample(1.0), None).unwrap().is_ok());
+                    }
+                    client.telemetry().unwrap()
+                })
+                .join()
+                .unwrap()
+            });
+            // The wire snapshot is the service's own snapshot, not a copy
+            // with drift: fetch in-process telemetry after the client is done
+            // and check the wire one is consistent with it.
+            let direct = net.telemetry();
+            assert_eq!(handle_snapshot.completed, 3);
+            assert_eq!(handle_snapshot.plan, direct.plan);
+            assert!(direct.completed >= handle_snapshot.completed);
+            // The v2 tracing extensions survive the wire: per-stage counts
+            // match the completions and per-layer attribution is populated.
+            for stage in handle_snapshot.stages.in_order() {
+                assert_eq!(stage.count, 3, "every stage sees every completion");
+            }
+            assert!(
+                handle_snapshot.layers.iter().any(|l| l.mvms > 0),
+                "per-layer attribution crossed the wire"
+            );
+        })
+        .unwrap();
     assert_eq!(final_snapshot.completed, 3);
 }
 
@@ -218,23 +226,25 @@ fn concurrent_connections_multiplex_onto_one_queue() {
     };
     let per_conn = 8usize;
     let conns = 6usize;
-    let ((), telemetry) = serve_net(&exec, &[ROWS], &serve, &NetConfig::default(), |net| {
-        let addr = net.addr();
-        std::thread::scope(|s| {
-            for c in 0..conns {
-                s.spawn(move || {
-                    let mut client = NetClient::connect(addr, ClientConfig::default()).unwrap();
-                    for i in 0..per_conn {
-                        let reply = client
-                            .call(&sample((c * per_conn + i) as f32 / 48.0), None)
-                            .unwrap();
-                        assert!(reply.is_ok());
-                    }
-                });
-            }
-        });
-    })
-    .unwrap();
+    let ((), telemetry) = Server::builder()
+        .config(serve)
+        .run_net(&exec, &[ROWS], &NetConfig::default(), |net| {
+            let addr = net.addr();
+            std::thread::scope(|s| {
+                for c in 0..conns {
+                    s.spawn(move || {
+                        let mut client = NetClient::connect(addr, ClientConfig::default()).unwrap();
+                        for i in 0..per_conn {
+                            let reply = client
+                                .call(&sample((c * per_conn + i) as f32 / 48.0), None)
+                                .unwrap();
+                            assert!(reply.is_ok());
+                        }
+                    });
+                }
+            });
+        })
+        .unwrap();
     assert_eq!(telemetry.completed, (per_conn * conns) as u64);
 }
 
@@ -250,20 +260,22 @@ fn shutdown_drains_in_flight_requests_before_closing() {
     // Smuggle the stream out of the closure: requests are in flight when
     // shutdown starts, and the drain contract says each still gets a
     // response frame before the server lets go of the connection.
-    let (stream, telemetry) = serve_net(&exec, &[ROWS], &serve, &NetConfig::default(), |net| {
-        let mut stream = TcpStream::connect(net.addr()).unwrap();
-        let mut scratch = Vec::new();
-        for id in 0..n as u64 {
-            let frame = Frame::Request {
-                id,
-                deadline_us: 0,
-                input: sample(1.0),
-            };
-            write_frame(&mut stream, &frame, &mut scratch).unwrap();
-        }
-        stream
-    })
-    .unwrap();
+    let (stream, telemetry) = Server::builder()
+        .config(serve)
+        .run_net(&exec, &[ROWS], &NetConfig::default(), |net| {
+            let mut stream = TcpStream::connect(net.addr()).unwrap();
+            let mut scratch = Vec::new();
+            for id in 0..n as u64 {
+                let frame = Frame::Request {
+                    id,
+                    deadline_us: 0,
+                    input: sample(1.0),
+                };
+                write_frame(&mut stream, &frame, &mut scratch).unwrap();
+            }
+            stream
+        })
+        .unwrap();
     let mut stream = stream;
     stream
         .set_read_timeout(Some(Duration::from_secs(5)))
@@ -288,29 +300,24 @@ fn poisoned_replica_surfaces_degraded_as_wire_statuses_with_zero_corruption() {
         .clone()
         .forward(&Tensor::from_vec(vec![1.0; ROWS], &[1, ROWS]))
         .into_vec();
-    let config = ResilientConfig {
-        serve: ServeConfig {
+    let builder = Server::builder()
+        .config(ServeConfig {
             replicas: 2,
             queue_capacity: 64,
             max_batch: 2,
             max_delay: Duration::from_micros(200),
             default_deadline: None,
-        },
-        policy: HealthPolicy {
+        })
+        .health(HealthPolicy {
             // Tolerate the raw density so the output sentinels (not the
             // density gate) refuse corrupted batches.
             max_fault_density: 1.0,
             max_rebuilds: 1,
             backoff: Duration::from_micros(100),
             backoff_multiplier: 2.0,
-        },
-    };
-    let ((ok_outputs, degraded), telemetry) = serve_net_resilient(
-        &exec,
-        &[ROWS],
-        &config,
-        &NetConfig::default(),
-        |net, faults| {
+        });
+    let ((ok_outputs, degraded), telemetry) = builder
+        .run_net_resilient(&exec, &[ROWS], &NetConfig::default(), |net, faults| {
             let addr = net.addr();
             let service = net.service().clone();
             std::thread::scope(|s| {
@@ -341,9 +348,8 @@ fn poisoned_replica_surfaces_degraded_as_wire_statuses_with_zero_corruption() {
                 .join()
                 .unwrap()
             })
-        },
-    )
-    .unwrap();
+        })
+        .unwrap();
     let corrupted = ok_outputs.iter().filter(|o| **o != clean).count();
     assert_eq!(corrupted, 0, "no corrupted response may cross the wire");
     assert!(degraded >= 1, "poison must surface as Degraded statuses");
@@ -355,22 +361,24 @@ fn poisoned_replica_surfaces_degraded_as_wire_statuses_with_zero_corruption() {
 fn malformed_bytes_drop_the_connection_but_not_the_server() {
     let exec = executor();
     let (serve, net_cfg) = (ServeConfig::default(), NetConfig::default());
-    let ((), telemetry) = serve_net(&exec, &[ROWS], &serve, &net_cfg, |net| {
-        let addr = net.addr();
-        std::thread::scope(|s| {
-            s.spawn(move || {
-                // Garbage bytes: the server must drop this connection.
-                let mut bad = TcpStream::connect(addr).unwrap();
-                std::io::Write::write_all(&mut bad, b"GET / HTTP/1.1\r\n\r\n").unwrap();
-                bad.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-                assert_eq!(read_frame(&mut bad).unwrap(), None, "server closed");
-                // ...while a well-behaved connection keeps working.
-                let mut client = NetClient::connect(addr, ClientConfig::default()).unwrap();
-                assert!(client.call(&sample(1.0), None).unwrap().is_ok());
+    let ((), telemetry) = Server::builder()
+        .config(serve)
+        .run_net(&exec, &[ROWS], &net_cfg, |net| {
+            let addr = net.addr();
+            std::thread::scope(|s| {
+                s.spawn(move || {
+                    // Garbage bytes: the server must drop this connection.
+                    let mut bad = TcpStream::connect(addr).unwrap();
+                    std::io::Write::write_all(&mut bad, b"GET / HTTP/1.1\r\n\r\n").unwrap();
+                    bad.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+                    assert_eq!(read_frame(&mut bad).unwrap(), None, "server closed");
+                    // ...while a well-behaved connection keeps working.
+                    let mut client = NetClient::connect(addr, ClientConfig::default()).unwrap();
+                    assert!(client.call(&sample(1.0), None).unwrap().is_ok());
+                });
             });
-        });
-    })
-    .unwrap();
+        })
+        .unwrap();
     assert_eq!(telemetry.completed, 1);
 }
 
@@ -384,22 +392,23 @@ fn client_reconnects_with_backoff_after_an_idle_drop() {
         idle_timeout: Some(Duration::from_millis(30)),
         ..NetConfig::default()
     };
-    let ((), telemetry) = serve_net(&exec, &[ROWS], &ServeConfig::default(), &config, |net| {
-        let addr = net.addr();
-        std::thread::scope(|s| {
-            s.spawn(move || {
-                let mut client = NetClient::connect(addr, ClientConfig::default()).unwrap();
-                assert!(client.call(&sample(1.0), None).unwrap().is_ok());
-                // Outlive the idle timeout so the server reaps the
-                // connection; the next call must transparently reconnect
-                // and resend.
-                std::thread::sleep(Duration::from_millis(120));
-                let reply = client.call(&sample(0.5), None).unwrap();
-                assert!(reply.is_ok(), "call() reconnects and resends");
+    let ((), telemetry) = Server::builder()
+        .run_net(&exec, &[ROWS], &config, |net| {
+            let addr = net.addr();
+            std::thread::scope(|s| {
+                s.spawn(move || {
+                    let mut client = NetClient::connect(addr, ClientConfig::default()).unwrap();
+                    assert!(client.call(&sample(1.0), None).unwrap().is_ok());
+                    // Outlive the idle timeout so the server reaps the
+                    // connection; the next call must transparently reconnect
+                    // and resend.
+                    std::thread::sleep(Duration::from_millis(120));
+                    let reply = client.call(&sample(0.5), None).unwrap();
+                    assert!(reply.is_ok(), "call() reconnects and resends");
+                });
             });
-        });
-    })
-    .unwrap();
+        })
+        .unwrap();
     assert_eq!(telemetry.completed, 2);
 }
 
@@ -450,49 +459,4 @@ fn net_config_validate_rejects_contradictions() {
         ..base
     };
     assert_eq!(tight.validate(), Ok(()));
-}
-
-#[test]
-fn builder_and_legacy_serve_net_agree() {
-    use forms_net::NetServerExt;
-    use forms_serve::Server;
-    let exec = executor();
-    let serve = ServeConfig::default();
-    let drive = |net: &forms_net::NetHandle| {
-        let addr = net.addr();
-        std::thread::scope(|s| {
-            s.spawn(move || {
-                let mut client = NetClient::connect(addr, ClientConfig::default()).unwrap();
-                client.call(&sample(1.0), None).unwrap().outcome.unwrap()
-            })
-            .join()
-            .unwrap()
-        })
-    };
-    let (legacy_out, legacy_t) =
-        serve_net(&exec, &[ROWS], &serve, &NetConfig::default(), drive).unwrap();
-    let (builder_out, builder_t) = Server::builder()
-        .config(serve)
-        .run_net(&exec, &[ROWS], &NetConfig::default(), drive)
-        .unwrap();
-    assert_eq!(legacy_out, builder_out);
-    assert_eq!(legacy_t.completed, builder_t.completed);
-    assert_eq!(legacy_t.plan, builder_t.plan);
-
-    // The resilient pair agrees too.
-    let resilient = ResilientConfig {
-        serve,
-        policy: HealthPolicy::default(),
-    };
-    let drive2 = |net: &forms_net::NetHandle, _: &forms_serve::FaultInjector<'_>| drive(net);
-    let (legacy_out, legacy_t) =
-        serve_net_resilient(&exec, &[ROWS], &resilient, &NetConfig::default(), drive2).unwrap();
-    let (builder_out, builder_t) = Server::builder()
-        .config(serve)
-        .health(HealthPolicy::default())
-        .run_net_resilient(&exec, &[ROWS], &NetConfig::default(), drive2)
-        .unwrap();
-    assert_eq!(legacy_out, builder_out);
-    assert_eq!(legacy_t.completed, builder_t.completed);
-    assert_eq!(legacy_t.quarantines, builder_t.quarantines);
 }

@@ -6,7 +6,7 @@
 //! load, with bounded memory and measurable tail latency.
 //!
 //! ```text
-//!              ┌──────────────────────── serve() ───────────────────────┐
+//!              ┌──────────── Server::builder().run(..) ─────────────────┐
 //!  client ──► ServiceHandle::submit ──► BoundedQueue ──► replica workers │
 //!    ▲             │ shed when full       (MPMC,          (one warm      │
 //!    │             ▼                       bounded)        session each) │
@@ -19,7 +19,13 @@
 //! - [`queue`]: bounded MPMC admission queue — producers shed instead of
 //!   blocking, consumers pop dynamic batches (flush on `max_batch` or
 //!   `max_delay`), close-and-drain shutdown.
-//! - [`service`]: [`serve`] spins up N replica threads each owning one warm
+//! - [`server`]: [`Server::builder`], the one entry point — sizing,
+//!   health and tracing configuration with a typed
+//!   [`validate`](ServerBuilder::validate), launched by
+//!   [`run`](ServerBuilder::run) or
+//!   [`run_resilient`](ServerBuilder::run_resilient).
+//! - [`service`]: the serving core behind every entry point — N replica
+//!   threads each owning one warm
 //!   [`InferenceSession`](forms_exec::InferenceSession) over the *shared*
 //!   mapped engines; requests carry deadlines (expired ⇒ rejected, not
 //!   executed) and cancellation; a panicking engine fails its batch and
@@ -35,17 +41,18 @@
 //!   [`json::parse`]) — hosted here so telemetry snapshots render
 //!   themselves and the `forms-net` metrics frame / bench report writers
 //!   share one schema.
-//! - [`health`]: [`serve_resilient`] — fault-tolerant serving where every
-//!   replica owns an executor clone, polices its fault density and output
-//!   sentinels against a [`HealthPolicy`], rebuilds from the pristine
-//!   mapping with exponential backoff, and quarantines when recovery
-//!   keeps failing; clients inject seeded fault campaigns per replica
-//!   through a [`FaultInjector`].
+//! - [`health`]: the policed mode behind
+//!   [`run_resilient`](ServerBuilder::run_resilient) — every replica runs
+//!   the same core loop over its own executor clone, polices its fault
+//!   density and output sentinels against a [`HealthPolicy`], rebuilds
+//!   from the pristine mapping with exponential backoff, and quarantines
+//!   when recovery keeps failing; clients inject seeded fault campaigns
+//!   per replica through a [`FaultInjector`].
 //!
 //! # Example
 //!
 //! ```
-//! use forms_serve::{serve, ServeConfig};
+//! use forms_serve::{ServeConfig, Server};
 //! # use forms_exec::Executor;
 //! # let mut rng = forms_rng::StdRng::seed_from_u64(0);
 //! # let mut net = forms_dnn::Network::new(vec![
@@ -63,10 +70,12 @@
 //! # let exec = Executor::<forms_arch::MappedLayer>::map_network(
 //! #     &net, &forms_arch::MappingConfig::paper(8), 16).unwrap();
 //! let config = ServeConfig { replicas: 2, ..ServeConfig::default() };
-//! let (result, telemetry) = serve(&exec, &[1, 4, 4], &config, |handle| {
-//!     let ticket = handle.submit(vec![0.5; 16]).unwrap();
-//!     ticket.wait().unwrap().output
-//! });
+//! let (result, telemetry) = Server::builder()
+//!     .config(config)
+//!     .run(&exec, &[1, 4, 4], |handle| {
+//!         let ticket = handle.submit(vec![0.5; 16]).unwrap();
+//!         ticket.wait().unwrap().output
+//!     });
 //! assert_eq!(result.len(), 4);
 //! assert_eq!(telemetry.completed, 1);
 //! ```
@@ -84,12 +93,12 @@ pub mod service;
 pub mod telemetry;
 pub mod trace;
 
-pub use health::{serve_resilient, FaultInjector, HealthPolicy, ResilientConfig};
+pub use health::{FaultInjector, HealthPolicy};
 pub use loadgen::{run_open_loop, LoadReport, OpenLoopSpec};
 pub use paced::{PacedConfig, PacedEngine, PacedScratch};
 pub use queue::{BoundedQueue, PopWait, PushError};
 pub use server::{ConfigError, Server, ServerBuilder};
-pub use service::{serve, Response, ServeConfig, ServeError, ServiceHandle, Ticket};
+pub use service::{Response, ServeConfig, ServeError, ServiceHandle, Ticket};
 pub use telemetry::{
     LayerAttribution, StageSnapshots, Telemetry, TelemetrySnapshot, TELEMETRY_SCHEMA_VERSION,
 };

@@ -1,16 +1,14 @@
 //! One front door for every serving mode: the [`Server`] builder.
 //!
-//! Historically the crate grew four divergent entry points —
-//! [`serve`](crate::service::serve),
-//! [`serve_resilient`](crate::health::serve_resilient), and the two
-//! network-facing siblings in `forms-net` — each threading its own config
-//! through its own signature. The builder unifies them: one place to set
-//! the [`ServeConfig`], an optional [`HealthPolicy`] for fault-tolerant
+//! The builder is the only way to start a service. It is the one place to
+//! set the [`ServeConfig`], an optional [`HealthPolicy`] for fault-tolerant
 //! serving, and the [`TraceConfig`] governing request-lifecycle tracing,
 //! with a [`validate`](ServerBuilder::validate) that rejects contradictory
-//! settings *before* any replica thread spawns. The legacy functions
-//! remain as thin wrappers over the builder, so existing callers keep
-//! compiling with bitwise-identical behavior.
+//! settings *before* any replica thread spawns. It launches in one of four
+//! modes: [`run`](ServerBuilder::run) and
+//! [`run_resilient`](ServerBuilder::run_resilient) here, plus `run_net`
+//! and `run_net_resilient` added by `forms-net`'s `NetServerExt`. All four
+//! share one serving core.
 //!
 //! ```
 //! use forms_serve::{Server, ServeConfig};
@@ -44,8 +42,8 @@
 
 use forms_exec::{CrossbarEngine, Executor, FaultableEngine};
 
-use crate::health::{serve_resilient_impl, FaultInjector, HealthPolicy, ResilientConfig};
-use crate::service::{serve_impl, ServeConfig, ServiceHandle};
+use crate::health::{FaultInjector, HealthPolicy, Policing};
+use crate::service::{serve_core, ServeConfig, ServiceHandle};
 use crate::telemetry::TelemetrySnapshot;
 use crate::trace::TraceConfig;
 
@@ -102,6 +100,15 @@ pub enum ConfigError {
         /// The offending density threshold.
         density: f64,
     },
+    /// The health policy's largest backoff,
+    /// `backoff × backoff_multiplier^max_rebuilds`, is not a finite,
+    /// representable `Duration`, so a recovering replica would panic.
+    UnboundedBackoff {
+        /// The offending multiplier.
+        multiplier: f64,
+        /// The rebuild budget it compounds over.
+        max_rebuilds: u32,
+    },
     /// The default deadline is not longer than the batching straggler
     /// window, so every request submitted under the default would expire
     /// while its batch was still forming.
@@ -131,6 +138,14 @@ impl std::fmt::Display for ConfigError {
                     "fault-density threshold {density} is not a finite fraction"
                 )
             }
+            Self::UnboundedBackoff {
+                multiplier,
+                max_rebuilds,
+            } => write!(
+                f,
+                "backoff multiplier {multiplier} over {max_rebuilds} rebuilds grows the \
+                 backoff past any representable duration"
+            ),
             Self::DeadlineWithinBatchWindow {
                 deadline_ns,
                 max_delay_ns,
@@ -154,9 +169,10 @@ impl ServerBuilder {
         self
     }
 
-    /// Enables health-policed serving with `policy`;
-    /// [`run_resilient`](Self::run_resilient) uses it (or the default
-    /// policy when never set). [`run`](Self::run) ignores it.
+    /// Sets the health policy of the policed modes,
+    /// [`run_resilient`](Self::run_resilient) and `forms-net`'s
+    /// `run_net_resilient`, which use the default policy when none is set.
+    /// The plain modes, [`run`](Self::run) and `run_net`, police nothing.
     #[must_use]
     pub fn health(mut self, policy: HealthPolicy) -> Self {
         self.health = Some(policy);
@@ -170,21 +186,6 @@ impl ServerBuilder {
     pub fn trace(mut self, trace: TraceConfig) -> Self {
         self.trace = trace;
         self
-    }
-
-    /// The sizing/batching policy currently assembled.
-    pub fn serve_config(&self) -> &ServeConfig {
-        &self.serve
-    }
-
-    /// The health policy currently assembled, if any.
-    pub fn health_policy(&self) -> Option<&HealthPolicy> {
-        self.health.as_ref()
-    }
-
-    /// The tracing configuration currently assembled.
-    pub fn trace_config(&self) -> &TraceConfig {
-        &self.trace
     }
 
     /// Rejects impossible or contradictory configurations with a typed
@@ -215,25 +216,27 @@ impl ServerBuilder {
                 });
             }
         }
-        if let Some(policy) = &self.health {
-            if policy.backoff_multiplier < 1.0 {
-                return Err(ConfigError::ShrinkingBackoff {
-                    multiplier: policy.backoff_multiplier,
-                });
-            }
-            if !policy.max_fault_density.is_finite() || policy.max_fault_density < 0.0 {
-                return Err(ConfigError::BadFaultDensity {
-                    density: policy.max_fault_density,
-                });
-            }
+        match &self.health {
+            Some(policy) => policy.check(),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     /// Runs a plain multi-replica service around `executor` for the
-    /// duration of `client` — the builder-first form of
-    /// [`serve`](crate::service::serve). Any
-    /// health policy on the builder is ignored.
+    /// duration of `client`, then drains and joins every replica.
+    ///
+    /// Replicas share `executor`'s mapped engines, each through its own
+    /// warm session. `sample_dims` is the per-sample input shape (without
+    /// the batch dimension), e.g. `[1, 8, 8]` for an 8×8 single-channel
+    /// image or `[1152]` for a lowered linear layer. Returns the client's
+    /// result and the final telemetry snapshot after all replicas have
+    /// drained.
+    ///
+    /// Shutdown is graceful: when `client` returns, the queue closes (new
+    /// submissions fail with
+    /// [`ServeError::ShuttingDown`](crate::ServeError::ShuttingDown)) but
+    /// every already-admitted request is still executed or rejected
+    /// before `run` returns. Any health policy on the builder is ignored.
     ///
     /// # Panics
     ///
@@ -249,20 +252,30 @@ impl ServerBuilder {
         E: CrossbarEngine,
         E::Stats: Sync,
     {
-        serve_impl(executor, sample_dims, &self.serve, &self.trace, client)
+        serve_core(
+            executor,
+            sample_dims,
+            &self.serve,
+            &self.trace,
+            None,
+            client,
+        )
     }
 
     /// Runs a health-policed service around per-replica clones of
-    /// `pristine` — the builder-first form of
-    /// [`serve_resilient`](crate::health::serve_resilient). Uses the
-    /// builder's health policy, or [`HealthPolicy::default`] when none was
-    /// set.
+    /// `pristine` for the duration of `client`.
+    ///
+    /// Same contract as [`run`](Self::run) — bounded admission, dynamic
+    /// batching, graceful close-and-drain shutdown, every admitted ticket
+    /// resolves — plus the health monitoring described in
+    /// [`crate::health`], under the builder's health policy or
+    /// [`HealthPolicy::default`] when none was set. The client closure
+    /// additionally receives a [`FaultInjector`].
     ///
     /// # Panics
     ///
-    /// As [`run`](Self::run), plus a malformed health policy
-    /// (`backoff_multiplier < 1.0` or a non-finite / negative
-    /// `max_fault_density`).
+    /// As [`run`](Self::run), plus a health policy that
+    /// [`validate`](Self::validate) rejects.
     pub fn run_resilient<E, R>(
         &self,
         pristine: &Executor<E>,
@@ -273,11 +286,20 @@ impl ServerBuilder {
         E: FaultableEngine,
         E::Stats: Sync,
     {
-        let config = ResilientConfig {
-            serve: self.serve,
-            policy: self.health.unwrap_or_default(),
-        };
-        serve_resilient_impl(pristine, sample_dims, &config, &self.trace, client)
+        let policing = Policing::new(
+            self.health.unwrap_or_default(),
+            self.serve.replicas,
+            Executor::inject_faults,
+        );
+        let injector = policing.injector();
+        serve_core(
+            pristine,
+            sample_dims,
+            &self.serve,
+            &self.trace,
+            Some(&policing),
+            |handle| client(handle, &injector),
+        )
     }
 }
 
@@ -285,22 +307,6 @@ impl ServerBuilder {
 mod tests {
     use super::*;
     use std::time::Duration;
-
-    fn polarized_executor() -> Executor<forms_arch::MappedLayer> {
-        let mut rng = forms_rng::StdRng::seed_from_u64(0);
-        let mut net = forms_dnn::Network::new(vec![
-            forms_dnn::Layer::flatten(),
-            forms_dnn::Layer::linear(&mut rng, 16, 4),
-        ]);
-        net.for_each_weight_layer(&mut |wl| {
-            if let forms_dnn::WeightLayerMut::Linear(l) = wl {
-                l.set_weight_matrix(&forms_tensor::Tensor::from_fn(&[16, 4], |i| {
-                    0.05 + (i % 9) as f32 * 0.1
-                }));
-            }
-        });
-        Executor::map_network(&net, &forms_arch::MappingConfig::paper(8), 16).unwrap()
-    }
 
     #[test]
     fn validate_accepts_defaults_and_rejects_contradictions() {
@@ -356,6 +362,46 @@ mod tests {
     }
 
     #[test]
+    fn validate_rejects_backoff_that_outgrows_duration() {
+        let policy = |backoff_multiplier, max_rebuilds| HealthPolicy {
+            backoff_multiplier,
+            max_rebuilds,
+            ..HealthPolicy::default()
+        };
+        for bad in [
+            policy(f64::INFINITY, 1),
+            policy(f64::NAN, 1),
+            policy(1e300, 1),
+            policy(1e10, 3),
+            // Zero backoff times an infinite multiplier is NaN, not zero.
+            HealthPolicy {
+                backoff: Duration::ZERO,
+                ..policy(f64::INFINITY, 2)
+            },
+        ] {
+            assert!(
+                matches!(
+                    Server::builder().health(bad).validate(),
+                    Err(ConfigError::UnboundedBackoff { .. })
+                ),
+                "{bad:?}"
+            );
+        }
+        // Large but representable, or never compounded, is fine.
+        for good in [
+            policy(1e3, 3),
+            policy(f64::INFINITY, 0),
+            policy(1.0, u32::MAX),
+        ] {
+            assert_eq!(
+                Server::builder().health(good).validate(),
+                Ok(()),
+                "{good:?}"
+            );
+        }
+    }
+
+    #[test]
     fn config_errors_render_useful_messages() {
         let e = ConfigError::DeadlineWithinBatchWindow {
             deadline_ns: 1_000,
@@ -364,77 +410,5 @@ mod tests {
         let msg = e.to_string();
         assert!(msg.contains("1000ns"), "{msg}");
         assert!(msg.contains("stragglers"), "{msg}");
-    }
-
-    #[test]
-    fn builder_and_legacy_serve_agree() {
-        let exec = polarized_executor();
-        let config = ServeConfig {
-            replicas: 2,
-            ..ServeConfig::default()
-        };
-        let run = |via_builder: bool| {
-            let client = |handle: &ServiceHandle| {
-                let tickets: Vec<_> = (0..6)
-                    .map(|_| handle.submit(vec![0.5; 16]).unwrap())
-                    .collect();
-                tickets
-                    .into_iter()
-                    .map(|t| t.wait().unwrap().output)
-                    .collect::<Vec<_>>()
-            };
-            if via_builder {
-                Server::builder()
-                    .config(config)
-                    .run(&exec, &[1, 4, 4], client)
-            } else {
-                crate::service::serve(&exec, &[1, 4, 4], &config, client)
-            }
-        };
-        let (legacy_out, legacy_t) = run(false);
-        let (builder_out, builder_t) = run(true);
-        // Same outputs sample for sample (execution is deterministic)...
-        assert_eq!(legacy_out, builder_out);
-        // ...and the same outcome accounting either way.
-        assert_eq!(legacy_t.submitted, builder_t.submitted);
-        assert_eq!(legacy_t.completed, builder_t.completed);
-        assert_eq!(legacy_t.plan, builder_t.plan);
-        // The legacy wrapper routes through the builder, so tracing is on
-        // there too: every completed request contributes to each stage.
-        for t in [&legacy_t, &builder_t] {
-            for h in t.stages.in_order() {
-                assert_eq!(h.count, 6);
-            }
-        }
-    }
-
-    #[test]
-    fn builder_and_legacy_serve_resilient_agree() {
-        let exec = polarized_executor();
-        let config = ServeConfig {
-            replicas: 1,
-            ..ServeConfig::default()
-        };
-        let client = |handle: &ServiceHandle, _: &FaultInjector<'_>| {
-            handle.submit(vec![0.5; 16]).unwrap().wait().unwrap().output
-        };
-        let (legacy_out, legacy_t) = crate::health::serve_resilient(
-            &exec,
-            &[1, 4, 4],
-            &ResilientConfig {
-                serve: config,
-                policy: HealthPolicy::default(),
-            },
-            client,
-        );
-        let (builder_out, builder_t) = Server::builder()
-            .config(config)
-            .health(HealthPolicy::default())
-            .run_resilient(&exec, &[1, 4, 4], client);
-        assert_eq!(legacy_out, builder_out);
-        assert_eq!(legacy_t.completed, builder_t.completed);
-        assert_eq!(legacy_t.quarantines, builder_t.quarantines);
-        assert_eq!(legacy_t.stages.execute.count, 1);
-        assert_eq!(builder_t.stages.execute.count, 1);
     }
 }

@@ -1,8 +1,9 @@
 //! The serving core: admission, dynamic batching, replica workers and
 //! graceful shutdown.
 //!
-//! A [`serve`] call turns a mapped [`Executor`] into a running service for
-//! the duration of one client closure:
+//! [`Server::builder`](crate::Server::builder) turns a mapped
+//! [`Executor`] into a running service for the duration of one client
+//! closure:
 //!
 //! ```text
 //!  submit() ──► BoundedQueue ──► replica 0 ─┐
@@ -11,17 +12,21 @@
 //!  Err(Shed)
 //! ```
 //!
-//! Each replica owns one warm [`InferenceSession`](forms_exec::InferenceSession)
-//! (reused buffers, shared immutable engines) and loops: pop a batch
-//! (blocking, with the dynamic-batching straggler window), drop requests
-//! that were cancelled or whose deadline already passed — a request past
-//! its latency budget is *rejected, not executed*, because its client has
-//! given up — then run the survivors as one batched forward and fill each
-//! request's response slot. Sessions lower every weight layer through the
-//! engines' batched [`matmul_into`](forms_exec::CrossbarEngine::matmul_into)
-//! hot path — one kernel call per layer for the whole admitted batch, with
-//! per-sample activation scales and per-sample sentinel checks — so batched
-//! results are bitwise identical to running each request alone.
+//! Every entry point runs the same core: one setup path and one replica
+//! loop, policed or not. Each replica owns one warm
+//! [`InferenceSession`](forms_exec::InferenceSession) and loops: pop a
+//! batch (blocking, with the dynamic-batching straggler window), drop
+//! requests that were cancelled or whose deadline already passed — a
+//! request past its latency budget is *rejected, not executed*, because
+//! its client has given up — then run the survivors as one batched
+//! forward and fill each request's response slot. Sessions lower every
+//! weight layer through the engines' batched
+//! [`matmul_into`](forms_exec::CrossbarEngine::matmul_into) hot path — one
+//! kernel call per layer for the whole admitted batch, with per-sample
+//! activation scales and per-sample sentinel checks — so batched results
+//! are bitwise identical to running each request alone. Plain replicas
+//! share the mapped engines; policed replicas (see [`crate::health`]) own
+//! a clone each.
 //!
 //! Failure containment: the forward runs under `catch_unwind`, so a
 //! panicking engine fails its batch (every request gets
@@ -30,6 +35,7 @@
 //! shutdown can never hang on an abandoned slot. The queue closes via a
 //! drop guard even if the client closure panics.
 
+use std::borrow::Cow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -38,7 +44,8 @@ use std::time::{Duration, Instant};
 use forms_exec::{CrossbarEngine, Executor};
 use forms_tensor::Tensor;
 
-use crate::queue::{BoundedQueue, PushError};
+use crate::health::{Policing, ReplicaHealth};
+use crate::queue::{BoundedQueue, PopWait, PushError};
 use crate::telemetry::{Telemetry, TelemetrySnapshot};
 use crate::trace::{SpanRecord, StageDurations, TerminalKind, TraceConfig};
 
@@ -332,7 +339,7 @@ impl ServiceHandle {
 
 /// Closes the queue when dropped, so replicas drain and exit even if the
 /// client closure panics — shutdown can never hang on an open queue.
-pub(crate) struct CloseGuard<'a>(pub(crate) &'a BoundedQueue<Pending>);
+struct CloseGuard<'a>(&'a BoundedQueue<Pending>);
 
 impl Drop for CloseGuard<'_> {
     fn drop(&mut self) {
@@ -340,45 +347,23 @@ impl Drop for CloseGuard<'_> {
     }
 }
 
-/// Runs a multi-replica inference service around `executor` for the
-/// duration of `client`, then drains and joins every replica.
-///
-/// `sample_dims` is the per-sample input shape (without the batch
-/// dimension), e.g. `[1, 8, 8]` for an 8×8 single-channel image or
-/// `[1152]` for a lowered linear layer. Returns the client's result and
-/// the final telemetry snapshot after all replicas have drained.
-///
-/// Shutdown is graceful: when `client` returns, the queue closes (new
-/// submissions fail with [`ServeError::ShuttingDown`]) but every
-/// already-admitted request is still executed or rejected before `serve`
-/// returns.
+/// The serving core behind every entry point: builds the queue, telemetry
+/// and handle, runs `config.replicas` replica loops — policed when
+/// `policing` is set — for the duration of `client`, then closes the
+/// queue and joins every replica.
 ///
 /// # Panics
 ///
-/// Panics if `config.replicas`, `config.queue_capacity`, or
-/// `config.max_batch` is zero, or if `sample_dims` is empty.
-pub fn serve<E, R>(
-    executor: &Executor<E>,
-    sample_dims: &[usize],
-    config: &ServeConfig,
-    client: impl FnOnce(&ServiceHandle) -> R,
-) -> (R, TelemetrySnapshot)
-where
-    E: CrossbarEngine,
-    E::Stats: Sync,
-{
-    crate::server::Server::builder()
-        .config(*config)
-        .run(executor, sample_dims, client)
-}
-
-/// The serving core behind both [`serve`] and
-/// [`Server::run`](crate::server::ServerBuilder::run).
-pub(crate) fn serve_impl<E, R>(
+/// Panics if `config.replicas`, `config.queue_capacity` or
+/// `config.max_batch` is zero, if `sample_dims` is empty, or if the
+/// health policy is one [`ServerBuilder::validate`](crate::ServerBuilder::validate)
+/// rejects.
+pub(crate) fn serve_core<E, R>(
     executor: &Executor<E>,
     sample_dims: &[usize],
     config: &ServeConfig,
     trace: &TraceConfig,
+    policing: Option<&Policing<E>>,
     client: impl FnOnce(&ServiceHandle) -> R,
 ) -> (R, TelemetrySnapshot)
 where
@@ -388,6 +373,9 @@ where
     assert!(config.replicas > 0, "need at least one replica");
     assert!(config.max_batch > 0, "batch size must be positive");
     assert!(!sample_dims.is_empty(), "sample shape must be non-empty");
+    if let Some(Err(e)) = policing.map(|p| p.policy.check()) {
+        panic!("malformed health policy: {e}");
+    }
     let queue = Arc::new(BoundedQueue::new(config.queue_capacity));
     let telemetry = Arc::new(Telemetry::new(
         executor.plan().summary(),
@@ -401,9 +389,12 @@ where
         default_deadline: config.default_deadline,
     };
     let result = std::thread::scope(|scope| {
-        for _ in 0..config.replicas {
-            let (queue, telemetry) = (Arc::clone(&queue), Arc::clone(&telemetry));
-            scope.spawn(move || replica_loop(executor, sample_dims, config, &queue, &telemetry));
+        for replica in 0..config.replicas {
+            let (queue, telemetry) = (&*queue, &*telemetry);
+            let health = policing.map(|p| p.replica(replica));
+            scope.spawn(move || {
+                replica_loop(executor, sample_dims, config, queue, telemetry, health);
+            });
         }
         let guard = CloseGuard(&queue);
         let result = client(&handle);
@@ -416,7 +407,7 @@ where
 /// Tracks the per-layer wall-time and MVM counters of one replica's
 /// session between batches, pushing only the per-batch deltas into the
 /// shared telemetry so attribution stays correct across many replicas.
-pub(crate) struct LayerDeltas {
+struct LayerDeltas {
     prev_wall: Vec<u64>,
     prev_mvms: Vec<u64>,
     wall_delta: Vec<u64>,
@@ -424,7 +415,7 @@ pub(crate) struct LayerDeltas {
 }
 
 impl LayerDeltas {
-    pub(crate) fn new(layer_count: usize) -> Self {
+    fn new(layer_count: usize) -> Self {
         Self {
             prev_wall: vec![0; layer_count],
             prev_mvms: vec![0; layer_count],
@@ -435,13 +426,13 @@ impl LayerDeltas {
 
     /// Forget the previous session's counters after a rebuild (the fresh
     /// session restarts them from zero).
-    pub(crate) fn reset(&mut self) {
+    fn reset(&mut self) {
         self.prev_wall.fill(0);
         self.prev_mvms.fill(0);
     }
 
     /// Publish the delta since the last call into `telemetry`.
-    pub(crate) fn publish(&mut self, wall: &[u64], mvms: &[u64], telemetry: &Telemetry) {
+    fn publish(&mut self, wall: &[u64], mvms: &[u64], telemetry: &Telemetry) {
         for (d, (&w, &p)) in self
             .wall_delta
             .iter_mut()
@@ -462,82 +453,180 @@ impl LayerDeltas {
     }
 }
 
-/// One replica: pop batches until the queue is closed and drained.
+/// How long an idle policed replica waits before checking its mailbox.
+const MAILBOX_POLL: Duration = Duration::from_millis(1);
+
+/// One replica: pops batches and runs forwards until the queue is closed
+/// and drained or, under a health policy, until the replica quarantines.
+///
+/// Without `health` the replica borrows the shared executor, blocks in
+/// `pop_batch`, and never refuses, rebuilds or quarantines. With it, the
+/// replica owns a clone of `shared`, applies delivered fault campaigns
+/// between batches, refuses to serve over its fault-density budget,
+/// refuses a whole batch that trips an output sentinel before filling any
+/// slot, and recovers by rebuilding from `shared` (see [`crate::health`]).
+///
+/// Either way a panicking engine fails only its batch: every request gets
+/// [`ServeError::EngineFailed`] and the replica rebuilds its session.
 fn replica_loop<E: CrossbarEngine>(
-    executor: &Executor<E>,
+    shared: &Executor<E>,
     sample_dims: &[usize],
     config: &ServeConfig,
     queue: &BoundedQueue<Pending>,
     telemetry: &Telemetry,
+    mut health: Option<ReplicaHealth<'_, E>>,
 ) {
-    let mut session = executor.session();
-    let mut deltas = LayerDeltas::new(executor.engines().len());
+    let mut executor = match health {
+        Some(_) => Cow::Owned(shared.clone()),
+        None => Cow::Borrowed(shared),
+    };
+    let mut deltas = LayerDeltas::new(shared.engines().len());
     let mut batch: Vec<Pending> = Vec::new();
     let mut live: Vec<Pending> = Vec::new();
     let mut staging: Vec<f32> = Vec::new();
     let mut out: Vec<f32> = Vec::new();
-    while queue.pop_batch(config.max_batch, config.max_delay, &mut batch) {
-        let dequeued = Instant::now();
-        for pending in &mut batch {
-            pending.span.dequeued = Some(dequeued);
-        }
-        filter_live(&mut batch, &mut live, telemetry);
-        if live.is_empty() {
-            continue;
-        }
-        let batch_size = live.len();
-        staging.clear();
-        for pending in &live {
-            staging.extend_from_slice(&pending.input);
-        }
-        let mut dims = vec![batch_size];
-        dims.extend_from_slice(sample_dims);
-        let x = Tensor::from_vec(std::mem::take(&mut staging), &dims);
-        let batch_formed = Instant::now();
-        for pending in &mut live {
-            pending.span.batch_formed = Some(batch_formed);
-        }
-        let forward = catch_unwind(AssertUnwindSafe(|| {
-            session.forward_batch_into(&x, &mut out);
-        }));
-        let executed = Instant::now();
-        for pending in &mut live {
-            pending.span.executed = Some(executed);
-        }
-        staging = x.into_vec();
-        match forward {
-            Ok(()) => {
-                deltas.publish(session.layer_wall_ns(), session.layer_mvms(), telemetry);
-                let per_sample = out.len() / batch_size;
-                for (i, mut pending) in live.drain(..).enumerate() {
-                    pending.span.responded = Some(Instant::now());
-                    let stages = pending.span.stages();
-                    telemetry.record_completed_span(&stages);
-                    pending.slot.fill(Ok(Response {
-                        output: out[i * per_sample..(i + 1) * per_sample].to_vec(),
-                        latency: stages.total(),
-                        queue_wait: stages.queue_wait,
-                        stages,
-                        batch_size,
-                    }));
+    'serve: loop {
+        if let Some(h) = &mut health {
+            // Deliver queued campaigns while nothing borrows the engines,
+            // then gate on density: a replica over its fault budget
+            // refuses to serve at all.
+            h.apply_mail(executor.to_mut(), telemetry);
+            if h.over_budget(&executor) {
+                if h.rebuild_or_quarantine(executor.to_mut(), shared, telemetry) {
+                    continue 'serve;
                 }
-            }
-            Err(_) => {
-                // The engine panicked: fail this batch but keep the
-                // replica alive. The session's buffers may be mid-update,
-                // so rebuild it before the next batch. Each request's
-                // partial span still reaches the event ring, so the
-                // failure is visible with its stage breakdown.
-                for pending in live.drain(..) {
-                    telemetry.failed.fetch_add(1, Ordering::Relaxed);
-                    telemetry.record_terminal_span(TerminalKind::Failed, &pending.span, executed);
-                    pending.slot.fill(Err(ServeError::EngineFailed));
-                }
-                out.clear();
-                session = executor.session();
-                deltas.reset();
+                break 'serve;
             }
         }
+        let mut session = executor.session();
+        deltas.reset();
+        let mut seen_sentinels = session.sentinel_violations();
+        loop {
+            let popped = match &health {
+                None => queue.pop_batch(config.max_batch, config.max_delay, &mut batch),
+                // Bounded wait: an idle policed replica must still notice
+                // fault deliveries.
+                Some(h) => match queue.pop_batch_for(
+                    config.max_batch,
+                    config.max_delay,
+                    MAILBOX_POLL,
+                    &mut batch,
+                ) {
+                    PopWait::Batch => true,
+                    PopWait::Closed => false,
+                    PopWait::Idle if h.has_mail() => continue 'serve,
+                    PopWait::Idle => continue,
+                },
+            };
+            if !popped {
+                return;
+            }
+            let dequeued = Instant::now();
+            for pending in &mut batch {
+                pending.span.dequeued = Some(dequeued);
+            }
+            filter_live(&mut batch, &mut live, telemetry);
+            if !live.is_empty() {
+                let batch_size = live.len();
+                staging.clear();
+                for pending in &live {
+                    staging.extend_from_slice(&pending.input);
+                }
+                let mut dims = vec![batch_size];
+                dims.extend_from_slice(sample_dims);
+                let x = Tensor::from_vec(std::mem::take(&mut staging), &dims);
+                let batch_formed = Instant::now();
+                for pending in &mut live {
+                    pending.span.batch_formed = Some(batch_formed);
+                }
+                let forward = catch_unwind(AssertUnwindSafe(|| {
+                    session.forward_batch_into(&x, &mut out);
+                }));
+                let executed = Instant::now();
+                for pending in &mut live {
+                    pending.span.executed = Some(executed);
+                }
+                staging = x.into_vec();
+                match forward {
+                    Ok(()) => {
+                        if let Some(h) = &mut health {
+                            let sentinels = session.sentinel_violations();
+                            if sentinels > seen_sentinels {
+                                // An output escaped the pristine mapping's
+                                // range: the batch may be corrupted, so
+                                // refuse it before any slot is filled, then
+                                // recover.
+                                fail_batch(&mut live, ServeError::Degraded, telemetry, executed);
+                                out.clear();
+                                if h.rebuild_or_quarantine(executor.to_mut(), shared, telemetry) {
+                                    continue 'serve;
+                                }
+                                break 'serve;
+                            }
+                            seen_sentinels = sentinels;
+                            h.recovered();
+                        }
+                        deltas.publish(session.layer_wall_ns(), session.layer_mvms(), telemetry);
+                        let per_sample = out.len() / batch_size;
+                        for (i, mut pending) in live.drain(..).enumerate() {
+                            pending.span.responded = Some(Instant::now());
+                            let stages = pending.span.stages();
+                            telemetry.record_completed_span(&stages);
+                            pending.slot.fill(Ok(Response {
+                                output: out[i * per_sample..(i + 1) * per_sample].to_vec(),
+                                latency: stages.total(),
+                                queue_wait: stages.queue_wait,
+                                stages,
+                                batch_size,
+                            }));
+                        }
+                    }
+                    Err(_) => {
+                        // The engine panicked: fail this batch but keep the
+                        // replica alive. The session's buffers may be
+                        // mid-update, so rebuild it before the next batch.
+                        // Each request's partial span still reaches the
+                        // event ring, so the failure is visible with its
+                        // stage breakdown.
+                        fail_batch(&mut live, ServeError::EngineFailed, telemetry, executed);
+                        out.clear();
+                        session = executor.session();
+                        deltas.reset();
+                        seen_sentinels = session.sentinel_violations();
+                    }
+                }
+            }
+            if health.as_ref().is_some_and(ReplicaHealth::has_mail) {
+                continue 'serve;
+            }
+        }
+    }
+
+    // Quarantined. If peers remain they absorb the load; if this was the
+    // last active replica, drain the queue failing every request so no
+    // admitted ticket can hang on an abandoned queue.
+    if health.is_some_and(ReplicaHealth::retire) {
+        while queue.pop_batch(config.max_batch, config.max_delay, &mut batch) {
+            let dequeued = Instant::now();
+            for pending in &mut batch {
+                pending.span.dequeued = Some(dequeued);
+            }
+            fail_batch(&mut batch, ServeError::Degraded, telemetry, dequeued);
+        }
+    }
+}
+
+/// Resolves every request in `batch` with `err` (`EngineFailed` or
+/// `Degraded`), counting it and flushing its partial span at `at`.
+fn fail_batch(batch: &mut Vec<Pending>, err: ServeError, telemetry: &Telemetry, at: Instant) {
+    let (counter, kind) = match err {
+        ServeError::Degraded => (&telemetry.degraded, TerminalKind::Degraded),
+        _ => (&telemetry.failed, TerminalKind::Failed),
+    };
+    for pending in batch.drain(..) {
+        counter.fetch_add(1, Ordering::Relaxed);
+        telemetry.record_terminal_span(kind, &pending.span, at);
+        pending.slot.fill(Err(err));
     }
 }
 
@@ -545,11 +634,7 @@ fn replica_loop<E: CrossbarEngine>(
 /// have no consumer and requests past their latency budget are useless to
 /// their clients; running either would only add load while overloaded —
 /// and moves the survivors into `live`.
-pub(crate) fn filter_live(
-    batch: &mut Vec<Pending>,
-    live: &mut Vec<Pending>,
-    telemetry: &Telemetry,
-) {
+fn filter_live(batch: &mut Vec<Pending>, live: &mut Vec<Pending>, telemetry: &Telemetry) {
     let now = Instant::now();
     live.clear();
     for pending in batch.drain(..) {

@@ -17,9 +17,7 @@
 //! MVM counts to individual weight layers between batches. All of it
 //! aggregates into [`TelemetrySnapshot`], whose JSON rendering (schema
 //! version 2) is the single schema shared by the `forms-net` telemetry
-//! wire frame and the bench report writers; version-1 documents (without
-//! the tracing extensions) still parse, so old snapshots and old servers
-//! interoperate with new clients.
+//! wire frame and the bench report writers.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -31,9 +29,9 @@ use crate::trace::{
     STAGE_NAMES,
 };
 
-/// Version tag written into every telemetry JSON document. Version 2
-/// added the tracing extensions (`stages`, `events`, `slowest`,
-/// `layers`); they parse as optional so version-1 documents remain valid.
+/// Version tag written into every telemetry JSON document, and the only
+/// version [`TelemetrySnapshot::from_json`] accepts. Version 2 added the
+/// tracing extensions (`stages`, `events`, `slowest`, `layers`).
 pub const TELEMETRY_SCHEMA_VERSION: u32 = 2;
 
 /// Number of histogram buckets.
@@ -392,15 +390,14 @@ pub struct TelemetrySnapshot {
     pub faults_injected: u64,
     /// Latency histogram of completed requests.
     pub latency: HistogramSnapshot,
-    /// Per-stage latency histograms of completed requests (empty
-    /// histograms when parsed from a version-1 document).
+    /// Per-stage latency histograms of completed requests.
     pub stages: StageSnapshots,
-    /// Recent terminal events, oldest first (empty on version-1 parses).
+    /// Recent terminal events, oldest first.
     pub events: Vec<EventRecord>,
-    /// Slowest completed spans, slowest first (empty on version-1 parses).
+    /// Slowest completed spans, slowest first.
     pub slowest: Vec<EventRecord>,
     /// Per-weight-layer execution attribution, in visit order (empty on
-    /// version-1 parses or untagged telemetry).
+    /// untagged telemetry).
     pub layers: Vec<LayerAttribution>,
     /// Summary of the precision plan the served executor was mapped under
     /// (empty if the service predates plan tagging).
@@ -421,16 +418,6 @@ pub struct StageSnapshots {
 }
 
 impl StageSnapshots {
-    /// All-empty stage histograms (the version-1 parse default).
-    pub fn empty() -> Self {
-        Self {
-            queue_wait: HistogramSnapshot::empty(),
-            batch_form: HistogramSnapshot::empty(),
-            execute: HistogramSnapshot::empty(),
-            respond: HistogramSnapshot::empty(),
-        }
-    }
-
     /// The stage histograms in pipeline order (matching [`STAGE_NAMES`]).
     pub fn in_order(&self) -> [&HistogramSnapshot; STAGE_COUNT] {
         [
@@ -570,11 +557,8 @@ impl TelemetrySnapshot {
     /// Renders the snapshot as a JSON object — the single schema shared by
     /// the `forms-net` telemetry wire frame and the bench report writers.
     ///
-    /// The document carries `schema_version` [`TELEMETRY_SCHEMA_VERSION`];
-    /// the version-2 additions (`stages`, `events`, `slowest`, `layers`)
-    /// are *optional* on parse, so version-1 consumers ignore them and
-    /// version-1 documents still round-trip through
-    /// [`from_json`](Self::from_json).
+    /// The document carries `schema_version` [`TELEMETRY_SCHEMA_VERSION`]
+    /// and round-trips through [`from_json`](Self::from_json).
     pub fn to_json(&self) -> JsonValue {
         JsonValue::object(vec![
             (
@@ -625,51 +609,41 @@ impl TelemetrySnapshot {
     /// Parses a snapshot previously rendered by [`to_json`](Self::to_json)
     /// — the inverse used by consumers of the `forms-net` metrics frame.
     ///
-    /// The version-1 fields (counters, `latency`, `plan`) are required;
-    /// the version-2 tracing extensions (`stages`, `events`, `slowest`,
-    /// `layers`) default to empty when absent, so documents written by
-    /// older servers still parse. Extensions that *are* present must be
-    /// well-formed.
+    /// Only the current schema parses: `schema_version` must equal
+    /// [`TELEMETRY_SCHEMA_VERSION`] and every field, tracing extensions
+    /// included, must be present and well-formed.
     ///
     /// # Errors
     ///
     /// Returns a description of the first missing or malformed field.
     pub fn from_json(doc: &JsonValue) -> Result<Self, String> {
-        // Absent on v1 documents; when present it must be a plausible
-        // version number (newer versions still parse — additions are
-        // optional by design).
-        if let Some(v) = doc.get("schema_version") {
-            let n = v.as_f64().ok_or("`schema_version` must be a number")?;
-            if !n.is_finite() || n < 1.0 || n.fract() != 0.0 {
-                return Err(format!("`schema_version` {n} is not a positive integer"));
-            }
+        let version = counter(doc, "schema_version")?;
+        if version != u64::from(TELEMETRY_SCHEMA_VERSION) {
+            return Err(format!(
+                "`schema_version` {version} is not {TELEMETRY_SCHEMA_VERSION}"
+            ));
         }
+        let array = |key: &str| -> Result<&[JsonValue], String> {
+            doc.get(key)
+                .and_then(JsonValue::as_array)
+                .ok_or_else(|| format!("missing array `{key}`"))
+        };
         let events_list = |key: &str| -> Result<Vec<EventRecord>, String> {
-            match doc.get(key) {
-                None => Ok(Vec::new()),
-                Some(v) => v
-                    .as_array()
-                    .ok_or_else(|| format!("`{key}` must be an array"))?
-                    .iter()
-                    .map(EventRecord::from_json)
-                    .collect::<Result<Vec<_>, _>>()
-                    .map_err(|e| format!("`{key}`: {e}")),
-            }
-        };
-        let layers = match doc.get("layers") {
-            None => Vec::new(),
-            Some(v) => v
-                .as_array()
-                .ok_or("`layers` must be an array")?
+            array(key)?
                 .iter()
-                .map(|l| {
-                    Ok(LayerAttribution {
-                        wall_ns: counter(l, "wall_ns").map_err(|e| format!("`layers`: {e}"))?,
-                        mvms: counter(l, "mvms").map_err(|e| format!("`layers`: {e}"))?,
-                    })
-                })
-                .collect::<Result<Vec<_>, String>>()?,
+                .map(EventRecord::from_json)
+                .collect::<Result<Vec<_>, _>>()
+                .map_err(|e| format!("`{key}`: {e}"))
         };
+        let layers = array("layers")?
+            .iter()
+            .map(|l| {
+                Ok(LayerAttribution {
+                    wall_ns: counter(l, "wall_ns").map_err(|e| format!("`layers`: {e}"))?,
+                    mvms: counter(l, "mvms").map_err(|e| format!("`layers`: {e}"))?,
+                })
+            })
+            .collect::<Result<Vec<_>, String>>()?;
         Ok(Self {
             submitted: counter(doc, "submitted")?,
             completed: counter(doc, "completed")?,
@@ -684,10 +658,7 @@ impl TelemetrySnapshot {
             latency: HistogramSnapshot::from_json(
                 doc.get("latency").ok_or("missing `latency` object")?,
             )?,
-            stages: match doc.get("stages") {
-                None => StageSnapshots::empty(),
-                Some(v) => StageSnapshots::from_json(v)?,
-            },
+            stages: StageSnapshots::from_json(doc.get("stages").ok_or("missing `stages` object")?)?,
             events: events_list("events")?,
             slowest: events_list("slowest")?,
             layers,
@@ -902,8 +873,9 @@ mod tests {
         let JsonValue::Object(fields) = &good else {
             panic!("snapshot renders an object")
         };
-        // The v1 core is required; dropping any of these fields must error.
+        // Every field is required; dropping any of them must error.
         const REQUIRED: &[&str] = &[
+            "schema_version",
             "submitted",
             "completed",
             "shed",
@@ -915,6 +887,10 @@ mod tests {
             "quarantines",
             "faults_injected",
             "latency",
+            "stages",
+            "events",
+            "slowest",
+            "layers",
             "plan",
         ];
         for key in REQUIRED {
@@ -925,16 +901,9 @@ mod tests {
                 "accepted document without `{key}`"
             );
         }
-        // The v2 extensions are optional-with-default (old documents keep
-        // parsing) but strict when present: a malformed value must error
-        // rather than fall back to the default.
+        // The tracing extensions are strict too: a malformed value must
+        // error rather than fall back to a default.
         for key in ["schema_version", "stages", "events", "slowest", "layers"] {
-            let stripped =
-                JsonValue::Object(fields.iter().filter(|(k, _)| k != key).cloned().collect());
-            assert!(
-                TelemetrySnapshot::from_json(&stripped).is_ok(),
-                "rejected document without optional `{key}`"
-            );
             let mangled = JsonValue::Object(
                 fields
                     .iter()
@@ -952,6 +921,20 @@ mod tests {
                 "accepted malformed `{key}`"
             );
         }
+        // Only the current schema version parses: neither an older nor a
+        // newer document is accepted.
+        for version in [1.0, f64::from(TELEMETRY_SCHEMA_VERSION) + 1.0] {
+            let mut fields = fields.clone();
+            let slot = fields
+                .iter_mut()
+                .find(|(k, _)| k == "schema_version")
+                .expect("schema_version field");
+            slot.1 = JsonValue::Number(version);
+            assert!(
+                TelemetrySnapshot::from_json(&JsonValue::Object(fields)).is_err(),
+                "accepted schema version {version}"
+            );
+        }
         // Negative and fractional counters are rejected, not truncated.
         for bad in [-1.0, 0.5, f64::NAN] {
             let mut fields = fields.clone();
@@ -963,32 +946,6 @@ mod tests {
             assert!(TelemetrySnapshot::from_json(&JsonValue::Object(fields)).is_err());
         }
         assert!(TelemetrySnapshot::from_json(&JsonValue::Null).is_err());
-    }
-
-    #[test]
-    fn v1_documents_parse_with_empty_trace_fields() {
-        // A document from a pre-tracing build carries only the v1 fields.
-        // It must parse, with the trace extensions defaulting to empty.
-        let rendered = Telemetry::tagged("uniform w8/a16".into())
-            .snapshot()
-            .to_json();
-        let JsonValue::Object(fields) = &rendered else {
-            panic!("snapshot renders an object")
-        };
-        const V2_ONLY: &[&str] = &["schema_version", "stages", "events", "slowest", "layers"];
-        let v1 = JsonValue::Object(
-            fields
-                .iter()
-                .filter(|(k, _)| !V2_ONLY.contains(&k.as_str()))
-                .cloned()
-                .collect(),
-        );
-        let parsed = TelemetrySnapshot::from_json(&v1).expect("v1 document parses");
-        assert_eq!(parsed.stages, StageSnapshots::empty());
-        assert!(parsed.events.is_empty());
-        assert!(parsed.slowest.is_empty());
-        assert!(parsed.layers.is_empty());
-        assert_eq!(parsed.plan, "uniform w8/a16");
     }
 
     #[test]

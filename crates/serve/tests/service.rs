@@ -7,10 +7,13 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use forms_dnn::{Layer, Network};
-use forms_exec::{CrossbarEngine, ExecError, Executor, Merge};
+use forms_exec::{
+    CrossbarEngine, ExecError, Executor, FaultCampaign, FaultReport, FaultableEngine, Merge,
+};
 use forms_rng::StdRng;
 use forms_serve::{
-    run_open_loop, serve, OpenLoopSpec, PacedConfig, PacedEngine, ServeConfig, ServeError,
+    run_open_loop, HealthPolicy, OpenLoopSpec, PacedConfig, PacedEngine, ServeConfig, ServeError,
+    Server,
 };
 use forms_tensor::Tensor;
 use forms_workloads::ActivationModel;
@@ -165,6 +168,14 @@ impl CrossbarEngine for FaultyEngine {
     }
 }
 
+/// Faults never land: the engine models no cells, so a health policy sees
+/// a pristine replica and only the panic path is exercised.
+impl FaultableEngine for FaultyEngine {
+    fn inject_faults(&mut self, _campaign: &FaultCampaign, _salt: u64) -> FaultReport {
+        FaultReport::default()
+    }
+}
+
 const OK: DigitalConfig = DigitalConfig {
     panic_on_code: None,
 };
@@ -194,16 +205,18 @@ fn served_outputs_match_direct_forward_bitwise() {
         ..ServeConfig::default()
     };
     let inputs: Vec<Vec<f32>> = (0..12).map(|s| payload(24, s)).collect();
-    let (outputs, telemetry) = serve(&exec, &[1, 4, 6], &config, |handle| {
-        let tickets: Vec<_> = inputs
-            .iter()
-            .map(|p| handle.submit(p.clone()).unwrap())
-            .collect();
-        tickets
-            .into_iter()
-            .map(|t| t.wait().unwrap())
-            .collect::<Vec<_>>()
-    });
+    let (outputs, telemetry) = Server::builder()
+        .config(config)
+        .run(&exec, &[1, 4, 6], |handle| {
+            let tickets: Vec<_> = inputs
+                .iter()
+                .map(|p| handle.submit(p.clone()).unwrap())
+                .collect();
+            tickets
+                .into_iter()
+                .map(|t| t.wait().unwrap())
+                .collect::<Vec<_>>()
+        });
     assert_eq!(telemetry.completed, 12);
     assert_eq!(telemetry.shed, 0);
     // Per-sample activation quantization makes batched serving bitwise
@@ -239,20 +252,22 @@ fn overload_sheds_instead_of_growing_the_queue() {
     };
     let max_queue = Arc::new(AtomicUsize::new(0));
     let observer = Arc::clone(&max_queue);
-    let ((), telemetry) = serve(&exec, &[16], &config, move |handle| {
-        let mut tickets = Vec::new();
-        for s in 0..64 {
-            match handle.submit(payload(16, s)) {
-                Ok(t) => tickets.push(t),
-                Err(ServeError::Shed) => {}
-                Err(e) => panic!("unexpected submit error: {e}"),
+    let ((), telemetry) = Server::builder()
+        .config(config)
+        .run(&exec, &[16], move |handle| {
+            let mut tickets = Vec::new();
+            for s in 0..64 {
+                match handle.submit(payload(16, s)) {
+                    Ok(t) => tickets.push(t),
+                    Err(ServeError::Shed) => {}
+                    Err(e) => panic!("unexpected submit error: {e}"),
+                }
+                observer.fetch_max(handle.queue_len(), Ordering::SeqCst);
             }
-            observer.fetch_max(handle.queue_len(), Ordering::SeqCst);
-        }
-        for t in tickets {
-            t.wait().unwrap();
-        }
-    });
+            for t in tickets {
+                t.wait().unwrap();
+            }
+        });
     assert!(telemetry.shed > 0, "burst must overflow the tiny queue");
     assert_eq!(telemetry.submitted, 64);
     assert_eq!(
@@ -285,7 +300,7 @@ fn expired_requests_are_rejected_not_executed() {
         max_delay: Duration::ZERO,
         default_deadline: Some(Duration::from_millis(5)),
     };
-    let (results, telemetry) = serve(&exec, &[8], &config, |handle| {
+    let (results, telemetry) = Server::builder().config(config).run(&exec, &[8], |handle| {
         // The first request occupies the replica for ~20 ms; the rest sit
         // queued past their 5 ms budget and must be rejected unexecuted.
         let tickets: Vec<_> = (0..4)
@@ -322,7 +337,7 @@ fn cancellation_resolves_without_execution() {
         max_delay: Duration::ZERO,
         default_deadline: None,
     };
-    let (result, telemetry) = serve(&exec, &[8], &config, |handle| {
+    let (result, telemetry) = Server::builder().config(config).run(&exec, &[8], |handle| {
         let head = handle.submit(payload(8, 0)).unwrap();
         let victim = handle.submit(payload(8, 1)).unwrap();
         victim.cancel();
@@ -340,7 +355,7 @@ fn cancellation_resolves_without_execution() {
 fn bad_shape_is_refused_at_the_door() {
     let net = linear_net(8, 2, 5);
     let exec = Executor::<DigitalEngine>::map_network(&net, &OK, 16).unwrap();
-    let ((), telemetry) = serve(&exec, &[8], &ServeConfig::default(), |handle| {
+    let ((), telemetry) = Server::builder().run(&exec, &[8], |handle| {
         let err = handle.submit(vec![0.0; 7]).unwrap_err();
         assert_eq!(
             err,
@@ -366,27 +381,50 @@ fn panicking_engine_fails_its_batch_and_service_drains() {
         16,
     )
     .unwrap();
-    let config = ServeConfig {
+    let builder = Server::builder().config(ServeConfig {
         replicas: 2,
         queue_capacity: 32,
         max_batch: 4,
         max_delay: Duration::from_millis(1),
         default_deadline: None,
-    };
+    });
     // Must terminate: a panicking replica may not hang shutdown. The
     // harness's per-test timeout would catch a deadlock here.
-    let (results, telemetry) = serve(&exec, &[8], &config, |handle| {
+    let client = |handle: &forms_serve::ServiceHandle| {
         let tickets: Vec<_> = (0..10)
             .map(|s| handle.submit(payload(8, s)).unwrap())
             .collect();
-        tickets.into_iter().map(|t| t.wait()).collect::<Vec<_>>()
-    });
-    assert_eq!(results.len(), 10);
-    for r in &results {
-        assert_eq!(r.as_ref().unwrap_err(), &ServeError::EngineFailed);
+        let failed: Vec<_> = tickets.into_iter().map(|t| t.wait()).collect();
+        // All-zero payloads quantize to code 0 and never trip the fault:
+        // the replicas that just panicked must serve them.
+        let later: Vec<_> = (0..4)
+            .map(|_| handle.submit(vec![0.0; 8]).unwrap())
+            .collect();
+        (
+            failed,
+            later.into_iter().map(|t| t.wait()).collect::<Vec<_>>(),
+        )
+    };
+    let plain = builder.run(&exec, &[8], client);
+    let policed =
+        builder
+            .health(HealthPolicy::default())
+            .run_resilient(&exec, &[8], |handle, _| client(handle));
+    for ((failed, later), telemetry) in [plain, policed] {
+        assert_eq!(failed.len(), 10);
+        for r in &failed {
+            assert_eq!(r.as_ref().unwrap_err(), &ServeError::EngineFailed);
+        }
+        for r in &later {
+            assert!(r.is_ok(), "{r:?}");
+        }
+        assert_eq!(telemetry.failed, 10);
+        assert_eq!(telemetry.completed, 4);
+        assert_eq!(telemetry.resolved(), 14);
+        // A panic rebuilds the session, not the executor: no health event.
+        assert_eq!(telemetry.rebuilds, 0);
+        assert_eq!(telemetry.quarantines, 0);
     }
-    assert_eq!(telemetry.failed, 10);
-    assert_eq!(telemetry.resolved(), 10);
 }
 
 #[test]
@@ -407,7 +445,9 @@ fn open_loop_load_generator_accounts_every_request() {
         model: ActivationModel::half_normal(0.4),
         deadline: None,
     };
-    let (report, telemetry) = serve(&exec, &[16], &config, |handle| run_open_loop(handle, &spec));
+    let (report, telemetry) = Server::builder()
+        .config(config)
+        .run(&exec, &[16], |handle| run_open_loop(handle, &spec));
     assert_eq!(report.offered, 100);
     assert_eq!(
         report.completed + report.shed + report.expired + report.failed,
@@ -446,14 +486,16 @@ fn replicas_scale_throughput_with_paced_engines() {
             default_deadline: None,
         };
         let start = std::time::Instant::now();
-        let ((), _) = serve(&exec, &[16], &config, |handle| {
-            let tickets: Vec<_> = (0..32)
-                .map(|s| handle.submit(payload(16, s)).unwrap())
-                .collect();
-            for t in tickets {
-                t.wait().unwrap();
-            }
-        });
+        let ((), _) = Server::builder()
+            .config(config)
+            .run(&exec, &[16], |handle| {
+                let tickets: Vec<_> = (0..32)
+                    .map(|s| handle.submit(payload(16, s)).unwrap())
+                    .collect();
+                for t in tickets {
+                    t.wait().unwrap();
+                }
+            });
         start.elapsed()
     };
     let one = run(1);

@@ -8,8 +8,8 @@ use forms_dnn::{Layer, Network};
 use forms_exec::{CrossbarEngine, ExecError, Executor, Merge};
 use forms_rng::StdRng;
 use forms_serve::{
-    serve, PacedConfig, PacedEngine, ServeConfig, Server, StageDurations, TerminalKind,
-    TraceConfig, STAGE_COUNT,
+    PacedConfig, PacedEngine, ServeConfig, Server, StageDurations, TerminalKind, TraceConfig,
+    STAGE_COUNT,
 };
 use forms_tensor::Tensor;
 use forms_workloads::ActivationModel;
@@ -129,15 +129,18 @@ fn stage_durations_telescope_exactly_for_every_completed_request() {
         max_delay: Duration::from_micros(300),
         default_deadline: None,
     };
-    let (responses, telemetry) = serve(&exec, &[1, 4, 6], &config, |handle| {
-        let tickets: Vec<_> = (0..60)
-            .map(|s| handle.submit(payload(24, s)).unwrap())
-            .collect();
-        tickets
-            .into_iter()
-            .map(|t| t.wait().unwrap())
-            .collect::<Vec<_>>()
-    });
+    let (responses, telemetry) =
+        Server::builder()
+            .config(config)
+            .run(&exec, &[1, 4, 6], |handle| {
+                let tickets: Vec<_> = (0..60)
+                    .map(|s| handle.submit(payload(24, s)).unwrap())
+                    .collect();
+                tickets
+                    .into_iter()
+                    .map(|t| t.wait().unwrap())
+                    .collect::<Vec<_>>()
+            });
     assert_eq!(telemetry.completed, 60);
     for r in &responses {
         // Exact, not approximate: consecutive monotonic stamps telescope.
@@ -191,7 +194,7 @@ fn requests_that_never_execute_carry_no_execute_stage() {
         max_delay: Duration::ZERO,
         default_deadline: Some(Duration::from_millis(3)),
     };
-    let ((), telemetry) = serve(&exec, &[8], &config, |handle| {
+    let ((), telemetry) = Server::builder().config(config).run(&exec, &[8], |handle| {
         // Blast a capacity-2 queue through a 15 ms device: the head
         // executes, queued requests expire, the overflow sheds.
         let tickets: Vec<_> = (0..16)

@@ -12,9 +12,9 @@ use std::time::Duration;
 use forms::arch::{MappedLayer, MappingConfig};
 use forms::dnn::{Layer, Network, WeightLayerMut};
 use forms::exec::Executor;
-use forms::net::{serve_net, ClientConfig, NetClient, NetConfig};
+use forms::net::{ClientConfig, NetClient, NetConfig, NetServerExt};
 use forms::rng::StdRng;
-use forms::serve::ServeConfig;
+use forms::serve::{ServeConfig, Server};
 use forms::tensor::Tensor;
 
 const ROWS: usize = 64;
@@ -34,78 +34,85 @@ fn main() {
     let exec = Executor::<MappedLayer>::map_network(&net, &MappingConfig::paper(8), 16)
         .expect("polarized model maps");
 
-    let serve_config = ServeConfig {
+    // The builder holds the serving core's sizing; `NetConfig` holds the
+    // transport's. Both reject contradictions before anything starts.
+    let server = Server::builder().config(ServeConfig {
         replicas: 2,
         queue_capacity: 32,
         max_batch: 4,
         max_delay: Duration::from_micros(500),
         default_deadline: None,
-    };
+    });
+    server.validate().expect("serving config is consistent");
     let net_config = NetConfig::default();
+    net_config
+        .validate()
+        .expect("transport config is consistent");
 
-    // `serve_net` binds an ephemeral loopback port, runs the client
+    // `run_net` binds an ephemeral loopback port, runs the client
     // closure, then drains in-flight requests and tears the stack down —
     // no daemon left behind, which is why this example exits cleanly.
-    let ((), telemetry) = serve_net(&exec, &[1, 8, 8], &serve_config, &net_config, |handle| {
-        println!("serving on {}", handle.addr());
-        let mut client =
-            NetClient::connect(handle.addr(), ClientConfig::default()).expect("connect");
+    let ((), telemetry) = server
+        .run_net(&exec, &[1, 8, 8], &net_config, |handle| {
+            println!("serving on {}", handle.addr());
+            let mut client =
+                NetClient::connect(handle.addr(), ClientConfig::default()).expect("connect");
 
-        // Pipeline a batch: send all requests before reading any reply.
-        let inputs: Vec<Vec<f32>> = (0..8)
-            .map(|k| (0..ROWS).map(|i| ((i + k) % 7) as f32 / 7.0).collect())
-            .collect();
-        for input in &inputs {
-            client.send(input, None).expect("send");
-        }
-        for k in 0..inputs.len() {
-            let reply = client.recv().expect("recv");
-            let output = reply.outcome.expect("completed");
+            // Pipeline a batch: send all requests before reading any reply.
+            let inputs: Vec<Vec<f32>> = (0..8)
+                .map(|k| (0..ROWS).map(|i| ((i + k) % 7) as f32 / 7.0).collect())
+                .collect();
+            for input in &inputs {
+                client.send(input, None).expect("send");
+            }
+            for k in 0..inputs.len() {
+                let reply = client.recv().expect("recv");
+                let output = reply.outcome.expect("completed");
+                println!(
+                    "reply {k}: {} logits, argmax {}, served in {:?}",
+                    output.len(),
+                    output
+                        .iter()
+                        .enumerate()
+                        .max_by(|a, b| a.1.total_cmp(b.1))
+                        .map(|(i, _)| i)
+                        .unwrap(),
+                    reply.server_latency,
+                );
+            }
+
+            // An impossible deadline comes back as a typed wire status on the
+            // same live connection — not a dropped socket.
+            let reply = client
+                .call(&inputs[0], Some(Duration::from_nanos(1)))
+                .expect("transport stays up");
+            println!("1 ns deadline -> {}", reply.outcome.unwrap_err());
+
+            // The telemetry frame round-trips the server's own counters —
+            // including the per-stage breakdown of the request lifecycle.
+            let snapshot = client.telemetry().expect("telemetry");
             println!(
-                "reply {k}: {} logits, argmax {}, served in {:?}",
-                output.len(),
-                output
-                    .iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.total_cmp(b.1))
-                    .map(|(i, _)| i)
-                    .unwrap(),
-                reply.server_latency,
+                "telemetry over the wire: {} completed, {} expired, {} shed, p99 {:.2} ms",
+                snapshot.completed,
+                snapshot.expired,
+                snapshot.shed,
+                snapshot.latency.p99_ns() / 1e6,
             );
-        }
-
-        // An impossible deadline comes back as a typed wire status on the
-        // same live connection — not a dropped socket.
-        let reply = client
-            .call(&inputs[0], Some(Duration::from_nanos(1)))
-            .expect("transport stays up");
-        println!("1 ns deadline -> {}", reply.outcome.unwrap_err());
-
-        // The telemetry frame round-trips the server's own counters —
-        // including the per-stage breakdown of the request lifecycle.
-        let snapshot = client.telemetry().expect("telemetry");
-        println!(
-            "telemetry over the wire: {} completed, {} expired, {} shed, p99 {:.2} ms",
-            snapshot.completed,
-            snapshot.expired,
-            snapshot.shed,
-            snapshot.latency.p99_ns() / 1e6,
-        );
-        for (stage, name) in snapshot
-            .stages
-            .in_order()
-            .into_iter()
-            .zip(forms::serve::STAGE_NAMES)
-        {
-            println!(
-                "  {name:>10}: p50 {:.3} ms  p95 {:.3} ms  p99 {:.3} ms",
-                stage.p50_ns() / 1e6,
-                stage.p95_ns() / 1e6,
-                stage.p99_ns() / 1e6,
-            );
-        }
-    })
-    .expect("loopback listener binds");
+            for (stage, name) in snapshot
+                .stages
+                .in_order()
+                .into_iter()
+                .zip(forms::serve::STAGE_NAMES)
+            {
+                println!(
+                    "  {name:>10}: p50 {:.3} ms  p95 {:.3} ms  p99 {:.3} ms",
+                    stage.p50_ns() / 1e6,
+                    stage.p95_ns() / 1e6,
+                    stage.p99_ns() / 1e6,
+                );
+            }
+        })
+        .expect("loopback listener binds");
 
     println!(
         "final snapshot after shutdown: {} completed / {} expired",
