@@ -77,7 +77,9 @@ impl Accelerator {
     ///
     /// # Errors
     ///
-    /// Returns an [`ExecError`] if a layer cannot be mapped.
+    /// Returns [`ExecError::UnsupportedConfig`] if some `perms[i]` is not a
+    /// permutation of that layer's rows, or an [`ExecError`] if a layer
+    /// cannot be mapped.
     ///
     /// # Panics
     ///
@@ -195,22 +197,16 @@ impl Accelerator {
         }
     }
 
-    /// Runs inference on a `[N, ...]` batch through the mixed-signal path.
+    /// Runs inference on a `[N, ...]` batch through the mixed-signal path:
+    /// each weight layer lowers the whole batch into one
+    /// [`MappedLayer::matmul_into`](crate::MappedLayer::matmul_into) call.
     pub fn forward(&mut self, x: &Tensor) -> Tensor {
         self.exec.forward(x)
     }
 
-    /// [`forward`](Self::forward) through the batched hot path: each
-    /// weight layer lowers the whole batch and runs as one
-    /// [`MappedLayer::matmul_into`](crate::MappedLayer::matmul_into) call.
-    /// Bitwise identical to [`forward`](Self::forward).
-    pub fn forward_batched(&mut self, x: &Tensor) -> Tensor {
-        self.exec.forward_batched(x)
-    }
-
     /// Runs inference on a `[N, ...]` batch with samples distributed over
-    /// worker threads (one accelerator clone per worker — the crossbars are
-    /// read-only during inference, so results are identical to
+    /// worker threads (one inference session per worker, all sharing the
+    /// read-only crossbars, so results are bitwise identical to
     /// [`forward`](Self::forward)). Statistics from all workers are merged.
     ///
     /// # Panics
@@ -501,5 +497,21 @@ mod tests {
         let ya = a.forward(&x);
         let yb = b.forward(&x);
         assert!(ya.allclose(&yb, 1e-4), "permutation changed results");
+    }
+
+    #[test]
+    fn non_permutation_row_orders_are_rejected() {
+        let mut net = small_net(7);
+        dense_polarize_net(&mut net, 4);
+        // The 3×3 single-channel conv lowers to 9 rows: a repeated index
+        // and an out-of-range one.
+        for bad in [vec![0; 9], (1..=9).collect()] {
+            let perms = vec![Some(bad), None];
+            let err = Accelerator::with_permutations(&net, small_config(4), perms).unwrap_err();
+            assert!(
+                matches!(err, ExecError::UnsupportedConfig { .. }),
+                "got {err:?}"
+            );
+        }
     }
 }

@@ -1072,16 +1072,6 @@ impl CrossbarEngine for MappedLayer {
         self.orig_cols
     }
 
-    fn matvec_into(
-        &self,
-        input_codes: &[u32],
-        input_scale: f32,
-        scratch: &mut MvmScratch,
-        out: &mut [f32],
-    ) -> MvmStats {
-        MappedLayer::matvec_into(self, input_codes, input_scale, scratch, out)
-    }
-
     fn matmul_into(
         &self,
         batch_codes: &[u32],

@@ -71,16 +71,6 @@ impl CrossbarEngine for IsaacLayer {
         IsaacLayer::output_len(self)
     }
 
-    fn matvec_into(
-        &self,
-        input_codes: &[u32],
-        input_scale: f32,
-        scratch: &mut IsaacScratch,
-        out: &mut [f32],
-    ) -> IsaacStats {
-        IsaacLayer::matvec_into(self, input_codes, input_scale, scratch, out)
-    }
-
     fn matmul_into(
         &self,
         batch_codes: &[u32],
@@ -274,17 +264,10 @@ impl IsaacAccelerator {
     }
 
     /// Runs inference on a `[N, ...]` batch through the offset-encoded
-    /// analog path.
+    /// analog path: each weight layer lowers the whole batch into one
+    /// [`IsaacLayer::matmul_into`](crate::IsaacLayer::matmul_into) call.
     pub fn forward(&mut self, x: &Tensor) -> Tensor {
         self.exec.forward(x)
-    }
-
-    /// [`forward`](Self::forward) through the batched hot path: each
-    /// weight layer lowers the whole batch and runs as one
-    /// [`IsaacLayer::matmul_into`](crate::IsaacLayer::matmul_into) call.
-    /// Bitwise identical to [`forward`](Self::forward).
-    pub fn forward_batched(&mut self, x: &Tensor) -> Tensor {
-        self.exec.forward_batched(x)
     }
 
     /// Runs inference with samples distributed over `workers` threads;

@@ -3,8 +3,10 @@
 //! Gates the packed bit-plane kernel rework: measures single-MVM
 //! throughput of the packed kernel against the legacy reference kernel
 //! (kept in-tree as `matvec_reference`) on a Table-V-style layer shape,
-//! for both the FORMS design and the ISAAC baseline, plus end-to-end
-//! images/s through the executor serially and across worker threads.
+//! for both the FORMS design and the ISAAC baseline, the batched
+//! `matmul_into` kernel across a batch sweep (batch 1 is the one-column
+//! call every single MVM now takes), plus end-to-end images/s through the
+//! executor on one worker and across worker threads.
 //!
 //! The suite writes `BENCH_mvm.json` at the repository root and the
 //! `mvm` binary re-reads and validates the file with
@@ -60,7 +62,7 @@ impl MvmBenchSpec {
             cols: 128,
             mapping: MappingConfig::paper(8),
             batch: 8,
-            batch_sweep: vec![8, 32],
+            batch_sweep: vec![1, 8, 32],
             workers: worker_count(),
             timing: BenchConfig::from_env(),
         }
@@ -83,7 +85,7 @@ impl MvmBenchSpec {
                 zero_skipping: true,
             },
             batch: 4,
-            batch_sweep: vec![2, 4],
+            batch_sweep: vec![1, 2, 4],
             workers: 2,
             timing: BenchConfig::fast(),
         }
@@ -164,8 +166,8 @@ pub struct KernelResult {
     /// `"packed"` (per-sample hot path), `"reference"` (legacy kernel) or
     /// `"batched"` (the blocked weight-stationary `matmul_into` kernel).
     pub kernel: &'static str,
-    /// Input vectors per kernel call: 1 for per-sample kernels, the
-    /// swept batch size for `"batched"` rows.
+    /// Input vectors per kernel call: 1 for the per-sample kernels, the
+    /// swept batch size (from 1) for `"batched"` rows.
     pub batch: usize,
     /// Median (p50) nanoseconds per MVM.
     pub ns_per_mvm: f64,
@@ -180,9 +182,10 @@ pub struct KernelResult {
 pub struct ImageResult {
     /// `"FORMS"` or `"ISAAC"`.
     pub design: &'static str,
-    /// `"serial"` or `"parallel"`.
+    /// `"batched"` (`forward` on one worker) or `"parallel"`
+    /// (`forward_parallel`).
     pub exec: &'static str,
-    /// Worker threads used (1 for serial).
+    /// Worker threads used (1 for batched).
     pub workers: usize,
     /// Images per second through the executor (from the median batch).
     pub images_per_s: f64,
@@ -231,6 +234,18 @@ impl MvmBenchReport {
         Some(batched / packed)
     }
 
+    /// Parallel-over-batched images/s ratio for a design, if both were
+    /// measured. Reported, not gated.
+    pub fn parallel_over_batched(&self, design: &str) -> Option<f64> {
+        let find = |exec: &str| {
+            self.images
+                .iter()
+                .find(|r| r.design == design && r.exec == exec)
+                .map(|r| r.images_per_s)
+        };
+        Some(find("parallel")? / find("batched")?)
+    }
+
     /// Renders the report as the `BENCH_mvm.json` document.
     pub fn to_json(&self) -> JsonValue {
         let kernels = self
@@ -262,12 +277,16 @@ impl MvmBenchReport {
             .collect();
         let mut speedup = Vec::new();
         let mut speedup_batched = Vec::new();
+        let mut parallel_over_batched = Vec::new();
         for design in ["FORMS", "ISAAC"] {
             if let Some(s) = self.speedup(design) {
                 speedup.push((design, JsonValue::Number(s)));
             }
             if let Some(s) = self.speedup_batched(design) {
                 speedup_batched.push((design, JsonValue::Number(s)));
+            }
+            if let Some(s) = self.parallel_over_batched(design) {
+                parallel_over_batched.push((design, JsonValue::Number(s)));
             }
         }
         JsonValue::object(vec![
@@ -288,6 +307,10 @@ impl MvmBenchReport {
                 JsonValue::object(speedup_batched),
             ),
             ("images", JsonValue::Array(images)),
+            (
+                "parallel_over_batched_images",
+                JsonValue::object(parallel_over_batched),
+            ),
         ])
     }
 }
@@ -415,11 +438,7 @@ pub fn run(spec: &MvmBenchSpec) -> MvmBenchReport {
     let batch = spec.batch as f64;
     let workers = spec.workers;
     {
-        let r = bencher.bench("forms/images/serial", || forms_acc.forward(&x));
-        images.push(image_result("FORMS", "serial", 1, batch, r));
-    }
-    {
-        let r = bencher.bench("forms/images/batched", || forms_acc.forward_batched(&x));
+        let r = bencher.bench("forms/images/batched", || forms_acc.forward(&x));
         images.push(image_result("FORMS", "batched", 1, batch, r));
     }
     {
@@ -429,11 +448,7 @@ pub fn run(spec: &MvmBenchSpec) -> MvmBenchReport {
         images.push(image_result("FORMS", "parallel", workers, batch, r));
     }
     {
-        let r = bencher.bench("isaac/images/serial", || isaac_acc.forward(&x));
-        images.push(image_result("ISAAC", "serial", 1, batch, r));
-    }
-    {
-        let r = bencher.bench("isaac/images/batched", || isaac_acc.forward_batched(&x));
+        let r = bencher.bench("isaac/images/batched", || isaac_acc.forward(&x));
         images.push(image_result("ISAAC", "batched", 1, batch, r));
     }
     {
@@ -502,16 +517,12 @@ fn image_result(
 /// Checks that a parsed `BENCH_mvm.json` document has the shape this
 /// suite writes — required top-level fields, all per-sample kernel rows
 /// with positive finite throughput, at least one batched kernel row per
-/// design, and serial / batched / parallel images/s rows per design —
-/// and enforces the batched-hot-path performance gates:
-///
-/// - per design, the batched kernel at its largest swept batch must not
-///   be slower per MVM than the per-sample packed kernel;
-/// - per design, batched images/s must be at least the serial
-///   (per-sample) images/s;
-/// - per design, parallel images/s at ≥ 2 workers must be at least
-///   1.2× serial images/s (the work-stealing workers run the batched
-///   kernel, so this holds even on a single core).
+/// design, and batched / parallel images/s rows per design — and enforces
+/// the batched-hot-path performance gates: per design, neither the
+/// one-column call (when batch 1 is swept) nor the batched kernel at its
+/// largest swept batch may be slower per MVM than the per-sample packed
+/// kernel. The parallel-over-batched images ratio is reported but not
+/// gated.
 ///
 /// # Errors
 ///
@@ -560,8 +571,8 @@ pub fn validate(doc: &JsonValue) -> Result<(), String> {
         }
     }
     // Batched kernel rows: at least one per design, every row positive
-    // with a batch of at least 2, and the largest-batch row at least as
-    // fast per MVM as the per-sample packed kernel.
+    // with a batch of at least 1, and the batch-1 and largest-batch rows
+    // at least as fast per MVM as the per-sample packed kernel.
     for design in ["FORMS", "ISAAC"] {
         let packed = kernels
             .iter()
@@ -581,8 +592,8 @@ pub fn validate(doc: &JsonValue) -> Result<(), String> {
                 .get("batch")
                 .and_then(JsonValue::as_f64)
                 .ok_or_else(|| format!("missing `batch` for {design}/batched"))?;
-            if !(batch.is_finite() && batch >= 2.0) {
-                return Err(format!("`batch` for {design}/batched must be at least 2"));
+            if !(batch.is_finite() && batch >= 1.0) {
+                return Err(format!("`batch` for {design}/batched must be at least 1"));
             }
             let rate = row
                 .get("mvms_per_s")
@@ -590,6 +601,12 @@ pub fn validate(doc: &JsonValue) -> Result<(), String> {
                 .ok_or_else(|| format!("missing `mvms_per_s` for {design}/batched"))?;
             if !(rate.is_finite() && rate > 0.0) {
                 return Err(format!("non-positive `mvms_per_s` for {design}/batched"));
+            }
+            if batch == 1.0 && rate < packed {
+                return Err(format!(
+                    "one-column kernel regression: {design} batch 1 runs {rate:.0} MVMs/s \
+                     vs {packed:.0} for the per-sample packed kernel"
+                ));
             }
             if best.is_none_or(|(b, _)| batch > b) {
                 best = Some((batch, rate));
@@ -608,43 +625,20 @@ pub fn validate(doc: &JsonValue) -> Result<(), String> {
         .and_then(JsonValue::as_array)
         .ok_or("missing `images` array")?;
     for design in ["FORMS", "ISAAC"] {
-        let mut rates = [0.0f64; 3];
-        let mut workers = 1.0f64;
-        for (slot, exec) in rates.iter_mut().zip(["serial", "batched", "parallel"]) {
-            let row = images
+        for exec in ["batched", "parallel"] {
+            let rate = images
                 .iter()
                 .find(|r| {
                     r.get("design").and_then(JsonValue::as_str) == Some(design)
                         && r.get("exec").and_then(JsonValue::as_str) == Some(exec)
                 })
-                .ok_or_else(|| format!("missing images row for {design}/{exec}"))?;
-            let rate = row
+                .ok_or_else(|| format!("missing images row for {design}/{exec}"))?
                 .get("images_per_s")
                 .and_then(JsonValue::as_f64)
                 .ok_or_else(|| format!("missing `images_per_s` for {design}/{exec}"))?;
             if !(rate.is_finite() && rate > 0.0) {
                 return Err(format!("non-positive `images_per_s` for {design}/{exec}"));
             }
-            *slot = rate;
-            if exec == "parallel" {
-                workers = row
-                    .get("workers")
-                    .and_then(JsonValue::as_f64)
-                    .ok_or_else(|| format!("missing `workers` for {design}/parallel"))?;
-            }
-        }
-        let [serial, batched, parallel] = rates;
-        if batched < serial {
-            return Err(format!(
-                "batched images regression: {design} batched runs {batched:.1} images/s \
-                 vs {serial:.1} serial"
-            ));
-        }
-        if workers >= 2.0 && parallel < 1.2 * serial {
-            return Err(format!(
-                "parallel images regression: {design} at {workers} workers runs \
-                 {parallel:.1} images/s, below 1.2x the serial {serial:.1}"
-            ));
         }
     }
     Ok(())
@@ -657,10 +651,9 @@ mod tests {
 
     /// A fixed-numbers report shaped exactly like a passing smoke run.
     ///
-    /// The validator's timing gates (batched >= packed per MVM, batched
-    /// images >= serial, parallel >= 1.2x serial) are enforced against
-    /// *live* numbers by the `mvm` binary, which ci.sh runs on an
-    /// otherwise idle machine. Unit tests run under `cargo test
+    /// The validator's timing gates (batched >= packed per MVM at batch 1
+    /// and at the largest batch) are enforced against *live* numbers by
+    /// the `mvm` binary, which ci.sh runs on an otherwise idle machine. Unit tests run under `cargo test
     /// --workspace` where every core is oversubscribed by sibling test
     /// binaries, so a live 2-worker measurement here is pure noise —
     /// these tests pin the validator logic on synthetic numbers instead.
@@ -687,16 +680,16 @@ mod tests {
                 kernel("FORMS", "reference", 1, 1_500_000.0),
                 kernel("ISAAC", "packed", 1, 250_000.0),
                 kernel("ISAAC", "reference", 1, 1_100_000.0),
+                kernel("FORMS", "batched", 1, 400_000.0),
+                kernel("ISAAC", "batched", 1, 200_000.0),
                 kernel("FORMS", "batched", 2, 300_000.0),
                 kernel("ISAAC", "batched", 2, 180_000.0),
                 kernel("FORMS", "batched", 4, 200_000.0),
                 kernel("ISAAC", "batched", 4, 150_000.0),
             ],
             images: vec![
-                image("FORMS", "serial", 1, 400.0),
                 image("FORMS", "batched", 1, 900.0),
                 image("FORMS", "parallel", 2, 1100.0),
-                image("ISAAC", "serial", 1, 700.0),
                 image("ISAAC", "batched", 1, 1400.0),
                 image("ISAAC", "parallel", 2, 1500.0),
             ],
@@ -715,6 +708,8 @@ mod tests {
         assert!(report.speedup("ISAAC").unwrap() > 0.0);
         assert!(report.speedup_batched("FORMS").unwrap() > 1.0);
         assert!(report.speedup_batched("ISAAC").unwrap() > 1.0);
+        assert!(report.parallel_over_batched("FORMS").unwrap() > 1.0);
+        assert!(report.parallel_over_batched("ISAAC").unwrap() > 1.0);
     }
 
     #[test]
@@ -730,25 +725,27 @@ mod tests {
         let err = validate(&report.to_json()).unwrap_err();
         assert!(err.contains("batched kernel regression"), "{err}");
 
-        // Batched images below serial.
+        // The one-column call slower than the packed per-sample kernel.
         let mut report = synthetic_report();
-        for r in &mut report.images {
-            if r.design == "ISAAC" && r.exec == "batched" {
-                r.images_per_s = 500.0;
+        for k in &mut report.kernels {
+            if k.design == "ISAAC" && k.kernel == "batched" && k.batch == 1 {
+                k.ns_per_mvm = 300_000.0;
+                k.mvms_per_s = 1e9 / k.ns_per_mvm;
             }
         }
         let err = validate(&report.to_json()).unwrap_err();
-        assert!(err.contains("batched images regression"), "{err}");
+        assert!(err.contains("one-column kernel regression"), "{err}");
 
-        // Parallel below 1.2x serial at 2 workers.
+        // A parallel run slower than the batched one is reported, not
+        // rejected.
         let mut report = synthetic_report();
         for r in &mut report.images {
             if r.design == "FORMS" && r.exec == "parallel" {
                 r.images_per_s = 410.0;
             }
         }
-        let err = validate(&report.to_json()).unwrap_err();
-        assert!(err.contains("parallel images regression"), "{err}");
+        validate(&report.to_json()).unwrap();
+        assert!(report.parallel_over_batched("FORMS").unwrap() < 1.0);
     }
 
     #[test]

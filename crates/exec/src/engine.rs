@@ -54,14 +54,14 @@ impl EngineHealth {
 /// conductances, how an input bit stream becomes column currents and
 /// digital codes, and what per-MVM costs to count. Everything
 /// *network-level* (layer walk, im2col, activation quantization, batching,
-/// stats registry) lives in the shared [`Executor`](crate::Executor).
+/// per-layer counters) lives in the shared [`Executor`](crate::Executor).
 ///
-/// Engines are immutable during inference (`matvec_into` takes `&self`),
+/// Engines are immutable during inference (`matmul_into` takes `&self`),
 /// which is what lets the executor's parallel batch path share one mapped
 /// engine across worker threads instead of deep-cloning crossbar storage —
 /// hence the `Sync` bound. All mutable per-MVM state lives in the engine's
 /// [`Scratch`](Self::Scratch) buffer, owned by the caller and reused
-/// across MVMs so the hot path allocates nothing.
+/// across kernel calls so the hot path allocates nothing.
 pub trait CrossbarEngine: Clone + Send + Sync + fmt::Debug + Sized {
     /// Mapping-time configuration (crossbar dimension, cell spec, bit
     /// widths, …).
@@ -70,7 +70,7 @@ pub trait CrossbarEngine: Clone + Send + Sync + fmt::Debug + Sized {
     type Stats: Default + Copy + Merge + Send + fmt::Debug;
     /// Reusable per-MVM working memory (gathered codes, packed bit planes,
     /// raw currents, accumulators). `Default` must produce an empty scratch
-    /// that any `matvec_into` call can grow to fit.
+    /// that any `matmul_into` call can grow to fit.
     type Scratch: Default + Send + fmt::Debug;
 
     /// Maps a `[rows, cols]` weight matrix onto crossbars.
@@ -85,80 +85,26 @@ pub trait CrossbarEngine: Clone + Send + Sync + fmt::Debug + Sized {
     /// Length of this layer's output vector (= original weight columns).
     fn output_len(&self) -> usize;
 
-    /// Executes one matrix-vector product on quantized input codes
-    /// (length = original rows) into a caller-owned output buffer of
-    /// [`output_len`](Self::output_len) elements (overwritten), using
-    /// caller-owned scratch. The allocation-free hot path: with a warm
-    /// scratch, implementations must not allocate.
-    fn matvec_into(
-        &self,
-        input_codes: &[u32],
-        input_scale: f32,
-        scratch: &mut Self::Scratch,
-        out: &mut [f32],
-    ) -> Self::Stats;
-
-    /// Executes one matrix-vector product on quantized input codes
-    /// (length = original rows), returning real-valued outputs (length =
-    /// original columns) and the cost record of this MVM.
+    /// Executes a batch of matrix-vector products — the engine's one
+    /// kernel entry: `batch_codes` holds `scales.len()` input-code vectors
+    /// back to back (one per column, each of the layer's original row
+    /// count), `scales[i]` is the quantization scale of vector `i`, and
+    /// `outs` receives the concatenated outputs (`scales.len() ×
+    /// output_len`, overwritten). Returns the merged statistics of the
+    /// whole batch; a single MVM is a one-column call.
     ///
-    /// A convenience wrapper over [`matvec_into`](Self::matvec_into) with
-    /// one-shot scratch; batch loops should hold a scratch and call
-    /// `matvec_into` directly.
-    fn matvec(&self, input_codes: &[u32], input_scale: f32) -> (Vec<f32>, Self::Stats) {
-        let mut scratch = Self::Scratch::default();
-        let mut out = vec![0.0f32; self.output_len()];
-        let stats = self.matvec_into(input_codes, input_scale, &mut scratch, &mut out);
-        (out, stats)
-    }
-
-    /// Executes a *batch* of matrix-vector products: `batch_codes` holds
-    /// `scales.len()` consecutive input-code vectors (sample-major, each of
-    /// the layer's original row count), `scales[i]` is the quantization
-    /// scale of vector `i`, and `outs` receives the concatenated outputs
-    /// (`scales.len() × output_len`, overwritten). Returns the merged
-    /// statistics of the whole batch.
-    ///
-    /// The contract is *bitwise* equivalence to calling
-    /// [`matvec_into`](Self::matvec_into) once per vector in order:
-    /// identical outputs and identical merged stats. The default
-    /// implementation does exactly that, so third-party engines keep
-    /// working; weight-stationary engines override it with a blocked
-    /// kernel that sweeps each weight bit-plane/dequant window once per
-    /// tile of inputs instead of once per sample.
+    /// Columns must be independent: splitting a batch into sub-batches
+    /// (or single columns) must give bitwise identical outputs and merged
+    /// stats, which is what keeps serial, batched and work-stealing
+    /// parallel execution bitwise identical. With a warm scratch,
+    /// implementations should not allocate.
     fn matmul_into(
         &self,
         batch_codes: &[u32],
         scales: &[f32],
         scratch: &mut Self::Scratch,
         outs: &mut [f32],
-    ) -> Self::Stats {
-        let mut stats = Self::Stats::default();
-        if scales.is_empty() {
-            assert!(batch_codes.is_empty(), "codes without scales");
-            assert!(outs.is_empty(), "outputs without scales");
-            return stats;
-        }
-        assert!(
-            batch_codes.len().is_multiple_of(scales.len()),
-            "batch codes must hold one whole vector per scale"
-        );
-        let rows = batch_codes.len() / scales.len();
-        let out_len = self.output_len();
-        assert_eq!(
-            outs.len(),
-            scales.len() * out_len,
-            "need output_len slots per batched vector"
-        );
-        for ((codes, out), &scale) in batch_codes
-            .chunks_exact(rows)
-            .zip(outs.chunks_exact_mut(out_len))
-            .zip(scales)
-        {
-            stats.merge(self.matvec_into(codes, scale, scratch, out));
-        }
-        stats
-    }
+    ) -> Self::Stats;
 
     /// Physical crossbars this layer occupies.
     fn crossbar_count(&self) -> usize;
@@ -203,7 +149,7 @@ pub trait CrossbarEngine: Clone + Send + Sync + fmt::Debug + Sized {
 
 /// A [`CrossbarEngine`] whose mapped crossbars accept post-map fault
 /// injection through a seeded [`FaultCampaign`], with the injected state
-/// visible to `matvec_into` (the packed read tables are re-committed) and
+/// visible to `matmul_into` (the packed read tables are re-committed) and
 /// reflected in [`health`](CrossbarEngine::health).
 pub trait FaultableEngine: CrossbarEngine {
     /// Applies `campaign` to every crossbar of this layer. `salt`

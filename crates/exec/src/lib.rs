@@ -7,16 +7,19 @@
 //! owns the single generic inference engine they share:
 //!
 //! - [`CrossbarEngine`] — what a per-layer analog backend must provide:
-//!   mapping a weight matrix onto crossbars, executing one MVM on
-//!   quantized input codes, and reporting its cost record.
-//! - [`Executor`] — the whole-network engine: recursive layer walk,
+//!   mapping a weight matrix onto crossbars, one required kernel
+//!   (`matmul_into`, a batch of MVMs on quantized input codes; batch 1 is
+//!   a one-column call), and its cost record.
+//! - [`Executor`] — the mapped network: recursive layer walk,
 //!   im2col/conv geometry, activation quantization, optional row
-//!   permutations, per-layer statistics registry, serial and
+//!   permutations, the per-layer counter record, serial and
 //!   scoped-thread parallel batch execution, dataset evaluation.
-//! - [`InferenceSession`] — a per-worker serving handle: borrows an
-//!   executor immutably and keeps its network clone and scratch buffers
-//!   warm across independent batches (`forward_batch_into`), so replica
-//!   workers in `forms-serve` allocate nothing per request.
+//! - [`InferenceSession`] — the one execution context: borrows an
+//!   executor immutably, lowers each weight layer of a batch into one
+//!   `matmul_into` call, and keeps its network clone and scratch buffers
+//!   warm across independent batches. `Executor::forward` is one session,
+//!   `Executor::forward_parallel` one per worker, and replica workers in
+//!   `forms-serve` hold one each.
 //! - [`PrecisionPlan`] / [`LayerPrecision`] — per-layer mixed-precision
 //!   quantization plans: the executor specializes its engine configuration
 //!   and activation quantization per weight layer from the plan, with
@@ -49,7 +52,7 @@
 //! impl CrossbarEngine for Digital {
 //!     type Config = u32;
 //!     type Stats = Count;
-//!     // Reusable per-MVM buffer for the dequantized inputs.
+//!     // Reusable buffer for one column's dequantized inputs.
 //!     type Scratch = Vec<f32>;
 //!     fn map_matrix(m: &Tensor, _: &u32) -> Result<Self, ExecError> {
 //!         Ok(Self(m.clone()))
@@ -57,17 +60,24 @@
 //!     fn output_len(&self) -> usize {
 //!         self.0.dims()[1]
 //!     }
-//!     fn matvec_into(
+//!     fn matmul_into(
 //!         &self,
 //!         codes: &[u32],
-//!         scale: f32,
+//!         scales: &[f32],
 //!         scratch: &mut Vec<f32>,
-//!         out: &mut [f32],
+//!         outs: &mut [f32],
 //!     ) -> Count {
-//!         scratch.clear();
-//!         scratch.extend(codes.iter().map(|&c| c as f32 * scale));
-//!         out.copy_from_slice(&self.0.transpose().matvec(scratch));
-//!         Count(1)
+//!         let (rows, cols) = (self.0.dims()[0], self.0.dims()[1]);
+//!         for ((col, out), &scale) in codes
+//!             .chunks_exact(rows)
+//!             .zip(outs.chunks_exact_mut(cols))
+//!             .zip(scales)
+//!         {
+//!             scratch.clear();
+//!             scratch.extend(col.iter().map(|&c| c as f32 * scale));
+//!             out.copy_from_slice(&self.0.transpose().matvec(scratch));
+//!         }
+//!         Count(scales.len() as u64)
 //!     }
 //!     fn crossbar_count(&self) -> usize {
 //!         1

@@ -5,16 +5,17 @@
 //! accelerator device per replica, so while one replica's crossbars
 //! integrate, the other replicas' devices are busy in parallel regardless
 //! of how many host cores drive them. [`PacedEngine`] models that: every
-//! MVM takes at least a configured device latency (the host computes the
+//! MVM takes at least a configured device latency, so a `k`-column kernel
+//! call occupies the device for `k` latencies (the host computes the
 //! result, then sleeps out the remainder of the device's occupancy
 //! window). Replica throughput then scales with the number of modeled
 //! devices, exactly as it would with physical hardware, even on a
 //! single-core host.
 //!
 //! Pacing is against an *absolute* per-scratch deadline, not per-call
-//! elapsed time: call `k`'s occupancy window ends at
-//! `max(now, previous window end) + latency`, and the wait sleeps the
-//! bulk then spins the final stretch so the deadline is met to
+//! elapsed time: a call's occupancy window ends at
+//! `max(now, previous window end) + columns × latency`, and the wait
+//! sleeps the bulk then spins the final stretch so the deadline is met to
 //! microseconds. Sleeping out a per-call remainder instead added the
 //! sleep's overshoot (OS timer quantum, wakeup jitter — around a
 //! millisecond) to every MVM, so sustained throughput drifted far below
@@ -89,27 +90,28 @@ impl<E: CrossbarEngine> CrossbarEngine for PacedEngine<E> {
         self.inner.output_len()
     }
 
-    fn matvec_into(
+    fn matmul_into(
         &self,
-        input_codes: &[u32],
-        input_scale: f32,
+        batch_codes: &[u32],
+        scales: &[f32],
         scratch: &mut Self::Scratch,
-        out: &mut [f32],
+        outs: &mut [f32],
     ) -> Self::Stats {
         let start = Instant::now();
         let stats = self
             .inner
-            .matvec_into(input_codes, input_scale, &mut scratch.inner, out);
-        // This MVM's occupancy window ends `latency` after the later of
-        // "now" and the previous window's end: back-to-back MVMs chain off
-        // the absolute schedule (sleep overshoot is absorbed by the next
-        // window), while an idle gap restarts the schedule from the
-        // current instant.
+            .matmul_into(batch_codes, scales, &mut scratch.inner, outs);
+        // This call occupies the device for one latency per column, in a
+        // window that starts at the later of "now" and the previous
+        // window's end: back-to-back calls chain off the absolute schedule
+        // (sleep overshoot is absorbed by the next window), while an idle
+        // gap restarts the schedule from the current instant.
         let window_start = match scratch.next_free {
             Some(next_free) if next_free > start => next_free,
             _ => start,
         };
-        let target = window_start + self.latency;
+        let columns = u32::try_from(scales.len()).unwrap_or(u32::MAX);
+        let target = window_start + self.latency * columns;
         scratch.next_free = Some(target);
         wait_until(target);
         stats
@@ -203,8 +205,8 @@ mod tests {
         fn output_len(&self) -> usize {
             1
         }
-        fn matvec_into(&self, _: &[u32], _: f32, _: &mut (), out: &mut [f32]) -> NoStats {
-            out[0] = 0.0;
+        fn matmul_into(&self, _: &[u32], _: &[f32], _: &mut (), outs: &mut [f32]) -> NoStats {
+            outs.fill(0.0);
             NoStats
         }
         fn crossbar_count(&self) -> usize {
@@ -233,7 +235,7 @@ mod tests {
         let k = 50u32;
         let start = Instant::now();
         for _ in 0..k {
-            engine.matvec_into(&[1], 1.0, &mut scratch, &mut out);
+            engine.matmul_into(&[1], &[1.0], &mut scratch, &mut out);
         }
         let elapsed = start.elapsed();
         let modeled = latency * k;
@@ -257,11 +259,34 @@ mod tests {
             PacedEngine::<Instant1x1>::map_matrix(&Tensor::ones(&[1, 1]), &config).expect("map");
         let mut scratch = PacedScratch::default();
         let mut out = [0.0f32];
-        engine.matvec_into(&[1], 1.0, &mut scratch, &mut out);
+        engine.matmul_into(&[1], &[1.0], &mut scratch, &mut out);
         // A long idle gap must not bank credit for free MVMs afterwards.
         std::thread::sleep(Duration::from_millis(5));
         let start = Instant::now();
-        engine.matvec_into(&[1], 1.0, &mut scratch, &mut out);
+        engine.matmul_into(&[1], &[1.0], &mut scratch, &mut out);
         assert!(start.elapsed() >= latency, "idle credit leaked into pacing");
+    }
+
+    #[test]
+    fn a_k_column_call_occupies_k_latencies() {
+        let latency = Duration::from_micros(500);
+        let config = PacedConfig { inner: (), latency };
+        let engine =
+            PacedEngine::<Instant1x1>::map_matrix(&Tensor::ones(&[1, 1]), &config).expect("map");
+        let mut scratch = PacedScratch::default();
+        let k = 40u32;
+        let codes = vec![1u32; k as usize];
+        let scales = vec![1.0f32; k as usize];
+        let mut out = vec![0.0f32; k as usize];
+        let start = Instant::now();
+        engine.matmul_into(&codes, &scales, &mut scratch, &mut out);
+        let elapsed = start.elapsed();
+        let modeled = latency * k;
+        assert!(elapsed >= modeled, "paced below device rate: {elapsed:?}");
+        let ceiling = modeled.mul_f64(1.25) + Duration::from_millis(5);
+        assert!(
+            elapsed <= ceiling,
+            "one {k}-column call took {elapsed:?} for modeled {modeled:?}"
+        );
     }
 }

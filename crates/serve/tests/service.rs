@@ -42,7 +42,7 @@ struct DigitalScratch {
 }
 
 /// Configuration for [`DigitalEngine`]: a sentinel input code that makes
-/// `matvec_into` panic, for fault-injection tests (`None` disables).
+/// `matmul_into` panic, for fault-injection tests (`None` disables).
 #[derive(Clone, Copy, Debug)]
 struct DigitalConfig {
     panic_on_code: Option<u32>,
@@ -63,20 +63,26 @@ impl CrossbarEngine for DigitalEngine {
         self.weights.dims()[1]
     }
 
-    fn matvec_into(
+    fn matmul_into(
         &self,
-        input_codes: &[u32],
-        input_scale: f32,
+        batch_codes: &[u32],
+        scales: &[f32],
         scratch: &mut DigitalScratch,
-        out: &mut [f32],
+        outs: &mut [f32],
     ) -> DigitalStats {
-        scratch.x.clear();
-        scratch
-            .x
-            .extend(input_codes.iter().map(|&c| c as f32 * input_scale));
-        let y = self.weights.transpose().matvec(&scratch.x);
-        out.copy_from_slice(&y);
-        DigitalStats { mvms: 1 }
+        let rows = self.weights.dims()[0];
+        for ((codes, out), &scale) in batch_codes
+            .chunks_exact(rows)
+            .zip(outs.chunks_exact_mut(self.output_len()))
+            .zip(scales)
+        {
+            scratch.x.clear();
+            scratch.x.extend(codes.iter().map(|&c| c as f32 * scale));
+            out.copy_from_slice(&self.weights.transpose().matvec(&scratch.x));
+        }
+        DigitalStats {
+            mvms: scales.len() as u64,
+        }
     }
 
     fn crossbar_count(&self) -> usize {
@@ -127,21 +133,20 @@ impl CrossbarEngine for FaultyEngine {
         self.inner.output_len()
     }
 
-    fn matvec_into(
+    fn matmul_into(
         &self,
-        input_codes: &[u32],
-        input_scale: f32,
+        batch_codes: &[u32],
+        scales: &[f32],
         scratch: &mut DigitalScratch,
-        out: &mut [f32],
+        outs: &mut [f32],
     ) -> DigitalStats {
         if let Some(code) = self.panic_on_code {
             assert!(
-                !input_codes.contains(&code),
+                !batch_codes.contains(&code),
                 "injected engine fault on sentinel code {code}"
             );
         }
-        self.inner
-            .matvec_into(input_codes, input_scale, scratch, out)
+        self.inner.matmul_into(batch_codes, scales, scratch, outs)
     }
 
     fn crossbar_count(&self) -> usize {

@@ -54,24 +54,32 @@ impl CrossbarEngine for DigitalEngine {
         self.weights.dims()[1]
     }
 
-    fn matvec_into(
+    fn matmul_into(
         &self,
-        input_codes: &[u32],
-        input_scale: f32,
+        batch_codes: &[u32],
+        scales: &[f32],
         scratch: &mut Vec<f32>,
-        out: &mut [f32],
+        outs: &mut [f32],
     ) -> DigitalStats {
         if let Some(code) = self.panic_on_code {
             assert!(
-                !input_codes.contains(&code),
+                !batch_codes.contains(&code),
                 "injected engine fault on sentinel code {code}"
             );
         }
-        scratch.clear();
-        scratch.extend(input_codes.iter().map(|&c| c as f32 * input_scale));
-        let y = self.weights.transpose().matvec(scratch);
-        out.copy_from_slice(&y);
-        DigitalStats { mvms: 1 }
+        let rows = self.weights.dims()[0];
+        for ((codes, out), &scale) in batch_codes
+            .chunks_exact(rows)
+            .zip(outs.chunks_exact_mut(self.output_len()))
+            .zip(scales)
+        {
+            scratch.clear();
+            scratch.extend(codes.iter().map(|&c| c as f32 * scale));
+            out.copy_from_slice(&self.weights.transpose().matvec(scratch));
+        }
+        DigitalStats {
+            mvms: scales.len() as u64,
+        }
     }
 
     fn crossbar_count(&self) -> usize {
