@@ -15,17 +15,21 @@ cargo test -q --offline --workspace
 
 echo "== lint (clippy, warnings are errors) =="
 cargo clippy --workspace --offline --all-targets -- -D warnings
+# The feature-gated `kernels` and `ablations` benches only compile with
+# `--features bench`, so lint them separately.
+cargo clippy --offline -p forms-bench --features bench --all-targets -- -D warnings
 
 echo "== docs (rustdoc must build warning-free) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --offline --no-deps
 
 echo "== MVM hot-path bench (smoke) =="
-# Runs the packed-kernel and batched-matmul throughput suite on tiny
-# shapes with a fixed batch sweep (batch 1 is the one-column kernel call)
-# and re-validates the BENCH_mvm.json it writes through forms_bench::json;
-# the binary exits non-zero if the file is malformed or the batched kernel
-# at batch 1 or at the largest batch is slower per MVM than the per-sample
-# packed one. The parallel/batched images ratio is reported, not gated.
+# Runs the matmul_into-vs-reference throughput suite on tiny shapes with a
+# fixed batch sweep (batch 1 is the one-column kernel call) and
+# re-validates the BENCH_mvm.json it writes through forms_bench::json; the
+# binary exits non-zero if the file is malformed or, per design and per
+# MVM, batch 1 is slower than the reference kernel or the largest batch is
+# slower than batch 1. The parallel/batched images ratio is reported, not
+# gated.
 FORMS_BENCH_FAST=1 cargo run --release --offline -p forms-bench --bin mvm -- --smoke --batch 1,2,4
 
 echo "== mixed-precision quant bench (smoke) =="
@@ -64,7 +68,7 @@ awk '
 echo "ok: BENCH_serve.json carries non-zero per-stage histograms"
 
 echo "== fault-tolerance bench (smoke) =="
-# Sweeps stuck-at fault rates through the packed path for FORMS and ISAAC,
+# Sweeps stuck-at fault rates through the executor for FORMS and ISAAC,
 # then runs a poisoned-replica serving storm; the binary re-validates the
 # BENCH_faults.json it writes — schema, the FORMS-degrades-no-faster-than-
 # ISAAC comparison, and the zero-corrupted-responses / quarantine storm

@@ -9,8 +9,8 @@
 
 use forms_exec::{CrossbarEngine, EngineHealth, ExecError, FaultableEngine, Merge};
 use forms_reram::{
-    for_each_set_bit, pack_bit_planes, pack_tile_bit_planes, plane_is_zero, Adc, BitSlicer,
-    CellSpec, Crossbar, CurrentNoise, FaultCampaign, FaultReport,
+    for_each_set_bit, pack_tile_bit_planes, plane_is_zero, Adc, BitSlicer, CellSpec, Crossbar,
+    CurrentNoise, FaultCampaign, FaultReport,
 };
 use forms_rng::Rng;
 use forms_tensor::Tensor;
@@ -165,38 +165,35 @@ pub const MATMUL_TILE: usize = 32;
 /// Reusable working memory of one [`MappedLayer`] MVM.
 ///
 /// Owned by the caller (one per inference worker) and grown on first use;
-/// with a warm scratch the packed kernel performs no heap allocation. The
-/// default value is an empty scratch that fits any layer.
+/// with a warm scratch [`MappedLayer::matmul_into`] performs no heap
+/// allocation. The default value is an empty scratch that fits any layer.
 #[derive(Clone, Debug, Default)]
 pub struct MvmScratch {
-    /// Gathered input codes of the current fragment.
-    codes: Vec<u32>,
-    /// Packed bit planes of the fragment's codes, LSB plane first
-    /// (`words` u64 words per plane — see [`pack_bit_planes`]).
-    planes: Vec<u64>,
-    /// Raw pre-ADC column currents, plane-major: plane `cycle` covers
-    /// `cycle * cell_cols ..` over all mapped cell columns.
+    /// f64 path: raw pre-ADC column currents of one sample, plane-major:
+    /// plane `cycle` covers `cycle * cell_cols ..` over all mapped cell
+    /// columns.
     currents: Vec<f64>,
-    /// Per-slice shift-&-add accumulators of the current weight column.
+    /// f64 path: per-slice shift-&-add accumulators of the current weight
+    /// column.
     slice_acc: Vec<u64>,
-    /// Signed digital accumulators, one per compact weight column.
+    /// Signed digital accumulators, one per (tile sample, compact weight
+    /// column).
     accs: Vec<i64>,
-    /// Dequantized cell values of the current fragment window, row-major
-    /// over all mapped cell columns — the division by the conductance step
-    /// is paid once per cell instead of once per cell per input cycle.
+    /// f64 path: dequantized cell values of the current fragment window,
+    /// row-major over all mapped cell columns — the division by the
+    /// conductance step is paid once per cell instead of once per cell per
+    /// input cycle.
     cell_vals: Vec<f64>,
-    /// Batched path: gathered fragment codes of one tile of samples,
-    /// sample-major.
+    /// Gathered fragment codes of one tile of samples, sample-major.
     tile_codes: Vec<u32>,
-    /// Batched path: effective input cycles per sample of the tile.
+    /// Effective input cycles per sample of the tile.
     tile_eic: Vec<u32>,
-    /// Batched path: packed bit planes of the whole tile (see
-    /// [`pack_tile_bit_planes`]).
+    /// Packed bit planes of the whole tile (see [`pack_tile_bit_planes`]).
     tile_planes: Vec<u64>,
-    /// Batched fast path: integer cell codes of one window row (see
+    /// Integer fast path: integer cell codes of one window row (see
     /// [`Crossbar::integral_dequant_codes`]).
     icell: Vec<u16>,
-    /// Batched fast path: signed weight codes of the fragment window,
+    /// Integer fast path: signed weight codes of the fragment window,
     /// row-major over the compact weight columns.
     wcodes: Vec<i64>,
 }
@@ -263,8 +260,9 @@ impl MappedLayer {
     /// [`ExecError::AllZero`] for an all-zero matrix,
     /// [`ExecError::NotMatrix`] when `matrix` is not rank-2 and
     /// [`ExecError::UnsupportedConfig`] when the fragment size does not
-    /// divide the crossbar dimension or a column's worst-case accumulation
-    /// would overflow the `i64` digital accumulators.
+    /// divide the crossbar dimension, the weight width is outside `1..=32`,
+    /// the input width is outside `1..=31`, or a column's worst-case
+    /// accumulation would overflow the `i64` digital accumulators.
     pub fn map(matrix: &Tensor, config: MappingConfig) -> Result<Self, ExecError> {
         if matrix.shape().rank() != 2 {
             return Err(ExecError::NotMatrix {
@@ -274,6 +272,16 @@ impl MappedLayer {
         if config.fragment_size == 0 || !config.crossbar_dim.is_multiple_of(config.fragment_size) {
             return Err(ExecError::UnsupportedConfig {
                 reason: "fragment size must divide the crossbar dimension",
+            });
+        }
+        if !(1..=32).contains(&config.weight_bits) {
+            return Err(ExecError::UnsupportedConfig {
+                reason: "weight bits must be in 1..=32",
+            });
+        }
+        if !(1..=31).contains(&config.input_bits) {
+            return Err(ExecError::UnsupportedConfig {
+                reason: "input bits must be in 1..=31",
             });
         }
         let (rows, cols) = (matrix.dims()[0], matrix.dims()[1]);
@@ -461,7 +469,9 @@ impl MappedLayer {
     }
 
     /// Executes the mixed-signal matrix-vector product on quantized input
-    /// codes (length = original rows; codes of pruned rows are ignored).
+    /// codes (length = original rows; codes of pruned rows are ignored):
+    /// a one-column [`matmul_into`](Self::matmul_into) on a fresh
+    /// [`MvmScratch`].
     ///
     /// `input_scale` is the value of input code 1; the result is in real
     /// units (`scale × step × integer dot product`), length = original
@@ -472,33 +482,20 @@ impl MappedLayer {
     /// Panics if `input_codes.len()` differs from the original row count or
     /// any code exceeds `input_bits`.
     pub fn matvec(&self, input_codes: &[u32], input_scale: f32) -> (Vec<f32>, MvmStats) {
-        let mut scratch = MvmScratch::default();
         let mut out = vec![0.0f32; self.orig_cols];
-        let stats = self.matvec_into(input_codes, input_scale, &mut scratch, &mut out);
+        let stats = self.matmul_into(
+            input_codes,
+            &[input_scale],
+            &mut MvmScratch::default(),
+            &mut out,
+        );
         (out, stats)
-    }
-
-    /// The allocation-free hot path: [`matvec`](Self::matvec) into a
-    /// caller-owned output buffer (length = original columns, overwritten)
-    /// with caller-owned reusable [`MvmScratch`].
-    ///
-    /// # Panics
-    ///
-    /// Panics as [`matvec`](Self::matvec) does, and if `out.len()` differs
-    /// from the original column count.
-    pub fn matvec_into(
-        &self,
-        input_codes: &[u32],
-        input_scale: f32,
-        scratch: &mut MvmScratch,
-        out: &mut [f32],
-    ) -> MvmStats {
-        self.matvec_packed(input_codes, input_scale, |c| c, scratch, out)
     }
 
     /// Like [`matvec`](Self::matvec) but with additive read noise on every
     /// column current before ADC conversion (paper refs. \[31, 32\]; the
-    /// fine-vs-coarse susceptibility argument of §II-C).
+    /// fine-vs-coarse susceptibility argument of §II-C). Runs the
+    /// reference kernel, which draws the noise column → cycle → slice.
     ///
     /// # Panics
     ///
@@ -510,21 +507,12 @@ impl MappedLayer {
         noise: &CurrentNoise,
         rng: &mut R,
     ) -> (Vec<f32>, MvmStats) {
-        let mut scratch = MvmScratch::default();
-        let mut out = vec![0.0f32; self.orig_cols];
-        let stats = self.matvec_packed(
-            input_codes,
-            input_scale,
-            |c| noise.perturb(c, rng),
-            &mut scratch,
-            &mut out,
-        );
-        (out, stats)
+        self.matvec_impl(input_codes, input_scale, |c| noise.perturb(c, rng))
     }
 
-    /// The legacy allocating kernel, kept as the bitwise oracle for the
-    /// packed path and as the pre-optimization baseline for the MVM
-    /// benchmark. Results are bitwise identical to
+    /// The legacy allocating kernel, kept as the bitwise oracle for
+    /// [`matmul_into`](Self::matmul_into) and as the pre-optimization
+    /// baseline for the MVM benchmark. Results are bitwise identical to
     /// [`matvec`](Self::matvec).
     ///
     /// # Panics
@@ -532,24 +520,6 @@ impl MappedLayer {
     /// Panics as [`matvec`](Self::matvec) does.
     pub fn matvec_reference(&self, input_codes: &[u32], input_scale: f32) -> (Vec<f32>, MvmStats) {
         self.matvec_impl(input_codes, input_scale, |c| c)
-    }
-
-    /// [`matvec_noisy`](Self::matvec_noisy) through the legacy allocating
-    /// kernel — the bitwise oracle for the noisy packed path (the noise
-    /// draw order is preserved, so the same RNG seed yields bitwise equal
-    /// outputs).
-    ///
-    /// # Panics
-    ///
-    /// Panics as [`matvec`](Self::matvec) does.
-    pub fn matvec_noisy_reference<R: Rng + ?Sized>(
-        &self,
-        input_codes: &[u32],
-        input_scale: f32,
-        noise: &CurrentNoise,
-        rng: &mut R,
-    ) -> (Vec<f32>, MvmStats) {
-        self.matvec_impl(input_codes, input_scale, |c| noise.perturb(c, rng))
     }
 
     /// Whether the batched kernel may run its integer fast path: every
@@ -571,8 +541,8 @@ impl MappedLayer {
 
     /// The blocked weight-stationary batch kernel: executes
     /// `scales.len()` matrix-vector products in one sweep, bitwise
-    /// identical to calling [`matvec_into`](Self::matvec_into) once per
-    /// sample (outputs *and* merged stats).
+    /// identical to calling [`matvec_reference`](Self::matvec_reference)
+    /// once per sample (outputs *and* merged stats).
     ///
     /// `batch_codes` holds the samples' input codes sample-major
     /// (`scales.len() × original rows`); `outs` receives the concatenated
@@ -580,15 +550,14 @@ impl MappedLayer {
     ///
     /// Samples are processed in tiles of [`MATMUL_TILE`]; per fragment the
     /// weight window is materialized once per tile and swept over every
-    /// sample, instead of once per sample as the per-sample path must.
-    /// Pristine arrays additionally take an integer fast path (see
+    /// sample. Pristine arrays additionally take an integer fast path (see
     /// [`integer_matmul_path`](Self::integer_matmul_path)) that folds each
     /// weight's cell slices and its fragment's sign into one signed code,
     /// adds `±code << plane` per set input bit straight into the output
     /// accumulators and skips planes whose packed input bits are all
-    /// zero; drifted arrays fall back to
-    /// an f64 path that preserves the per-sample ascending-row summation
-    /// order, keeping results bitwise identical either way.
+    /// zero; drifted arrays fall back to an f64 path that preserves the
+    /// reference kernel's ascending-row summation order, keeping results
+    /// bitwise identical either way.
     ///
     /// # Panics
     ///
@@ -643,7 +612,7 @@ impl MappedLayer {
 
                 // Gather the tile's fragment codes (sample-major) and each
                 // sample's effective input cycles, accounting stats exactly
-                // as the per-sample path would.
+                // as the reference kernel does.
                 scratch.tile_codes.clear();
                 scratch.tile_eic.clear();
                 let mut max_planes = 0u32;
@@ -774,7 +743,7 @@ impl MappedLayer {
                         }
                         let n_planes = eic as usize;
                         // Currents accumulate active rows in ascending
-                        // order, matching the per-sample summation order
+                        // order, matching the reference summation order
                         // bitwise.
                         currents.clear();
                         currents.resize(n_planes * cell_cols, 0.0);
@@ -844,135 +813,6 @@ impl MappedLayer {
             "input code exceeds {} bits",
             self.config.input_bits
         );
-    }
-
-    /// The packed bit-plane kernel behind every public matvec entry point.
-    ///
-    /// Per fragment it gathers codes, computes the effective input cycles,
-    /// packs the driven bit planes into `u64` masks and reads *raw* column
-    /// currents plane-major into the scratch — then perturbs and
-    /// ADC-converts them in the legacy column → cycle → slice order, so
-    /// both the float summation order and the noise draw order match
-    /// [`matvec_reference`](Self::matvec_reference) bitwise. With a warm
-    /// scratch the kernel allocates nothing.
-    fn matvec_packed(
-        &self,
-        input_codes: &[u32],
-        input_scale: f32,
-        mut perturb: impl FnMut(f64) -> f64,
-        scratch: &mut MvmScratch,
-        out: &mut [f32],
-    ) -> MvmStats {
-        self.validate_input_codes(input_codes);
-        assert_eq!(
-            out.len(),
-            self.orig_cols,
-            "need one output slot per original column"
-        );
-        let m = self.config.fragment_size;
-        let dim = self.config.crossbar_dim;
-        let cpw = self.config.cells_per_weight();
-        let cell_bits = self.config.cell.bits();
-        let cell_cols = self.col_index.len() * cpw;
-        let mut stats = MvmStats::default();
-        out.fill(0.0);
-        scratch.accs.clear();
-        scratch.accs.resize(self.col_index.len(), 0);
-
-        for frag in 0..self.fragments_per_col {
-            let lo = frag * m;
-            let hi = ((frag + 1) * m).min(self.row_index.len());
-            scratch.codes.clear();
-            scratch
-                .codes
-                .extend((lo..hi).map(|i| input_codes[self.row_index[i]]));
-            stats.fragments_total += 1;
-            stats.cycles_without_skip += u64::from(self.config.input_bits);
-
-            // Planes driven this fragment (LSB first):
-            // `ShiftRegisterBank::drain` yields exactly the fragment's EIC
-            // planes, so the packed path uses the EIC directly.
-            let n_planes = if self.config.zero_skipping {
-                fragment_eic(&scratch.codes)
-            } else {
-                self.config.input_bits
-            };
-            stats.cycles += u64::from(n_planes);
-            if n_planes == 0 {
-                stats.fragments_skipped += 1;
-                continue;
-            }
-            let words = pack_bit_planes(&scratch.codes, n_planes, &mut scratch.planes);
-            let (xr, row_lo) = (lo / dim, lo % dim);
-            let frag_rows = scratch.codes.len();
-
-            // Dequantized cell values of the fragment window, cached once
-            // so the per-plane reads below are pure adds.
-            scratch.cell_vals.clear();
-            scratch.cell_vals.resize(frag_rows * cell_cols, 0.0);
-            for r in 0..frag_rows {
-                let row = &mut scratch.cell_vals[r * cell_cols..(r + 1) * cell_cols];
-                for xc in 0..self.xb_cols {
-                    let col_lo = xc * dim;
-                    if col_lo >= cell_cols {
-                        break;
-                    }
-                    let col_hi = (col_lo + dim).min(cell_cols);
-                    self.crossbars[xr * self.xb_cols + xc]
-                        .dequant_row_into(row_lo + r, &mut row[col_lo..col_hi]);
-                }
-            }
-
-            // Raw (pre-perturbation) currents for every plane × cell
-            // column: active rows accumulate in ascending order, matching
-            // the legacy per-column summation order bitwise.
-            scratch.currents.clear();
-            scratch.currents.resize(n_planes as usize * cell_cols, 0.0);
-            let (currents, cell_vals) = (&mut scratch.currents, &scratch.cell_vals);
-            for (cycle, plane) in scratch.planes.chunks_exact(words).enumerate() {
-                let row = &mut currents[cycle * cell_cols..(cycle + 1) * cell_cols];
-                forms_reram::for_each_set_bit(plane, |i| {
-                    if i >= frag_rows {
-                        return;
-                    }
-                    let vals = &cell_vals[i * cell_cols..(i + 1) * cell_cols];
-                    for (acc, &v) in row.iter_mut().zip(vals) {
-                        *acc += v;
-                    }
-                });
-            }
-
-            // Perturbation + ADC + shift-&-add in the legacy loop order
-            // (column, then cycle, then slice).
-            for (ci, acc) in scratch.accs.iter_mut().enumerate() {
-                scratch.slice_acc.clear();
-                scratch.slice_acc.resize(cpw, 0);
-                for cycle in 0..n_planes as usize {
-                    let currents = &scratch.currents[cycle * cell_cols..];
-                    for (k, acc_k) in scratch.slice_acc.iter_mut().enumerate() {
-                        let current = perturb(currents[ci * cpw + k]);
-                        let code = self.adc.convert(current, &self.config.cell);
-                        stats.adc_conversions += 1;
-                        *acc_k += u64::from(code) << cycle;
-                    }
-                }
-                let mut frag_total = 0u64;
-                for &s in &scratch.slice_acc {
-                    frag_total = (frag_total << cell_bits) + s;
-                }
-                // The sign indicator steers the accumulator add/subtract.
-                let positive = self.signs[ci * self.fragments_per_col + frag];
-                *acc += if positive {
-                    frag_total as i64
-                } else {
-                    -(frag_total as i64)
-                };
-            }
-        }
-        for (ci, &c) in self.col_index.iter().enumerate() {
-            out[c] = scratch.accs[ci] as f32 * self.step * input_scale;
-        }
-        stats
     }
 
     fn matvec_impl(
@@ -1178,6 +1018,25 @@ mod tests {
     }
 
     #[test]
+    fn rejects_out_of_range_widths() {
+        let w = polarized_matrix(16, 4, 4);
+        for (weight_bits, input_bits) in [(0, 8), (33, 8), (40, 8), (8, 0), (8, 32), (8, 40)] {
+            let cfg = MappingConfig {
+                weight_bits,
+                input_bits,
+                ..small_config(4)
+            };
+            assert!(
+                matches!(
+                    MappedLayer::map(&w, cfg).unwrap_err(),
+                    ExecError::UnsupportedConfig { .. }
+                ),
+                "w{weight_bits} a{input_bits} must be rejected"
+            );
+        }
+    }
+
+    #[test]
     fn rejects_all_zero_matrix() {
         let w = Tensor::zeros(&[4, 2]);
         assert_eq!(
@@ -1343,9 +1202,9 @@ mod tests {
     }
 
     #[test]
-    fn packed_kernel_is_bitwise_identical_to_reference() {
-        // The tentpole invariant: packed == legacy bit-for-bit, zero-skip
-        // on and off, over matrices that exercise pruning, partial tail
+    fn matvec_is_bitwise_identical_to_reference() {
+        // The one-column kernel call == legacy bit-for-bit, zero-skip on
+        // and off, over matrices that exercise pruning, partial tail
         // fragments and multiple crossbar columns.
         for &(rows, cols, m) in &[(16usize, 4usize, 4usize), (10, 3, 4), (40, 5, 8)] {
             let mut w = polarized_matrix(rows, cols, m);
@@ -1371,18 +1230,18 @@ mod tests {
                         .map(|i| ((i as u64 * 37 + seed * 101) % 251) as u32)
                         .collect();
                     let (reference, ref_stats) = mapped.matvec_reference(&codes, 0.031);
-                    let (packed, packed_stats) = mapped.matvec(&codes, 0.031);
-                    assert_eq!(reference, packed, "zero_skipping={zero_skipping}");
-                    assert_eq!(ref_stats, packed_stats);
+                    let (got, stats) = mapped.matvec(&codes, 0.031);
+                    assert_eq!(reference, got, "zero_skipping={zero_skipping}");
+                    assert_eq!(ref_stats, stats);
                 }
             }
         }
     }
 
     #[test]
-    fn packed_scratch_is_reusable_across_layers_and_inputs() {
-        // One warm scratch threaded through MVMs of different shapes must
-        // keep producing bitwise-reference results.
+    fn scratch_is_reusable_across_layers_and_inputs() {
+        // One warm scratch threaded through one-column MVMs of different
+        // shapes must keep producing bitwise-reference results.
         let mut scratch = MvmScratch::default();
         for &(rows, cols, m) in &[(40usize, 5usize, 8usize), (16, 4, 4), (8, 2, 4)] {
             let w = polarized_matrix(rows, cols, m);
@@ -1394,33 +1253,11 @@ mod tests {
             let mut out = vec![0.0f32; cols];
             for seed in 0..3u32 {
                 let codes: Vec<u32> = (0..rows).map(|i| (i as u32 * 13 + seed) % 256).collect();
-                let stats = mapped.matvec_into(&codes, 1.0, &mut scratch, &mut out);
+                let stats = mapped.matmul_into(&codes, &[1.0], &mut scratch, &mut out);
                 let (reference, ref_stats) = mapped.matvec_reference(&codes, 1.0);
                 assert_eq!(reference, out);
                 assert_eq!(ref_stats, stats);
             }
-        }
-    }
-
-    #[test]
-    fn noisy_packed_kernel_matches_reference_draw_for_draw() {
-        // The packed kernel must consume the noise RNG in exactly the
-        // legacy order, so the same seed gives bitwise equal noisy outputs.
-        let w = polarized_matrix(16, 4, 4);
-        let noise = forms_reram::CurrentNoise::new(0.3, 0.1);
-        for zero_skipping in [true, false] {
-            let cfg = MappingConfig {
-                zero_skipping,
-                ..small_config(4)
-            };
-            let mapped = MappedLayer::map(&w, cfg).unwrap();
-            let codes: Vec<u32> = (0..16).map(|i| (i * 11) as u32 % 97).collect();
-            let mut rng_a = forms_rng::StdRng::seed_from_u64(42);
-            let mut rng_b = forms_rng::StdRng::seed_from_u64(42);
-            let (reference, rs) = mapped.matvec_noisy_reference(&codes, 0.5, &noise, &mut rng_a);
-            let (packed, ps) = mapped.matvec_noisy(&codes, 0.5, &noise, &mut rng_b);
-            assert_eq!(reference, packed, "zero_skipping={zero_skipping}");
-            assert_eq!(rs, ps);
         }
     }
 
@@ -1473,7 +1310,7 @@ mod tests {
     }
 
     #[test]
-    fn injected_faults_update_health_and_packed_path() {
+    fn injected_faults_update_health_and_outputs() {
         let w = polarized_matrix(16, 4, 4);
         let mut mapped = MappedLayer::map(&w, small_config(4)).unwrap();
         let pristine = CrossbarEngine::health(&mapped);
@@ -1490,30 +1327,26 @@ mod tests {
         assert_eq!(health.total_cells, mapped.crossbar_count() as u64 * 16 * 16);
         assert!(health.fault_density() > 0.0);
 
-        // The faulted state must flow through the packed hot path exactly
-        // as through the reference path.
+        // The faulted state must flow through the kernel exactly as
+        // through the reference path.
         let codes: Vec<u32> = (0..16).map(|i| (i * 13) as u32 % 251).collect();
-        let (packed, _) = mapped.matvec(&codes, 0.5);
+        let (got, _) = mapped.matvec(&codes, 0.5);
         let (reference, _) = mapped.matvec_reference(&codes, 0.5);
-        assert_eq!(packed, reference);
+        assert_eq!(got, reference);
     }
 
-    /// Per-sample oracle: N× `matvec_into` through one warm scratch.
+    /// Per-sample oracle: N× the independent `matvec_reference` kernel.
     fn matmul_oracle(
         mapped: &MappedLayer,
         batch_codes: &[u32],
         scales: &[f32],
     ) -> (Vec<f32>, MvmStats) {
-        let rows = mapped.orig_rows;
-        let mut scratch = MvmScratch::default();
-        let mut outs = vec![0.0f32; scales.len() * mapped.orig_cols];
+        let mut outs = Vec::with_capacity(scales.len() * mapped.orig_cols);
         let mut stats = MvmStats::default();
-        for ((codes, out), &scale) in batch_codes
-            .chunks_exact(rows)
-            .zip(outs.chunks_exact_mut(mapped.orig_cols))
-            .zip(scales)
-        {
-            stats.merge(mapped.matvec_into(codes, scale, &mut scratch, out));
+        for (codes, &scale) in batch_codes.chunks_exact(mapped.orig_rows).zip(scales) {
+            let (out, s) = mapped.matvec_reference(codes, scale);
+            outs.extend(out);
+            stats.merge(s);
         }
         (outs, stats)
     }
@@ -1528,7 +1361,7 @@ mod tests {
     }
 
     #[test]
-    fn batched_matmul_is_bitwise_identical_to_per_sample_matvec() {
+    fn batched_matmul_is_bitwise_identical_to_per_sample_reference() {
         // The batch-kernel invariant, over matrices that exercise pruning,
         // partial tail fragments and multiple crossbar columns, with
         // zero-skipping on and off, and over batch sizes that cover the
@@ -1567,7 +1400,7 @@ mod tests {
     #[test]
     fn batched_matmul_on_drifted_array_falls_back_bitwise() {
         // Knock one cell off the integer grid: the whole layer must fall
-        // back to the f64 path and still match the per-sample oracle
+        // back to the f64 path and still match the per-sample reference
         // bit-for-bit.
         let w = polarized_matrix(40, 5, 8);
         let cfg = MappingConfig {
@@ -1594,7 +1427,7 @@ mod tests {
     fn batched_matmul_survives_post_map_fault_injection() {
         // Stuck-at faults rewrite cells to rail codes (still integral);
         // the fast path must read the *faulted* table, matching the
-        // per-sample path on the same mutated layer.
+        // reference kernel on the same mutated layer.
         let w = polarized_matrix(16, 4, 4);
         let mut mapped = MappedLayer::map(&w, small_config(4)).unwrap();
         let report = mapped.inject_faults(&FaultCampaign::stuck_at(7, 0.2, 0.1), 99);

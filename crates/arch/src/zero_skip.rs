@@ -274,12 +274,12 @@ mod tests {
 
     #[test]
     fn packed_planes_match_drained_planes_on_random_fragments() {
-        // Property check behind the packed MVM hot path: for any fragment,
-        // the `u64` bit planes from `pack_bit_planes` drive exactly the
+        // Property check behind the MVM kernels: for any fragment, the
+        // `u64` bit planes from `pack_tile_bit_planes` drive exactly the
         // rows the shift-register bank's `drain()` planes drive, cycle for
-        // cycle — so dot products accumulated from either representation
-        // are bitwise identical.
-        use forms_reram::{for_each_set_bit, pack_bit_planes};
+        // cycle — alone or inside a multi-sample tile — so dot products
+        // accumulated from either representation are bitwise identical.
+        use forms_reram::{for_each_set_bit, pack_tile_bit_planes, plane_is_zero};
         use forms_rng::{Rng, StdRng};
         let mut rng = StdRng::seed_from_u64(99);
         let input_bits = 10u32;
@@ -302,7 +302,17 @@ mod tests {
                 let eic = fragment_eic(&codes);
                 assert_eq!(drained.len(), eic as usize);
                 let mut planes = Vec::new();
-                let words = pack_bit_planes(&codes, eic, &mut planes);
+                let words = pack_tile_bit_planes(&codes, 1, eic, &mut planes);
+                // Between full-width neighbours in a tile, the fragment
+                // packs to the same planes padded with zero planes.
+                let full = vec![(1 << input_bits) - 1; len];
+                let mut tiled = Vec::new();
+                let tile = [&full[..], &codes, &full].concat();
+                pack_tile_bit_planes(&tile, 3, input_bits, &mut tiled);
+                let stride = input_bits as usize * words;
+                let (own, pad) = tiled[stride..2 * stride].split_at(planes.len());
+                assert_eq!(own, planes.as_slice(), "tiled planes (len {len})");
+                assert!(plane_is_zero(pad), "planes past the EIC (len {len})");
                 for (p, bits) in drained.iter().enumerate() {
                     let mask = &planes[p * words..(p + 1) * words];
                     let mut unpacked_dot = 0.0f64;

@@ -2,8 +2,8 @@
 
 use forms_exec::{ExecError, Merge};
 use forms_reram::{
-    for_each_set_bit, pack_bit_planes, pack_tile_bit_planes, plane_is_zero, plane_ones, Adc,
-    BitSlicer, CellSpec, Crossbar, FaultCampaign, FaultReport,
+    for_each_set_bit, pack_tile_bit_planes, plane_is_zero, plane_ones, Adc, BitSlicer, CellSpec,
+    Crossbar, FaultCampaign, FaultReport,
 };
 use forms_tensor::Tensor;
 
@@ -42,31 +42,31 @@ impl Merge for IsaacStats {
 
 /// Reusable working memory of one [`IsaacLayer`] MVM — the ISAAC mirror of
 /// `forms_arch::MvmScratch`, so the FORMS-vs-ISAAC throughput comparison
-/// stays apples-to-apples (both hot paths are packed and allocation-free).
+/// stays apples-to-apples (both kernels are blocked and allocation-free
+/// with a warm scratch).
 #[derive(Clone, Debug, Default)]
 pub struct IsaacScratch {
-    /// Gathered input codes of the current row block.
-    codes: Vec<u32>,
-    /// Packed bit planes of the block's codes, LSB plane first.
-    planes: Vec<u64>,
-    /// Raw column currents, plane-major over all mapped cell columns.
+    /// f64 path: raw column currents of one sample, plane-major over all
+    /// mapped cell columns.
     currents: Vec<f64>,
-    /// Per-slice shift-&-add accumulators of the current weight column.
+    /// f64 path: per-slice shift-&-add accumulators of the current weight
+    /// column.
     slice_acc: Vec<u64>,
-    /// Signed digital accumulators, one per compact weight column.
+    /// Signed digital accumulators, one per (tile sample, compact weight
+    /// column).
     accs: Vec<i64>,
-    /// Dequantized cell values of the current block window, row-major over
-    /// all mapped cell columns — the division by the conductance step is
-    /// paid once per cell instead of once per cell per input bit plane.
+    /// f64 path: dequantized cell values of the current block window,
+    /// row-major over all mapped cell columns — the division by the
+    /// conductance step is paid once per cell instead of once per cell per
+    /// input bit plane.
     cell_vals: Vec<f64>,
-    /// Batched path: gathered block codes of one tile of samples,
-    /// sample-major.
+    /// Gathered block codes of one tile of samples, sample-major.
     tile_codes: Vec<u32>,
-    /// Batched path: packed bit planes of the whole tile.
+    /// Packed bit planes of the whole tile.
     tile_planes: Vec<u64>,
-    /// Batched fast path: integer cell codes of one window row.
+    /// Integer fast path: integer cell codes of one window row.
     icell: Vec<u16>,
-    /// Batched fast path: offset-encoded weight codes of the block window,
+    /// Integer fast path: offset-encoded weight codes of the block window,
     /// row-major over the compact weight columns.
     wcodes: Vec<i64>,
 }
@@ -117,9 +117,10 @@ impl IsaacLayer {
     /// # Errors
     ///
     /// Returns an [`ExecError`] if `matrix` is not rank-2 or entirely
-    /// zero, if `weight_bits < 2` (the offset encoding needs a sign bit's
-    /// worth of bias), or if a column's worst-case accumulation would
-    /// overflow the `i64` digital accumulators.
+    /// zero, if `weight_bits` is outside `2..=32` (the offset encoding
+    /// needs a sign bit's worth of bias), if `input_bits` is outside
+    /// `1..=31`, or if a column's worst-case accumulation would overflow
+    /// the `i64` digital accumulators.
     pub fn map_with(
         matrix: &Tensor,
         weight_bits: u32,
@@ -132,9 +133,14 @@ impl IsaacLayer {
                 rank: matrix.shape().rank(),
             });
         }
-        if weight_bits < 2 {
+        if !(2..=32).contains(&weight_bits) {
             return Err(ExecError::UnsupportedConfig {
-                reason: "offset encoding needs at least 2 weight bits",
+                reason: "offset encoding needs weight bits in 2..=32",
+            });
+        }
+        if !(1..=31).contains(&input_bits) {
+            return Err(ExecError::UnsupportedConfig {
+                reason: "input bits must be in 1..=31",
             });
         }
         let (rows, cols) = (matrix.dims()[0], matrix.dims()[1]);
@@ -293,131 +299,22 @@ impl IsaacLayer {
     /// Executes the coarse-grained offset-encoded MVM: all rows of each
     /// crossbar block activate together, every input bit plane is fed (no
     /// zero-skipping), and the counted-ones offset is subtracted digitally.
+    /// A one-column [`matmul_into`](Self::matmul_into) on a fresh
+    /// [`IsaacScratch`].
     ///
     /// # Panics
     ///
     /// Panics if `input_codes.len()` differs from the original row count or
     /// any code exceeds `input_bits`.
     pub fn matvec(&self, input_codes: &[u32], input_scale: f32) -> (Vec<f32>, IsaacStats) {
-        let mut scratch = IsaacScratch::default();
         let mut out = vec![0.0f32; self.orig_cols];
-        let stats = self.matvec_into(input_codes, input_scale, &mut scratch, &mut out);
-        (out, stats)
-    }
-
-    /// The allocation-free packed hot path: [`matvec`](Self::matvec) into a
-    /// caller-owned output buffer (length = original columns, overwritten)
-    /// with caller-owned reusable [`IsaacScratch`]. Results are bitwise
-    /// identical to [`matvec_reference`](Self::matvec_reference).
-    ///
-    /// # Panics
-    ///
-    /// Panics as [`matvec`](Self::matvec) does, and if `out.len()` differs
-    /// from the original column count.
-    pub fn matvec_into(
-        &self,
-        input_codes: &[u32],
-        input_scale: f32,
-        scratch: &mut IsaacScratch,
-        out: &mut [f32],
-    ) -> IsaacStats {
-        self.validate_input_codes(input_codes);
-        assert_eq!(
-            out.len(),
-            self.orig_cols,
-            "need one output slot per original column"
+        let stats = self.matmul_into(
+            input_codes,
+            &[input_scale],
+            &mut IsaacScratch::default(),
+            &mut out,
         );
-        let dim = self.crossbar_dim;
-        let cpw = self.slicer.cells_per_weight();
-        let cell_bits = self.slicer.cell_bits();
-        let cell_cols = self.col_index.len() * cpw;
-        let mut stats = IsaacStats::default();
-        out.fill(0.0);
-        scratch.accs.clear();
-        scratch.accs.resize(self.col_index.len(), 0);
-
-        for (block, rows) in self.row_index.chunks(dim).enumerate() {
-            scratch.codes.clear();
-            scratch.codes.extend(rows.iter().map(|&r| input_codes[r]));
-            stats.cycles += u64::from(self.input_bits);
-            stats.row_blocks += 1;
-            let words = pack_bit_planes(&scratch.codes, self.input_bits, &mut scratch.planes);
-
-            // Offset term shared by every column of the block:
-            // bias × Σ_planes ones(plane) << plane — popcounted straight
-            // off the packed planes.
-            let mut offset = 0u64;
-            for (plane, mask) in scratch.planes.chunks_exact(words).enumerate() {
-                let ones = plane_ones(mask);
-                stats.ones_counted += ones;
-                stats.offset_subtractions += ones;
-                offset += (self.bias * ones) << plane;
-            }
-
-            // Dequantized cell values of the block window, cached once so
-            // the per-plane reads below are pure adds.
-            let block_rows = scratch.codes.len();
-            scratch.cell_vals.clear();
-            scratch.cell_vals.resize(block_rows * cell_cols, 0.0);
-            for r in 0..block_rows {
-                let row = &mut scratch.cell_vals[r * cell_cols..(r + 1) * cell_cols];
-                for xc in 0..self.xb_cols {
-                    let col_lo = xc * dim;
-                    if col_lo >= cell_cols {
-                        break;
-                    }
-                    let col_hi = (col_lo + dim).min(cell_cols);
-                    self.crossbars[block * self.xb_cols + xc]
-                        .dequant_row_into(r, &mut row[col_lo..col_hi]);
-                }
-            }
-
-            // Raw currents for every plane × cell column: active rows
-            // accumulate in ascending order, matching the legacy per-column
-            // summation order bitwise.
-            scratch.currents.clear();
-            scratch
-                .currents
-                .resize(self.input_bits as usize * cell_cols, 0.0);
-            let (currents, cell_vals) = (&mut scratch.currents, &scratch.cell_vals);
-            for (plane, mask) in scratch.planes.chunks_exact(words).enumerate() {
-                let row = &mut currents[plane * cell_cols..(plane + 1) * cell_cols];
-                forms_reram::for_each_set_bit(mask, |i| {
-                    if i >= block_rows {
-                        return;
-                    }
-                    let vals = &cell_vals[i * cell_cols..(i + 1) * cell_cols];
-                    for (acc, &v) in row.iter_mut().zip(vals) {
-                        *acc += v;
-                    }
-                });
-            }
-
-            for (ci, acc) in scratch.accs.iter_mut().enumerate() {
-                scratch.slice_acc.clear();
-                scratch.slice_acc.resize(cpw, 0);
-                for plane in 0..self.input_bits as usize {
-                    let currents = &scratch.currents[plane * cell_cols..];
-                    for (k, acc_k) in scratch.slice_acc.iter_mut().enumerate() {
-                        let code = self
-                            .adc
-                            .convert(currents[ci * cpw + k], self.crossbars[0].spec());
-                        stats.adc_conversions += 1;
-                        *acc_k += u64::from(code) << plane;
-                    }
-                }
-                let mut encoded_total = 0u64;
-                for &s in &scratch.slice_acc {
-                    encoded_total = (encoded_total << cell_bits) + s;
-                }
-                *acc += encoded_total as i64 - offset as i64;
-            }
-        }
-
-        for (ci, &c) in self.col_index.iter().enumerate() {
-            out[c] = scratch.accs[ci] as f32 * self.step * input_scale;
-        }
-        stats
+        (out, stats)
     }
 
     /// Whether the batched kernel may run its integer fast path — the
@@ -437,8 +334,9 @@ impl IsaacLayer {
 
     /// The blocked weight-stationary batch kernel: executes
     /// `scales.len()` offset-encoded matrix-vector products in one sweep,
-    /// bitwise identical to calling [`matvec_into`](Self::matvec_into)
-    /// once per sample (outputs *and* merged stats).
+    /// bitwise identical to calling
+    /// [`matvec_reference`](Self::matvec_reference) once per sample
+    /// (outputs *and* merged stats).
     ///
     /// Samples are processed in tiles; per row block the weight window is
     /// materialized once per tile and swept over every sample. Pristine
@@ -446,7 +344,7 @@ impl IsaacLayer {
     /// so each weight's cell slices fold into its encoded code and every
     /// set input bit adds `code << plane` straight into the output
     /// accumulators); drifted arrays fall back to an f64 path preserving
-    /// the per-sample ascending-row summation order.
+    /// the reference kernel's ascending-row summation order.
     ///
     /// # Panics
     ///
@@ -611,7 +509,7 @@ impl IsaacLayer {
                             stats.offset_subtractions += ones;
                             offset += (self.bias * ones) << plane;
                             // Active rows accumulate in ascending order,
-                            // matching the per-sample summation order
+                            // matching the reference summation order
                             // bitwise.
                             let row = &mut currents[plane * cell_cols..(plane + 1) * cell_cols];
                             for_each_set_bit(mask, |i| {
@@ -675,9 +573,9 @@ impl IsaacLayer {
         );
     }
 
-    /// The legacy allocating kernel, kept as the bitwise oracle for the
-    /// packed path and as the pre-optimization baseline for the MVM
-    /// benchmark. Results are bitwise identical to
+    /// The legacy allocating kernel, kept as the bitwise oracle for
+    /// [`matmul_into`](Self::matmul_into) and as the pre-optimization
+    /// baseline for the MVM benchmark. Results are bitwise identical to
     /// [`matvec`](Self::matvec).
     ///
     /// # Panics
@@ -837,8 +735,8 @@ mod tests {
     }
 
     #[test]
-    fn packed_kernel_is_bitwise_identical_to_reference() {
-        // Mirror of the FORMS equivalence gate: the ISAAC packed kernel
+    fn matvec_is_bitwise_identical_to_reference() {
+        // Mirror of the FORMS equivalence gate: the one-column kernel call
         // must match the legacy allocating path bit-for-bit, including on
         // multi-block and pruned layers.
         for &(rows, cols) in &[(12usize, 3usize), (40, 5), (8, 2)] {
@@ -852,22 +750,22 @@ mod tests {
                     .map(|i| ((i as u64 * 29 + seed * 67) % 256) as u32)
                     .collect();
                 let (reference, ref_stats) = layer.matvec_reference(&codes, 0.017);
-                let (packed, packed_stats) = layer.matvec(&codes, 0.017);
-                assert_eq!(reference, packed);
-                assert_eq!(ref_stats, packed_stats);
+                let (got, stats) = layer.matvec(&codes, 0.017);
+                assert_eq!(reference, got);
+                assert_eq!(ref_stats, stats);
             }
         }
     }
 
     #[test]
-    fn packed_scratch_is_reusable_across_blocks_and_inputs() {
+    fn scratch_is_reusable_across_blocks_and_inputs() {
         let w = signed_matrix(40, 4);
         let layer = IsaacLayer::map_with(&w, 8, 8, 16, CellSpec::paper_2bit()).expect("map");
         let mut scratch = IsaacScratch::default();
         let mut out = vec![0.0f32; layer.output_len()];
         for seed in 0..3u32 {
             let codes: Vec<u32> = (0..40).map(|i| (i as u32 * 7 + seed) % 256).collect();
-            let stats = layer.matvec_into(&codes, 1.0, &mut scratch, &mut out);
+            let stats = layer.matmul_into(&codes, &[1.0], &mut scratch, &mut out);
             let (reference, ref_stats) = layer.matvec_reference(&codes, 1.0);
             assert_eq!(reference, out);
             assert_eq!(ref_stats, stats);
@@ -890,7 +788,7 @@ mod tests {
     }
 
     #[test]
-    fn injected_faults_flow_through_packed_path() {
+    fn injected_faults_flow_through_the_kernel() {
         let w = signed_matrix(16, 4);
         let mut layer = IsaacLayer::map_with(&w, 8, 8, 16, CellSpec::paper_2bit()).expect("map");
         let report = layer.inject_faults(&FaultCampaign::stuck_at(3, 0.15, 0.1), 7);
@@ -899,26 +797,23 @@ mod tests {
         assert_eq!(faulted, report.stuck() as u64);
         assert!(total >= 16 * 16);
         let codes: Vec<u32> = (0..16).map(|i| (i * 13) as u32 % 251).collect();
-        let (packed, _) = layer.matvec(&codes, 0.5);
+        let (got, _) = layer.matvec(&codes, 0.5);
         let (reference, _) = layer.matvec_reference(&codes, 0.5);
-        assert_eq!(packed, reference);
+        assert_eq!(got, reference);
     }
 
-    /// Per-sample oracle: N× `matvec_into` through one warm scratch.
+    /// Per-sample oracle: N× the independent `matvec_reference` kernel.
     fn matmul_oracle(
         layer: &IsaacLayer,
         batch_codes: &[u32],
         scales: &[f32],
     ) -> (Vec<f32>, IsaacStats) {
-        let mut scratch = IsaacScratch::default();
-        let mut outs = vec![0.0f32; scales.len() * layer.orig_cols];
+        let mut outs = Vec::with_capacity(scales.len() * layer.orig_cols);
         let mut stats = IsaacStats::default();
-        for ((codes, out), &scale) in batch_codes
-            .chunks_exact(layer.orig_rows)
-            .zip(outs.chunks_exact_mut(layer.orig_cols))
-            .zip(scales)
-        {
-            stats.merge(layer.matvec_into(codes, scale, &mut scratch, out));
+        for (codes, &scale) in batch_codes.chunks_exact(layer.orig_rows).zip(scales) {
+            let (out, s) = layer.matvec_reference(codes, scale);
+            outs.extend(out);
+            stats.merge(s);
         }
         (outs, stats)
     }
@@ -932,7 +827,7 @@ mod tests {
     }
 
     #[test]
-    fn batched_matmul_is_bitwise_identical_to_per_sample_matvec() {
+    fn batched_matmul_is_bitwise_identical_to_per_sample_reference() {
         // The batch-kernel invariant over pruned and multi-block layers,
         // covering the empty batch, a single sample and a ragged tail past
         // one tile.
@@ -1005,10 +900,15 @@ mod tests {
     }
 
     #[test]
-    fn single_weight_bit_rejected() {
+    fn out_of_range_widths_rejected() {
         let w = signed_matrix(4, 4);
-        let err = IsaacLayer::map(&w, 1, 8).unwrap_err();
-        assert!(matches!(err, ExecError::UnsupportedConfig { .. }));
+        for (weight_bits, input_bits) in [(1, 8), (33, 8), (40, 8), (8, 0), (8, 32), (8, 40)] {
+            let err = IsaacLayer::map(&w, weight_bits, input_bits).unwrap_err();
+            assert!(
+                matches!(err, ExecError::UnsupportedConfig { .. }),
+                "w{weight_bits} a{input_bits} must be rejected"
+            );
+        }
     }
 
     #[test]

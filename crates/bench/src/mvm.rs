@@ -1,11 +1,10 @@
 //! MVM hot-path throughput suite (`BENCH_mvm.json`).
 //!
-//! Gates the packed bit-plane kernel rework: measures single-MVM
-//! throughput of the packed kernel against the legacy reference kernel
-//! (kept in-tree as `matvec_reference`) on a Table-V-style layer shape,
-//! for both the FORMS design and the ISAAC baseline, the batched
-//! `matmul_into` kernel across a batch sweep (batch 1 is the one-column
-//! call every single MVM now takes), plus end-to-end images/s through the
+//! Measures each engine's one execute kernel, the blocked `matmul_into`,
+//! across a batch sweep (batch 1 is the one-column call every single MVM
+//! takes) against the legacy reference kernel (kept in-tree as
+//! `matvec_reference`) on a Table-V-style layer shape, for both the FORMS
+//! design and the ISAAC baseline, plus end-to-end images/s through the
 //! executor on one worker and across worker threads.
 //!
 //! The suite writes `BENCH_mvm.json` at the repository root and the
@@ -42,7 +41,8 @@ pub struct MvmBenchSpec {
     pub mapping: MappingConfig,
     /// Images per batch for the end-to-end executor bench.
     pub batch: usize,
-    /// Batch sizes swept by the batched `matmul_into` kernel bench.
+    /// Batch sizes swept by the batched `matmul_into` kernel bench; the
+    /// gates need batch 1 among them.
     pub batch_sweep: Vec<usize>,
     /// Worker threads for the parallel executor bench.
     pub workers: usize,
@@ -163,10 +163,10 @@ fn random_codes(n: usize, bits: u32, rng: &mut StdRng) -> Vec<Vec<u32>> {
 pub struct KernelResult {
     /// `"FORMS"` or `"ISAAC"`.
     pub design: &'static str,
-    /// `"packed"` (per-sample hot path), `"reference"` (legacy kernel) or
-    /// `"batched"` (the blocked weight-stationary `matmul_into` kernel).
+    /// `"reference"` (legacy kernel) or `"batched"` (the blocked
+    /// weight-stationary `matmul_into` kernel).
     pub kernel: &'static str,
-    /// Input vectors per kernel call: 1 for the per-sample kernels, the
+    /// Input vectors per kernel call: 1 for the reference kernel, the
     /// swept batch size (from 1) for `"batched"` rows.
     pub batch: usize,
     /// Median (p50) nanoseconds per MVM.
@@ -205,33 +205,29 @@ pub struct MvmBenchReport {
 }
 
 impl MvmBenchReport {
-    /// Packed-over-reference MVM throughput ratio for a design, if both
-    /// kernels were measured.
-    pub fn speedup(&self, design: &str) -> Option<f64> {
-        let find = |kernel: &str| {
-            self.kernels
-                .iter()
-                .find(|k| k.design == design && k.kernel == kernel)
-                .map(|k| k.mvms_per_s)
-        };
-        Some(find("packed")? / find("reference")?)
+    /// MVMs/s of a design's kernel at one batch size, if measured.
+    fn rate(&self, design: &str, kernel: &str, batch: usize) -> Option<f64> {
+        self.kernels
+            .iter()
+            .find(|k| k.design == design && k.kernel == kernel && k.batch == batch)
+            .map(|k| k.mvms_per_s)
     }
 
-    /// Batched-over-packed MVM throughput ratio for a design at the
-    /// largest swept batch size, if both kernels were measured.
-    pub fn speedup_batched(&self, design: &str) -> Option<f64> {
-        let batched = self
+    /// One-column `matmul_into` over reference MVM throughput ratio for a
+    /// design, if both were measured.
+    pub fn batch1_over_reference(&self, design: &str) -> Option<f64> {
+        Some(self.rate(design, "batched", 1)? / self.rate(design, "reference", 1)?)
+    }
+
+    /// Per-MVM throughput ratio of the largest swept batch over batch 1
+    /// for a design, if batch 1 was measured.
+    pub fn largest_batch_over_batch1(&self, design: &str) -> Option<f64> {
+        let largest = self
             .kernels
             .iter()
             .filter(|k| k.design == design && k.kernel == "batched")
-            .max_by_key(|k| k.batch)
-            .map(|k| k.mvms_per_s)?;
-        let packed = self
-            .kernels
-            .iter()
-            .find(|k| k.design == design && k.kernel == "packed")
-            .map(|k| k.mvms_per_s)?;
-        Some(batched / packed)
+            .max_by_key(|k| k.batch)?;
+        Some(largest.mvms_per_s / self.rate(design, "batched", 1)?)
     }
 
     /// Parallel-over-batched images/s ratio for a design, if both were
@@ -275,15 +271,15 @@ impl MvmBenchReport {
                 ])
             })
             .collect();
-        let mut speedup = Vec::new();
-        let mut speedup_batched = Vec::new();
+        let mut batch1_over_reference = Vec::new();
+        let mut largest_over_batch1 = Vec::new();
         let mut parallel_over_batched = Vec::new();
         for design in ["FORMS", "ISAAC"] {
-            if let Some(s) = self.speedup(design) {
-                speedup.push((design, JsonValue::Number(s)));
+            if let Some(s) = self.batch1_over_reference(design) {
+                batch1_over_reference.push((design, JsonValue::Number(s)));
             }
-            if let Some(s) = self.speedup_batched(design) {
-                speedup_batched.push((design, JsonValue::Number(s)));
+            if let Some(s) = self.largest_batch_over_batch1(design) {
+                largest_over_batch1.push((design, JsonValue::Number(s)));
             }
             if let Some(s) = self.parallel_over_batched(design) {
                 parallel_over_batched.push((design, JsonValue::Number(s)));
@@ -301,10 +297,13 @@ impl MvmBenchReport {
                 ]),
             ),
             ("mvm", JsonValue::Array(kernels)),
-            ("speedup_packed_over_reference", JsonValue::object(speedup)),
             (
-                "speedup_batched_over_packed",
-                JsonValue::object(speedup_batched),
+                "speedup_batch1_over_reference",
+                JsonValue::object(batch1_over_reference),
+            ),
+            (
+                "speedup_largest_batch_over_batch1",
+                JsonValue::object(largest_over_batch1),
             ),
             ("images", JsonValue::Array(images)),
             (
@@ -340,35 +339,13 @@ pub fn run(spec: &MvmBenchSpec) -> MvmBenchReport {
 
     let mut kernels = Vec::new();
     {
-        let mut scratch = MvmScratch::default();
-        let mut out = vec![0.0f32; spec.cols];
-        let mut i = 0;
-        let r = bencher.bench("forms/packed", || {
-            let codes = &inputs[i % INPUT_ROTATION];
-            i += 1;
-            forms.matvec_into(codes, scale, &mut scratch, &mut out)
-        });
-        kernels.push(kernel_result("FORMS", "packed", r));
-    }
-    {
         let mut i = 0;
         let r = bencher.bench("forms/reference", || {
             let codes = &inputs[i % INPUT_ROTATION];
             i += 1;
             forms.matvec_reference(codes, scale)
         });
-        kernels.push(kernel_result("FORMS", "reference", r));
-    }
-    {
-        let mut scratch = IsaacScratch::default();
-        let mut out = vec![0.0f32; isaac.output_len()];
-        let mut i = 0;
-        let r = bencher.bench("isaac/packed", || {
-            let codes = &inputs[i % INPUT_ROTATION];
-            i += 1;
-            isaac.matvec_into(codes, scale, &mut scratch, &mut out)
-        });
-        kernels.push(kernel_result("ISAAC", "packed", r));
+        kernels.push(kernel_result("FORMS", "reference", 1, r));
     }
     {
         let mut i = 0;
@@ -377,14 +354,14 @@ pub fn run(spec: &MvmBenchSpec) -> MvmBenchReport {
             i += 1;
             isaac.matvec_reference(codes, scale)
         });
-        kernels.push(kernel_result("ISAAC", "reference", r));
+        kernels.push(kernel_result("ISAAC", "reference", 1, r));
     }
 
     // --- batched matmul kernels -------------------------------------
     for &b in &spec.batch_sweep {
         // Rotated batched inputs: each buffer concatenates `b` consecutive
         // rotation vectors, so the batched kernel sees the same activation
-        // diversity as the per-sample rows.
+        // diversity as the reference rows.
         let batches: Vec<Vec<u32>> = (0..INPUT_ROTATION)
             .map(|r| {
                 (0..b)
@@ -402,7 +379,7 @@ pub fn run(spec: &MvmBenchSpec) -> MvmBenchReport {
                 i += 1;
                 forms.matmul_into(codes, &scales, &mut scratch, &mut out)
             });
-            kernels.push(batched_kernel_result("FORMS", b, r));
+            kernels.push(kernel_result("FORMS", "batched", b, r));
         }
         {
             let mut scratch = IsaacScratch::default();
@@ -413,7 +390,7 @@ pub fn run(spec: &MvmBenchSpec) -> MvmBenchReport {
                 i += 1;
                 isaac.matmul_into(codes, &scales, &mut scratch, &mut out)
             });
-            kernels.push(batched_kernel_result("ISAAC", b, r));
+            kernels.push(kernel_result("ISAAC", "batched", b, r));
         }
     }
 
@@ -465,32 +442,18 @@ pub fn run(spec: &MvmBenchSpec) -> MvmBenchReport {
     }
 }
 
+/// A kernel measurement normalized to per-MVM cost: one kernel call
+/// covers `batch` vectors.
 fn kernel_result(
     design: &'static str,
     kernel: &'static str,
-    timing: &crate::timing::BenchResult,
-) -> KernelResult {
-    KernelResult {
-        design,
-        kernel,
-        batch: 1,
-        ns_per_mvm: timing.p50_ns(),
-        p95_ns_per_mvm: timing.p95_ns(),
-        mvms_per_s: 1e9 / timing.p50_ns(),
-    }
-}
-
-/// A batched `matmul_into` measurement normalized to per-MVM cost: one
-/// kernel call covers `batch` vectors.
-fn batched_kernel_result(
-    design: &'static str,
     batch: usize,
     timing: &crate::timing::BenchResult,
 ) -> KernelResult {
     let b = batch as f64;
     KernelResult {
         design,
-        kernel: "batched",
+        kernel,
         batch,
         ns_per_mvm: timing.p50_ns() / b,
         p95_ns_per_mvm: timing.p95_ns() / b,
@@ -515,14 +478,13 @@ fn image_result(
 }
 
 /// Checks that a parsed `BENCH_mvm.json` document has the shape this
-/// suite writes — required top-level fields, all per-sample kernel rows
-/// with positive finite throughput, at least one batched kernel row per
-/// design, and batched / parallel images/s rows per design — and enforces
-/// the batched-hot-path performance gates: per design, neither the
-/// one-column call (when batch 1 is swept) nor the batched kernel at its
-/// largest swept batch may be slower per MVM than the per-sample packed
-/// kernel. The parallel-over-batched images ratio is reported but not
-/// gated.
+/// suite writes — required top-level fields, a reference kernel row per
+/// design with positive finite throughput, batched kernel rows per design
+/// including batch 1, and batched / parallel images/s rows per design —
+/// and enforces the kernel performance gates, per design and per MVM: the
+/// one-column `matmul_into` call is at least as fast as the reference
+/// kernel, and the largest swept batch is at least as fast as batch 1.
+/// The parallel-over-batched images ratio is reported but not gated.
 ///
 /// # Errors
 ///
@@ -551,39 +513,30 @@ pub fn validate(doc: &JsonValue) -> Result<(), String> {
         .and_then(JsonValue::as_array)
         .ok_or("missing `mvm` array")?;
     for design in ["FORMS", "ISAAC"] {
-        for kernel in ["packed", "reference"] {
-            let row = kernels
-                .iter()
-                .find(|k| {
-                    k.get("design").and_then(JsonValue::as_str) == Some(design)
-                        && k.get("kernel").and_then(JsonValue::as_str) == Some(kernel)
-                })
-                .ok_or_else(|| format!("missing mvm row for {design}/{kernel}"))?;
-            for field in ["mvms_per_s", "p95_ns_per_mvm"] {
-                let rate = row
-                    .get(field)
-                    .and_then(JsonValue::as_f64)
-                    .ok_or_else(|| format!("missing `{field}` for {design}/{kernel}"))?;
-                if !(rate.is_finite() && rate > 0.0) {
-                    return Err(format!("non-positive `{field}` for {design}/{kernel}"));
-                }
-            }
-        }
-    }
-    // Batched kernel rows: at least one per design, every row positive
-    // with a batch of at least 1, and the batch-1 and largest-batch rows
-    // at least as fast per MVM as the per-sample packed kernel.
-    for design in ["FORMS", "ISAAC"] {
-        let packed = kernels
+        let row = kernels
             .iter()
             .find(|k| {
                 k.get("design").and_then(JsonValue::as_str) == Some(design)
-                    && k.get("kernel").and_then(JsonValue::as_str) == Some("packed")
+                    && k.get("kernel").and_then(JsonValue::as_str) == Some("reference")
             })
-            .and_then(|k| k.get("mvms_per_s"))
+            .ok_or_else(|| format!("missing mvm row for {design}/reference"))?;
+        for field in ["mvms_per_s", "p95_ns_per_mvm"] {
+            let rate = row
+                .get(field)
+                .and_then(JsonValue::as_f64)
+                .ok_or_else(|| format!("missing `{field}` for {design}/reference"))?;
+            if !(rate.is_finite() && rate > 0.0) {
+                return Err(format!("non-positive `{field}` for {design}/reference"));
+            }
+        }
+        let reference = row
+            .get("mvms_per_s")
             .and_then(JsonValue::as_f64)
-            .expect("packed row checked above");
-        let mut best: Option<(f64, f64)> = None; // (batch, mvms_per_s)
+            .expect("reference rate checked above");
+        // Batched kernel rows: every row positive with a batch of at least
+        // 1; batch 1 must be among them.
+        let mut batch1 = None;
+        let mut largest: Option<(f64, f64)> = None; // (batch, mvms_per_s)
         for row in kernels.iter().filter(|k| {
             k.get("design").and_then(JsonValue::as_str) == Some(design)
                 && k.get("kernel").and_then(JsonValue::as_str) == Some("batched")
@@ -602,21 +555,25 @@ pub fn validate(doc: &JsonValue) -> Result<(), String> {
             if !(rate.is_finite() && rate > 0.0) {
                 return Err(format!("non-positive `mvms_per_s` for {design}/batched"));
             }
-            if batch == 1.0 && rate < packed {
-                return Err(format!(
-                    "one-column kernel regression: {design} batch 1 runs {rate:.0} MVMs/s \
-                     vs {packed:.0} for the per-sample packed kernel"
-                ));
+            if batch == 1.0 {
+                batch1 = Some(rate);
             }
-            if best.is_none_or(|(b, _)| batch > b) {
-                best = Some((batch, rate));
+            if largest.is_none_or(|(b, _)| batch > b) {
+                largest = Some((batch, rate));
             }
         }
-        let (batch, rate) = best.ok_or_else(|| format!("missing mvm row for {design}/batched"))?;
-        if rate < packed {
+        let batch1 = batch1.ok_or_else(|| format!("missing mvm row for {design}/batched/b1"))?;
+        if batch1 < reference {
             return Err(format!(
-                "batched kernel regression: {design} batch {batch} runs {rate:.0} MVMs/s \
-                 vs {packed:.0} for the per-sample packed kernel"
+                "one-column kernel regression: {design} batch 1 runs {batch1:.0} MVMs/s \
+                 vs {reference:.0} for the reference kernel"
+            ));
+        }
+        let (batch, rate) = largest.expect("batch 1 row found above");
+        if rate < batch1 {
+            return Err(format!(
+                "batching regression: {design} batch {batch} runs {rate:.0} MVMs/s \
+                 vs {batch1:.0} at batch 1"
             ));
         }
     }
@@ -651,8 +608,8 @@ mod tests {
 
     /// A fixed-numbers report shaped exactly like a passing smoke run.
     ///
-    /// The validator's timing gates (batched >= packed per MVM at batch 1
-    /// and at the largest batch) are enforced against *live* numbers by
+    /// The validator's timing gates (batch 1 >= reference and largest
+    /// batch >= batch 1, per MVM) are enforced against *live* numbers by
     /// the `mvm` binary, which ci.sh runs on an otherwise idle machine. Unit tests run under `cargo test
     /// --workspace` where every core is oversubscribed by sibling test
     /// binaries, so a live 2-worker measurement here is pure noise —
@@ -676,9 +633,7 @@ mod tests {
         MvmBenchReport {
             spec: MvmBenchSpec::smoke(),
             kernels: vec![
-                kernel("FORMS", "packed", 1, 600_000.0),
                 kernel("FORMS", "reference", 1, 1_500_000.0),
-                kernel("ISAAC", "packed", 1, 250_000.0),
                 kernel("ISAAC", "reference", 1, 1_100_000.0),
                 kernel("FORMS", "batched", 1, 400_000.0),
                 kernel("ISAAC", "batched", 1, 200_000.0),
@@ -704,37 +659,45 @@ mod tests {
         let reparsed = parse(&doc.pretty()).unwrap();
         validate(&reparsed).unwrap();
         assert_eq!(reparsed, doc);
-        assert!(report.speedup("FORMS").unwrap() > 0.0);
-        assert!(report.speedup("ISAAC").unwrap() > 0.0);
-        assert!(report.speedup_batched("FORMS").unwrap() > 1.0);
-        assert!(report.speedup_batched("ISAAC").unwrap() > 1.0);
+        assert!(report.batch1_over_reference("FORMS").unwrap() > 1.0);
+        assert!(report.batch1_over_reference("ISAAC").unwrap() > 1.0);
+        assert!(report.largest_batch_over_batch1("FORMS").unwrap() > 1.0);
+        assert!(report.largest_batch_over_batch1("ISAAC").unwrap() > 1.0);
         assert!(report.parallel_over_batched("FORMS").unwrap() > 1.0);
         assert!(report.parallel_over_batched("ISAAC").unwrap() > 1.0);
     }
 
     #[test]
     fn validate_rejects_timing_regressions() {
-        // Batched kernel slower per MVM than packed at the top batch size.
+        // The largest batch slower per MVM than batch 1.
         let mut report = synthetic_report();
         for k in &mut report.kernels {
             if k.design == "FORMS" && k.kernel == "batched" && k.batch == 4 {
-                k.ns_per_mvm = 2_000_000.0;
+                k.ns_per_mvm = 500_000.0;
                 k.mvms_per_s = 1e9 / k.ns_per_mvm;
             }
         }
         let err = validate(&report.to_json()).unwrap_err();
-        assert!(err.contains("batched kernel regression"), "{err}");
+        assert!(err.contains("batching regression"), "{err}");
 
-        // The one-column call slower than the packed per-sample kernel.
+        // The one-column call slower than the reference kernel.
         let mut report = synthetic_report();
         for k in &mut report.kernels {
             if k.design == "ISAAC" && k.kernel == "batched" && k.batch == 1 {
-                k.ns_per_mvm = 300_000.0;
+                k.ns_per_mvm = 1_200_000.0;
                 k.mvms_per_s = 1e9 / k.ns_per_mvm;
             }
         }
         let err = validate(&report.to_json()).unwrap_err();
         assert!(err.contains("one-column kernel regression"), "{err}");
+
+        // The gates need a batch-1 row.
+        let mut report = synthetic_report();
+        report
+            .kernels
+            .retain(|k| !(k.design == "ISAAC" && k.kernel == "batched" && k.batch == 1));
+        let err = validate(&report.to_json()).unwrap_err();
+        assert!(err.contains("ISAAC/batched/b1"), "{err}");
 
         // A parallel run slower than the batched one is reported, not
         // rejected.

@@ -104,8 +104,9 @@ impl CellSpec {
 ///
 /// # Write visibility
 ///
-/// The packed read paths ([`column_currents_packed_into`](Self::column_currents_packed_into),
-/// [`dequant_row_into`](Self::dequant_row_into)) serve from a hoisted
+/// The packed read paths ([`dequant_row_into`](Self::dequant_row_into),
+/// [`integral_dequant_codes`](Self::integral_dequant_codes),
+/// [`integral_row_into`](Self::integral_row_into)) serve from a hoisted
 /// dequantized-cell table. Programming through [`program_codes`](Self::program_codes)
 /// / [`program_cell`](Self::program_cell) keeps that table in sync, but
 /// *direct* conductance mutation via
@@ -321,84 +322,6 @@ impl Crossbar {
         currents
     }
 
-    /// [`column_currents`](Self::column_currents) without the allocation:
-    /// writes each column's current into `out` (overwritten, not
-    /// accumulated). The summation order per column is identical to the
-    /// allocating variant, so results are bitwise equal.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the window is out of bounds, `inputs.len()` differs from
-    /// the window length, or `out.len()` differs from the column count.
-    pub fn column_currents_into(&self, inputs: &[f64], rows: Range<usize>, out: &mut [f64]) {
-        assert!(rows.end <= self.rows, "row window out of bounds");
-        assert_eq!(
-            inputs.len(),
-            rows.len(),
-            "need one input per active row ({} vs {})",
-            inputs.len(),
-            rows.len()
-        );
-        assert_eq!(out.len(), self.cols, "need one output slot per column");
-        let step = self.spec.g_step();
-        let g_min = self.spec.g_min();
-        out.fill(0.0);
-        for (i, r) in rows.enumerate() {
-            let v = inputs[i];
-            if v == 0.0 {
-                continue;
-            }
-            let row = &self.conductances[r * self.cols..(r + 1) * self.cols];
-            for (acc, &g) in out.iter_mut().zip(row) {
-                *acc += (g - g_min) / step * v;
-            }
-        }
-    }
-
-    /// The packed-drive variant of
-    /// [`column_currents_into`](Self::column_currents_into): one bit plane
-    /// of 1-bit-DAC inputs packed into `u64` words (bit `i` of `mask`
-    /// drives row `rows.start + i`; see `forms_reram::pack_bit_planes`).
-    ///
-    /// `out` may cover a *prefix* of the columns (`out.len() <= cols`): the
-    /// MVM kernels only read the cell columns a layer actually occupies.
-    /// Active rows are visited in ascending order, matching the term order
-    /// of [`column_current`](Self::column_current) /
-    /// [`column_currents`](Self::column_currents) bitwise.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the window is out of bounds, `mask` holds fewer than
-    /// `rows.len()` bits, `out.len()` exceeds the column count, or
-    /// direct conductance writes are pending a
-    /// [`commit_writes`](Self::commit_writes).
-    pub fn column_currents_packed_into(&self, mask: &[u64], rows: Range<usize>, out: &mut [f64]) {
-        assert!(rows.end <= self.rows, "row window out of bounds");
-        assert!(
-            mask.len() * 64 >= rows.len(),
-            "need one mask bit per active row ({} bits for {} rows)",
-            mask.len() * 64,
-            rows.len()
-        );
-        assert!(out.len() <= self.cols, "output wider than the crossbar");
-        assert!(
-            !self.dirty,
-            "stale packed read: commit_writes() after conductances_mut()"
-        );
-        let window = rows.len();
-        out.fill(0.0);
-        crate::packing::for_each_set_bit(mask, |i| {
-            if i >= window {
-                return;
-            }
-            let r = rows.start + i;
-            let row = &self.dequant[r * self.cols..r * self.cols + out.len()];
-            for (acc, &d) in out.iter_mut().zip(row) {
-                *acc += d;
-            }
-        });
-    }
-
     /// Writes the dequantized cell values `(g - g_min) / step` of one row's
     /// leading `out.len()` columns into `out` — the per-cell terms every
     /// current read sums. Hoisting them out of the bit-serial drive loop
@@ -587,47 +510,6 @@ mod tests {
     }
 
     #[test]
-    fn currents_into_matches_allocating_variant() {
-        let mut xb = Crossbar::new(4, 3, CellSpec::paper_2bit());
-        xb.program_codes(&[3, 1, 2, 0, 1, 3, 0, 2, 1, 2, 0, 3]);
-        let inputs = [1.0, 0.0, 1.0];
-        let want = xb.column_currents(&inputs, 1..4);
-        let mut got = [0.0; 3];
-        xb.column_currents_into(&inputs, 1..4, &mut got);
-        assert_eq!(want.as_slice(), got.as_slice());
-    }
-
-    #[test]
-    fn packed_currents_match_dense_drive() {
-        let mut xb = Crossbar::new(8, 4, CellSpec::paper_2bit());
-        let codes: Vec<u32> = (0..32).map(|i| (i * 7) % 4).collect();
-        xb.program_codes(&codes);
-        // Drive rows 2,3,5,7 of the window 1..8 (window-local 1,2,4,6).
-        let mask = [0b0101_0110u64];
-        let dense: Vec<f64> = (0..7)
-            .map(|i| if mask[0] & (1 << i) != 0 { 1.0 } else { 0.0 })
-            .collect();
-        let want = xb.column_currents(&dense, 1..8);
-        let mut got = [0.0; 4];
-        xb.column_currents_packed_into(&mask, 1..8, &mut got);
-        assert_eq!(want.as_slice(), got.as_slice());
-        // Prefix output: only the first two columns.
-        let mut prefix = [9.0; 2];
-        xb.column_currents_packed_into(&mask, 1..8, &mut prefix);
-        assert_eq!(prefix.as_slice(), &got[..2]);
-    }
-
-    #[test]
-    fn packed_currents_ignore_bits_past_the_window() {
-        let mut xb = Crossbar::new(4, 1, CellSpec::paper_2bit());
-        xb.program_codes(&[3; 4]);
-        // Bits beyond the 2-row window must not contribute.
-        let mut out = [0.0; 1];
-        xb.column_currents_packed_into(&[0b1111], 0..2, &mut out);
-        assert!((out[0] - 6.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn dequant_row_matches_current_terms() {
         let mut xb = Crossbar::new(4, 3, CellSpec::paper_2bit());
         xb.program_codes(&[3, 1, 2, 0, 1, 3, 0, 2, 1, 2, 0, 3]);
@@ -635,16 +517,12 @@ mod tests {
             let mut vals = [0.0f64; 3];
             xb.dequant_row_into(row, &mut vals);
             // Driving only this row reads back exactly the cached terms.
-            let mut want = [0.0f64; 3];
-            xb.column_currents_into(&[1.0], row..row + 1, &mut want);
-            assert_eq!(vals, want);
+            assert_eq!(vals.as_slice(), xb.column_currents(&[1.0], row..row + 1));
         }
         // Prefix output covers only the leading columns.
         let mut prefix = [9.0f64; 2];
         xb.dequant_row_into(1, &mut prefix);
-        let mut full = [0.0f64; 3];
-        xb.column_currents_into(&[1.0], 1..2, &mut full);
-        assert_eq!(prefix.as_slice(), &full[..2]);
+        assert_eq!(prefix.as_slice(), &xb.column_currents(&[1.0], 1..2)[..2]);
     }
 
     #[test]
@@ -658,12 +536,11 @@ mod tests {
         assert!(!xb.is_dirty());
         // After commit the packed read sees the mutation, bitwise equal to
         // the raw (uncached) read path.
-        let mut packed = [0.0; 2];
-        xb.column_currents_packed_into(&[0b1111], 0..4, &mut packed);
-        let mut raw = [0.0; 2];
-        xb.column_currents_into(&[1.0; 4], 0..4, &mut raw);
-        assert_eq!(packed, raw);
         let mut row = [0.0; 2];
+        for r in 0..4 {
+            xb.dequant_row_into(r, &mut row);
+            assert_eq!(row.as_slice(), xb.column_currents(&[1.0], r..r + 1));
+        }
         xb.dequant_row_into(0, &mut row);
         assert_eq!(
             row[0],
@@ -673,12 +550,12 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "stale packed read")]
-    fn uncommitted_mutation_panics_on_packed_read() {
+    fn uncommitted_mutation_panics_on_integral_row_read() {
         let mut xb = Crossbar::new(2, 2, CellSpec::paper_2bit());
         xb.program_codes(&[1; 4]);
-        xb.conductances_mut()[3] = 9.0;
-        let mut out = [0.0; 2];
-        xb.column_currents_packed_into(&[0b11], 0..2, &mut out);
+        xb.conductances_mut()[3] = xb.spec().g_max();
+        let mut out = [0u16; 2];
+        xb.integral_row_into(1, &mut out);
     }
 
     #[test]

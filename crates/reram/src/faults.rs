@@ -219,10 +219,10 @@ mod tests {
         assert!(!xb.is_dirty());
         // Packed and raw reads agree bitwise on the faulted array.
         let mut packed = [0.0; 4];
-        xb.column_currents_packed_into(&[0xFF], 0..8, &mut packed);
-        let mut raw = [0.0; 4];
-        xb.column_currents_into(&[1.0; 8], 0..8, &mut raw);
-        assert_eq!(packed, raw);
+        for row in 0..8 {
+            xb.dequant_row_into(row, &mut packed);
+            assert_eq!(packed.as_slice(), xb.column_currents(&[1.0], row..row + 1));
+        }
     }
 
     #[test]

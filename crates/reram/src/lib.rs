@@ -57,8 +57,6 @@ pub use device::{VteamDevice, VteamParams};
 pub use faults::{FaultCampaign, FaultReport};
 pub use irdrop::IrDropModel;
 pub use noise::CurrentNoise;
-pub use packing::{
-    for_each_set_bit, pack_bit_planes, pack_tile_bit_planes, plane_is_zero, plane_ones, plane_words,
-};
+pub use packing::{for_each_set_bit, pack_tile_bit_planes, plane_is_zero, plane_ones, plane_words};
 pub use programming::{program_physical, ArrayProgrammer, ProgrammingReport};
 pub use variation::{LogNormalVariation, StuckAtFault, StuckAtKind};

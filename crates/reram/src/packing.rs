@@ -13,48 +13,21 @@ pub const fn plane_words(len: usize) -> usize {
     len.div_ceil(64)
 }
 
-/// Packs the bit planes of `codes` into `u64` masks, LSB plane first.
-///
-/// `out` is resized to `planes × plane_words(codes.len())` and overwritten;
-/// plane `p` occupies `out[p * words .. (p + 1) * words]` with bit `i`
-/// (word `i / 64`, bit `i % 64`) set iff bit `p` of `codes[i]` is set.
-/// Planes at or above the highest effective bit are all-zero words.
-///
-/// The pass is O(`codes.len()` + set bits): each code scatters its set bits
-/// directly into the plane masks.
-pub fn pack_bit_planes(codes: &[u32], planes: u32, out: &mut Vec<u64>) -> usize {
-    let words = plane_words(codes.len());
-    out.clear();
-    out.resize(planes as usize * words, 0);
-    let keep = if planes >= 32 {
-        u32::MAX
-    } else {
-        (1u32 << planes) - 1
-    };
-    for (i, &code) in codes.iter().enumerate() {
-        let (word, bit) = (i / 64, 1u64 << (i % 64));
-        let mut rest = code & keep;
-        while rest != 0 {
-            let p = rest.trailing_zeros() as usize;
-            out[p * words + word] |= bit;
-            rest &= rest - 1;
-        }
-    }
-    words
-}
-
-/// Packs the bit planes of a *tile* of input vectors in one pass.
+/// Packs the bit planes of a *tile* of input vectors into `u64` masks in
+/// one pass, LSB plane first.
 ///
 /// `codes` holds `samples` consecutive vectors of `codes.len() / samples`
 /// inputs each (sample-major). The output layout is sample-major too:
 /// sample `s`, plane `p` occupies
-/// `out[(s * planes + p) * words .. (s * planes + p + 1) * words]`, each
-/// identical to what [`pack_bit_planes`] produces for that sample alone.
-/// Returns the words per plane.
+/// `out[(s * planes + p) * words .. (s * planes + p + 1) * words]`, with
+/// bit `i` (word `i / 64`, bit `i % 64`) set iff bit `p` of the sample's
+/// input `i` is set. Bits at or above `planes` are dropped. `out` is
+/// resized and overwritten; the words per plane are returned.
 ///
-/// This is the batched kernels' front end: one tile of B vectors is packed
-/// once, then every weight fragment/dequant window is swept once per tile
-/// instead of once per sample.
+/// This is the MVM kernels' front end: one tile of B vectors is packed
+/// once (each code scatters its set bits straight into the masks), then
+/// every weight fragment/dequant window is swept once per tile instead of
+/// once per sample.
 ///
 /// # Panics
 ///
@@ -66,7 +39,7 @@ pub fn pack_tile_bit_planes(
     planes: u32,
     out: &mut Vec<u64>,
 ) -> usize {
-    if samples == 0 {
+    if samples == 0 || codes.is_empty() {
         out.clear();
         return 0;
     }
@@ -132,7 +105,7 @@ mod tests {
     fn packed_planes_match_shifted_bits() {
         let codes = [0b1011u32, 0b0110, 0, 0b1000_0001, u16::MAX as u32];
         let mut masks = Vec::new();
-        let words = pack_bit_planes(&codes, 16, &mut masks);
+        let words = pack_tile_bit_planes(&codes, 1, 16, &mut masks);
         assert_eq!(words, 1);
         for (p, &mask) in masks.iter().enumerate() {
             for (i, &c) in codes.iter().enumerate() {
@@ -147,7 +120,7 @@ mod tests {
     fn packing_spans_multiple_words() {
         let codes: Vec<u32> = (0..130).map(|i| (i % 2) as u32).collect();
         let mut masks = Vec::new();
-        let words = pack_bit_planes(&codes, 4, &mut masks);
+        let words = pack_tile_bit_planes(&codes, 1, 4, &mut masks);
         assert_eq!(words, 3);
         assert_eq!(masks.len(), 4 * 3);
         // Plane 0 holds the odd indices; planes 1..4 are empty.
@@ -160,10 +133,12 @@ mod tests {
 
     #[test]
     fn planes_above_the_width_are_dropped() {
-        let codes = [u32::MAX];
         let mut masks = Vec::new();
-        pack_bit_planes(&codes, 3, &mut masks);
+        pack_tile_bit_planes(&[u32::MAX], 1, 3, &mut masks);
         assert_eq!(masks, vec![1, 1, 1]);
+        // Every sample of a tile is masked to the same width.
+        pack_tile_bit_planes(&[u32::MAX, 0b100, 0b1000], 3, 3, &mut masks);
+        assert_eq!(masks, vec![1, 1, 1, 0, 0, 1, 0, 0, 0]);
     }
 
     #[test]
@@ -177,7 +152,7 @@ mod tests {
         let stride = 10 * words;
         for (s, sample) in tile.chunks_exact(70).enumerate() {
             let mut solo = Vec::new();
-            assert_eq!(pack_bit_planes(sample, 10, &mut solo), words);
+            assert_eq!(pack_tile_bit_planes(sample, 1, 10, &mut solo), words);
             assert_eq!(&packed[s * stride..(s + 1) * stride], solo.as_slice());
         }
     }
@@ -187,22 +162,20 @@ mod tests {
         let mut out = vec![5u64; 4];
         assert_eq!(pack_tile_bit_planes(&[], 0, 8, &mut out), 0);
         assert!(out.is_empty());
-        // One sample degenerates to plain packing.
-        let codes = [0b101u32, 0b011];
-        let mut tile = Vec::new();
-        let mut solo = Vec::new();
-        pack_tile_bit_planes(&codes, 1, 3, &mut tile);
-        pack_bit_planes(&codes, 3, &mut solo);
-        assert_eq!(tile, solo);
+        // One sample: plane p holds bit p of every input.
+        pack_tile_bit_planes(&[0b101u32, 0b011], 1, 3, &mut out);
+        assert_eq!(out, vec![0b11, 0b10, 0b01]);
         assert!(plane_is_zero(&[0, 0]));
         assert!(!plane_is_zero(&[0, 4]));
     }
 
     #[test]
     fn empty_fragment_packs_to_nothing() {
-        let mut masks = vec![7u64; 3];
-        let words = pack_bit_planes(&[], 8, &mut masks);
-        assert_eq!(words, 0);
-        assert!(masks.is_empty());
+        for samples in [1, 3] {
+            let mut masks = vec![7u64; 3];
+            let words = pack_tile_bit_planes(&[], samples, 8, &mut masks);
+            assert_eq!(words, 0);
+            assert!(masks.is_empty());
+        }
     }
 }

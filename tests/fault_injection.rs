@@ -1,11 +1,12 @@
 //! Integration: post-map fault injection through the packed bit-plane
-//! path, executor-level campaigns, and the output-range sentinels — the
+//! kernel (`matmul_into`, which `matvec` calls with one column),
+//! executor-level campaigns, and the output-range sentinels — the
 //! invariants the graceful-degradation layer stands on (paper §V-E).
 //!
 //! The load-bearing property: mutating cells *after* mapping (stuck-at
 //! campaigns, direct conductance writes) must be observed by the packed
-//! hot path exactly as by the reference kernel, because the serving
-//! layer's health checks read outputs produced by the packed path.
+//! kernel exactly as by the reference kernel, because the serving
+//! layer's health checks read outputs produced by the packed kernel.
 
 use forms::arch::{MappedLayer, MappingConfig};
 use forms::baselines::IsaacLayer;
@@ -82,7 +83,8 @@ fn isaac_post_map_writes_flow_through_packed_path() {
 fn uncommitted_writes_poison_the_packed_path() {
     let mut mapped = MappedLayer::map(&polarized_matrix(), config()).unwrap();
     // Mutate without commit_writes(): the hoisted dequant table is stale,
-    // so the packed read must refuse rather than silently serve old cells.
+    // so the kernel's integral-path audit must refuse rather than silently
+    // serve old cells.
     mapped.crossbars_mut()[0].conductances_mut()[0] = 0.0;
     let _ = mapped.matvec(&input_codes(), 1.0);
 }
