@@ -40,19 +40,34 @@ echo "== mixed-precision quant bench (smoke) =="
 # uniform on both designs) — and exits non-zero on any violation.
 FORMS_BENCH_FAST=1 cargo run --release --offline -p forms-bench --bin quant -- --smoke
 
-echo "== serving-layer bench (smoke) =="
-# Replays a short open-loop Poisson trace against the multi-replica serving
-# subsystem (FORMS and ISAAC behind paced engines), re-validates the
-# BENCH_serve.json it writes — schema, shed/latency invariants, and the
-# replica-scaling floor; the binary exits non-zero on any violation.
-cargo run --release --offline -p forms-bench --bin serve -- --smoke
+echo "== fault-tolerance bench (smoke) =="
+# Sweeps stuck-at fault rates through the executor for FORMS and ISAAC;
+# the binary re-validates the BENCH_faults.json it writes — schema and the
+# FORMS-degrades-no-faster-than-ISAAC comparison — and exits non-zero on
+# any violation. The serving fault storm runs over a socket in the net
+# bench below.
+cargo run --release --offline -p forms-bench --bin faults -- --smoke
+
+echo "== serving bench over loopback TCP (smoke) =="
+# The one serving benchmark: drives the open-loop generator through real
+# loopback TCP sockets against the paced multi-replica serving layer
+# (FORMS and ISAAC), pairing every point with an in-process baseline,
+# then runs a poisoned-replica storm over one socket. The binary
+# re-validates the BENCH_net.json it writes — schema; the in-process
+# 1->max-replica scaling floor; per point the mode's loopback/in-process
+# throughput floor (0.7x full, looser in smoke where CI contention makes
+# saturation throughput noisy), zero wire errors, zero engine failures,
+# server-side completions matching the client's, and per-stage timings
+# that telescope to the end-to-end latency; and the storm's
+# zero-corrupted / Degraded-as-wire-status / rebuild / quarantine /
+# resolved-at-most-offered gates — and exits non-zero on any violation.
+cargo run --release --offline -p forms-bench --bin net -- --smoke
 
 echo "== observability smoke gate =="
-# Every sweep point embeds a full TelemetrySnapshot with per-stage
-# histograms (the bench already asserts a live to_json/from_json
-# round-trip before writing, and validate() re-checks the stage-sum
-# telescoping). Belt and braces: fail fast if the written document
-# carries no per-stage samples at all.
+# Every sweep point embeds a telemetry summary with per-stage histogram
+# counts (validate() already checks the stage-sum telescoping). Belt and
+# braces: fail fast if the written document carries no per-stage samples
+# at all.
 awk '
     /"(queue_wait|batch_form|execute|respond)": \{/ { stage = 1; next }
     stage && /"count":/ {
@@ -61,31 +76,11 @@ awk '
         stage = 0
     }
     END { exit !(nonzero >= 4) }
-' BENCH_serve.json || {
-    echo "BENCH_serve.json telemetry has no non-zero stage histograms" >&2
+' BENCH_net.json || {
+    echo "BENCH_net.json telemetry has no non-zero stage histograms" >&2
     exit 1
 }
-echo "ok: BENCH_serve.json carries non-zero per-stage histograms"
-
-echo "== fault-tolerance bench (smoke) =="
-# Sweeps stuck-at fault rates through the executor for FORMS and ISAAC,
-# then runs a poisoned-replica serving storm; the binary re-validates the
-# BENCH_faults.json it writes — schema, the FORMS-degrades-no-faster-than-
-# ISAAC comparison, and the zero-corrupted-responses / quarantine storm
-# invariants — and exits non-zero on any violation.
-cargo run --release --offline -p forms-bench --bin faults -- --smoke
-
-echo "== network front-end bench (smoke) =="
-# Drives the open-loop generator through real loopback TCP sockets against
-# the serving layer (FORMS and ISAAC), pairing every point with an
-# in-process baseline, then runs a poisoned-replica storm over one socket;
-# the binary re-validates the BENCH_net.json it writes — schema, the
-# mode's loopback/in-process throughput floor (0.7x full, looser in smoke
-# where CI contention makes saturation throughput noisy), zero wire
-# errors, and the
-# zero-corrupted / Degraded-as-wire-status / quarantine storm invariants —
-# and exits non-zero on any violation.
-cargo run --release --offline -p forms-bench --bin net -- --smoke
+echo "ok: BENCH_net.json carries non-zero per-stage histograms"
 
 echo "== network serving example =="
 # The README-facing walk-through of the builder-only API: serves a mapped

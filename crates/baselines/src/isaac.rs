@@ -201,7 +201,7 @@ impl IsaacLayer {
             .map(|&s| s as f64 * max_input * f64::from(step))
             .fold(0.0f64, f64::max);
 
-        let adc = Adc::ideal_for(crossbar_dim, &cell);
+        let adc = Adc::for_fragment(crossbar_dim, &cell);
         Ok(Self {
             crossbar_dim,
             input_bits,

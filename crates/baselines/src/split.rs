@@ -68,7 +68,7 @@ impl SplitLayer {
                 }
             }
         }
-        let adc = Adc::ideal_for(crossbar_dim, &cell);
+        let adc = Adc::for_fragment(crossbar_dim, &cell);
         Self {
             crossbar_dim,
             input_bits,

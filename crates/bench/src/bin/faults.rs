@@ -6,8 +6,7 @@
 //! regressions. The binary re-reads the file it wrote, parses it with
 //! `forms_bench::json::parse` and checks it with
 //! `forms_bench::faults::validate` — including the FORMS-vs-ISAAC
-//! degradation comparison and the zero-corrupted-responses storm
-//! invariant — exiting non-zero on any mismatch.
+//! degradation comparison — exiting non-zero on any mismatch.
 
 use std::path::Path;
 use std::process::ExitCode;
@@ -23,17 +22,13 @@ fn main() -> ExitCode {
         FaultsBenchSpec::full()
     };
     eprintln!(
-        "faults suite ({} mode): {} — stuck-at sweep at rates {:?}, then a \
-         poisoned-replica serving storm",
+        "faults suite ({} mode): {} — stuck-at sweep at rates {:?}",
         spec.mode, spec.layer_label, spec.rates
     );
     let report = run(&spec);
 
     if let Some((forms, isaac)) = report.forms_vs_isaac() {
-        println!(
-            "mean top-1 agreement across the sweep: FORMS (worst fragment) {forms:.3} \
-             vs ISAAC {isaac:.3}"
-        );
+        println!("mean top-1 agreement across the sweep: FORMS {forms:.3} vs ISAAC {isaac:.3}");
     }
 
     let path = Path::new(concat!(
@@ -47,7 +42,7 @@ fn main() -> ExitCode {
     }
 
     // Self-check: read the file back through the parser and validate the
-    // schema, the degradation comparison and the storm invariants, so a
+    // schema and the degradation comparison, so a
     // malformed or regressed BENCH_faults.json fails the run (and CI).
     let written = match std::fs::read_to_string(path) {
         Ok(s) => s,

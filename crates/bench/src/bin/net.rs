@@ -1,19 +1,20 @@
-//! Network front-end suite — writes and validates `BENCH_net.json`.
+//! Serving suite — writes and validates `BENCH_net.json`.
 //!
 //! Usage: `cargo run --release -p forms-bench --bin net [-- --smoke]`.
 //! `--smoke` runs a seconds-scale variant with the same code paths and
 //! JSON schema; CI uses it to catch front-end and schema regressions over
 //! real loopback sockets. The binary re-reads the file it wrote, parses
 //! it with `forms_bench::json::parse` and checks it with
-//! `forms_bench::net::validate` — including the loopback/in-process
-//! throughput floor and the zero-corruption storm gate — exiting
-//! non-zero on any mismatch.
+//! `forms_bench::net::validate` — including the replica-scaling floor,
+//! the loopback/in-process throughput floor and the storm's
+//! zero-corruption, rebuild and quarantine gates — exiting non-zero on
+//! any mismatch.
 
 use std::path::Path;
 use std::process::ExitCode;
 
 use forms_bench::json::parse;
-use forms_bench::net::{loopback_floor, run, validate, NetBenchSpec};
+use forms_bench::net::{loopback_floor, run, scaling_floor, validate, NetBenchSpec};
 
 fn main() -> ExitCode {
     let smoke = std::env::args().any(|a| a == "--smoke");
@@ -29,6 +30,15 @@ fn main() -> ExitCode {
     );
     let report = run(&spec);
 
+    for design in ["FORMS", "ISAAC"] {
+        if let Some(s) = report.scaling(design) {
+            println!(
+                "{design} in-process throughput scaling 1 -> {} replicas: {s:.2}x (floor {})",
+                spec.replicas.iter().max().unwrap_or(&1),
+                scaling_floor(spec.mode)
+            );
+        }
+    }
     println!(
         "worst loopback/in-process goodput ratio across the sweep: {:.2}x (floor {})",
         report.worst_ratio(),
@@ -43,7 +53,7 @@ fn main() -> ExitCode {
     }
 
     // Self-check: read the file back through the parser and validate its
-    // schema, throughput floor, and storm integrity gates, so a malformed
+    // schema, throughput floors, and storm integrity gates, so a malformed
     // or regressed BENCH_net.json fails the run (and CI).
     let written = match std::fs::read_to_string(path) {
         Ok(s) => s,

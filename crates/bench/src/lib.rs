@@ -25,7 +25,6 @@ pub mod mvm;
 pub mod net;
 pub mod quant;
 pub mod report;
-pub mod serve;
 pub mod suite;
 pub mod timing;
 

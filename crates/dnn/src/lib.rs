@@ -41,7 +41,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod augment;
 pub mod checkpoint;
 pub mod data;
 mod layer;
@@ -50,7 +49,6 @@ pub mod models;
 mod network;
 mod optim;
 mod param;
-mod schedule;
 mod train;
 
 pub use layer::{
@@ -61,5 +59,4 @@ pub use loss::{accuracy, softmax, softmax_cross_entropy, top_k_accuracy, LossOut
 pub use network::Network;
 pub use optim::{Adam, Optimizer, Sgd};
 pub use param::Param;
-pub use schedule::{ConstantLr, CosineLr, LrSchedule, StepLr};
 pub use train::{evaluate, evaluate_topk, train_epoch, TrainConfig, TrainReport};

@@ -80,12 +80,6 @@ impl Adc {
         Self::new(bits, ((1u64 << bits) - 1) as f64)
     }
 
-    /// Alias of [`for_fragment`](Self::for_fragment) kept for call sites
-    /// that predate the precision-plan naming.
-    pub fn ideal_for(fragment_rows: usize, spec: &CellSpec) -> Self {
-        Self::for_fragment(fragment_rows, spec)
-    }
-
     /// Resolution in bits.
     pub fn bits(&self) -> u32 {
         self.bits
@@ -125,7 +119,7 @@ mod tests {
     #[test]
     fn ideal_adc_is_lossless_for_fragment() {
         let spec = CellSpec::paper_2bit();
-        let adc = Adc::ideal_for(8, &spec);
+        let adc = Adc::for_fragment(8, &spec);
         // Max value 8 × 3 = 24 → needs 5 bits.
         assert_eq!(adc.bits(), 5);
         for v in 0..=24u32 {
@@ -168,9 +162,9 @@ mod tests {
     }
 
     #[test]
-    fn ideal_for_single_row() {
+    fn for_fragment_single_row() {
         let spec = CellSpec::new(1, 1.0, 2.0);
-        let adc = Adc::ideal_for(1, &spec);
+        let adc = Adc::for_fragment(1, &spec);
         assert_eq!(adc.bits(), 1);
     }
 
@@ -185,7 +179,5 @@ mod tests {
         let adc = Adc::for_fragment(1 << 20, &spec);
         assert_eq!(adc.bits(), 16);
         assert_eq!(adc.full_scale(), ((1u64 << 16) - 1) as f64);
-        // And the alias stays in lockstep.
-        assert_eq!(Adc::ideal_for(1 << 20, &spec), adc);
     }
 }

@@ -32,7 +32,7 @@
 //! xbar.program_codes(&[3, 0, 1, 2, 0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2]);
 //! let currents = xbar.column_currents(&[1.0, 0.0, 1.0, 0.0], 0..4);
 //! // Column 0 sees cells with codes 3 and 1 active: 3 + 1 = 4 units.
-//! let adc = Adc::ideal_for(4, &spec);
+//! let adc = Adc::for_fragment(4, &spec);
 //! assert_eq!(adc.convert(currents[0], &spec), 4);
 //! ```
 

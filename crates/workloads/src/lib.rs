@@ -35,7 +35,6 @@
 mod activations;
 mod capture;
 mod shapes;
-mod sweep;
 mod trace;
 
 pub use activations::ActivationModel;
@@ -43,5 +42,4 @@ pub use capture::capture_weight_layer_inputs;
 pub use shapes::{
     lenet5_mnist, resnet18_cifar, resnet18_imagenet, resnet50_imagenet, vgg16_cifar, LayerShape,
 };
-pub use sweep::{grid2, grid3, sweep2, Axis};
 pub use trace::{poisson_arrivals, synth_request, TraceSpec};
