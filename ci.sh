@@ -22,6 +22,20 @@ cargo clippy --offline -p forms-bench --features bench --all-targets -- -D warni
 echo "== docs (rustdoc must build warning-free) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --offline --no-deps
 
+echo "== paper results (byte-identical regeneration) =="
+# README's determinism contract: every experiment binary is seeded, so
+# rerunning it rewrites its committed results/*.json byte for byte. Run
+# the nine that finish in seconds (table1, table2, table6 and fig6 take
+# minutes each) and fail if any committed file changed.
+for bin in table3 table4 table5 fig7 fig8 fig13 fig14 energy noise; do
+    cargo run --release --offline --quiet -p forms-bench --bin "$bin" > /dev/null
+done
+git diff --exit-code --stat -- results/ || {
+    echo "regenerated results/ differ from the committed files" >&2
+    exit 1
+}
+echo "ok: regenerated results/ match the committed files"
+
 echo "== MVM hot-path bench (smoke) =="
 # Runs the matmul_into-vs-reference throughput suite on tiny shapes with a
 # fixed batch sweep (batch 1 is the one-column kernel call) and
@@ -88,6 +102,11 @@ echo "== network serving example =="
 # a deadline as a wire status, fetches telemetry over the socket, and
 # exits non-zero if any step fails.
 cargo run --release --offline --quiet --example net_serve
+
+echo "== design-space example =="
+# Pure cost-model arithmetic (ADC scaling, fragment ladder, cell bits,
+# ADC sharing); runs in well under a second.
+cargo run --release --offline --quiet --example design_space > /dev/null
 
 echo "== end-to-end loopback benchmark (self-tests + short runs) =="
 # perfbench is a workspace of its own (path deps on the repo crates), so

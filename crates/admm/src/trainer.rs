@@ -8,7 +8,7 @@
 
 use forms_dnn::data::Dataset;
 use forms_dnn::WeightLayerMut;
-use forms_dnn::{evaluate, softmax_cross_entropy, Network, Optimizer, Sgd};
+use forms_dnn::{evaluate, softmax_cross_entropy, Network, Sgd};
 use forms_rng::Rng;
 use forms_tensor::Tensor;
 

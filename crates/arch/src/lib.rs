@@ -28,22 +28,14 @@
 #![forbid(unsafe_code)]
 
 mod accelerator;
-mod dse;
 mod mapping;
-mod noc;
 mod perf;
 mod pipeline;
-mod scheduler;
 mod zero_skip;
 
 pub use accelerator::{Accelerator, AcceleratorConfig};
-pub use dse::{DesignPoint, DesignSpace};
 pub use forms_exec::{CrossbarEngine, ExecError, Executor, LayerPrecision, Merge, PrecisionPlan};
 pub use mapping::{FormsActivity, MappedLayer, MappingConfig, MvmScratch, MvmStats, MATMUL_TILE};
-pub use noc::{ChipPlacement, LayerPlacement, PlacementError, TileAssignment};
 pub use perf::{FpsModel, LayerPerf};
 pub use pipeline::{Pipeline, PipelineOp, PipelineStage};
-pub use scheduler::{jobs_from_eics, schedule, AssignmentPolicy, FragmentJob, ScheduleReport};
-pub use zero_skip::{
-    cycles_saved, effective_bits, eic_stats, fragment_eic, EicStats, ShiftRegisterBank,
-};
+pub use zero_skip::{effective_bits, eic_stats, fragment_eic, EicStats, ShiftRegisterBank};

@@ -766,8 +766,7 @@ impl MappedLayer {
                             for cycle in 0..n_planes {
                                 let cur = &currents[cycle * cell_cols..];
                                 for (k, acc_k) in slice_acc.iter_mut().enumerate() {
-                                    let code =
-                                        self.adc.convert(cur[ci * cpw + k], &self.config.cell);
+                                    let code = self.adc.convert(cur[ci * cpw + k]);
                                     stats.adc_conversions += 1;
                                     *acc_k += u64::from(code) << cycle;
                                 }
@@ -874,7 +873,7 @@ impl MappedLayer {
                                 drive,
                                 window.clone(),
                             ));
-                        let code = self.adc.convert(current, &self.config.cell);
+                        let code = self.adc.convert(current);
                         stats.adc_conversions += 1;
                         *acc_k += u64::from(code) << cycle;
                     }

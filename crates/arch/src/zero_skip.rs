@@ -36,20 +36,6 @@ pub fn fragment_eic(codes: &[u32]) -> u32 {
     codes.iter().copied().map(effective_bits).max().unwrap_or(0)
 }
 
-/// Cycles saved by zero-skipping relative to feeding all `input_bits` bits.
-///
-/// # Panics
-///
-/// Panics if any code needs more than `input_bits` bits.
-pub fn cycles_saved(codes: &[u32], input_bits: u32) -> u32 {
-    let eic = fragment_eic(codes);
-    assert!(
-        eic <= input_bits,
-        "input code exceeds {input_bits}-bit representation (EIC {eic})"
-    );
-    input_bits - eic
-}
-
 /// The bank of parallel-in/serial-out shift registers feeding one fragment,
 /// with the NOR/AND zero-skip detector of paper Fig. 9.
 #[derive(Clone, Debug, PartialEq)]
@@ -222,19 +208,6 @@ mod tests {
             acc += plane << cycle;
         }
         assert_eq!(acc, full);
-    }
-
-    #[test]
-    fn cycles_saved_matches_paper_arithmetic() {
-        // Average EIC 10.7 over 16 bits saves 33% of cycles (paper §IV-B).
-        assert_eq!(cycles_saved(&[0b101101], 16), 10);
-        assert_eq!(cycles_saved(&[0], 16), 16);
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds")]
-    fn oversized_code_rejected_in_cycles_saved() {
-        cycles_saved(&[1 << 17], 16);
     }
 
     #[test]

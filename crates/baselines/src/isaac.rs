@@ -528,9 +528,7 @@ impl IsaacLayer {
                             for plane in 0..n_planes {
                                 let cur = &currents[plane * cell_cols..];
                                 for (k, acc_k) in slice_acc.iter_mut().enumerate() {
-                                    let code = self
-                                        .adc
-                                        .convert(cur[ci * cpw + k], self.crossbars[0].spec());
+                                    let code = self.adc.convert(cur[ci * cpw + k]);
                                     stats.adc_conversions += 1;
                                     *acc_k += u64::from(code) << plane;
                                 }
@@ -624,7 +622,7 @@ impl IsaacLayer {
                             &drives,
                             window.clone(),
                         );
-                        let code = self.adc.convert(current, self.crossbars[0].spec());
+                        let code = self.adc.convert(current);
                         stats.adc_conversions += 1;
                         *acc_k += u64::from(code) << plane;
                     }

@@ -135,7 +135,7 @@ impl SplitLayer {
                             &drives,
                             window.clone(),
                         );
-                        let code = self.adc.convert(current, arrays[0].spec());
+                        let code = self.adc.convert(current);
                         *acc_k += u64::from(code) << plane;
                     }
                 }

@@ -11,7 +11,7 @@ use forms_admm::{
     PolarizeSpec, PruneSpec, QuantSpec,
 };
 use forms_dnn::data::{Dataset, SyntheticSpec};
-use forms_dnn::{evaluate, models, train_epoch, Network, Optimizer, Sgd};
+use forms_dnn::{evaluate, models, train_epoch, Network, Sgd};
 use forms_rng::StdRng;
 use forms_tensor::{FixedSpec, QuantizedTensor};
 use forms_workloads::capture_weight_layer_inputs;

@@ -11,7 +11,7 @@
 //!   with full backpropagation,
 //! - [`Network`] — a composable feed-forward network (with residual blocks
 //!   for the ResNet family),
-//! - [`Sgd`] / [`Adam`] — optimizers,
+//! - [`Sgd`] — the optimizer (momentum and decoupled weight decay),
 //! - [`softmax_cross_entropy`] — the classification loss,
 //! - [`models`] — a model zoo with scaled-down LeNet-5 / VGG-16 /
 //!   ResNet-18/50 topologies,
@@ -57,6 +57,6 @@ pub use layer::{
 };
 pub use loss::{accuracy, softmax, softmax_cross_entropy, top_k_accuracy, LossOutput};
 pub use network::Network;
-pub use optim::{Adam, Optimizer, Sgd};
+pub use optim::Sgd;
 pub use param::Param;
 pub use train::{evaluate, evaluate_topk, train_epoch, TrainConfig, TrainReport};

@@ -292,7 +292,7 @@ mod tests {
 
     #[test]
     fn mlp_trains_on_trivial_task() {
-        use crate::{softmax_cross_entropy, Optimizer, Sgd};
+        use crate::{softmax_cross_entropy, Sgd};
         let mut rng = rng();
         let mut net = mlp(&mut rng, 4, &[8], 2);
         let x = Tensor::from_vec(vec![1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0], &[2, 1, 2, 2]);

@@ -1,6 +1,6 @@
-//! Optimizers.
+//! The SGD optimizer.
 //!
-//! Optimizers are stateful and identify parameters by their stable visit
+//! [`Sgd`] is stateful and identifies parameters by their stable visit
 //! order in [`crate::Network::for_each_param`], so the same optimizer
 //! instance must be used with the same network throughout a run.
 
@@ -8,26 +8,12 @@ use forms_tensor::Tensor;
 
 use crate::{Network, Param};
 
-/// A gradient-based optimizer.
-pub trait Optimizer {
-    /// Applies one update step using the gradients currently accumulated in
-    /// the network's parameters, then leaves gradients untouched (call
-    /// [`Network::zero_grad`] before the next accumulation).
-    fn step(&mut self, net: &mut Network);
-
-    /// The current learning rate.
-    fn learning_rate(&self) -> f32;
-
-    /// Overrides the learning rate (for schedules).
-    fn set_learning_rate(&mut self, lr: f32);
-}
-
 /// Stochastic gradient descent with momentum and decoupled weight decay.
 ///
 /// # Example
 ///
 /// ```
-/// use forms_dnn::{Layer, Network, Optimizer, Sgd};
+/// use forms_dnn::{Layer, Network, Sgd};
 /// use forms_rng::StdRng;
 ///
 /// let mut rng = StdRng::seed_from_u64(0);
@@ -80,10 +66,11 @@ impl Sgd {
         self.weight_decay = weight_decay;
         self
     }
-}
 
-impl Optimizer for Sgd {
-    fn step(&mut self, net: &mut Network) {
+    /// Applies one update step using the gradients currently accumulated in
+    /// the network's parameters, then leaves gradients untouched (call
+    /// [`Network::zero_grad`] before the next accumulation).
+    pub fn step(&mut self, net: &mut Network) {
         let mut idx = 0;
         let velocity = &mut self.velocity;
         let (lr, mu, wd) = (self.lr, self.momentum, self.weight_decay);
@@ -106,81 +93,13 @@ impl Optimizer for Sgd {
         });
     }
 
-    fn learning_rate(&self) -> f32 {
+    /// The current learning rate.
+    pub fn learning_rate(&self) -> f32 {
         self.lr
     }
 
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-}
-
-/// Adam optimizer (Kingma & Ba), the paper's cited DNN training baseline.
-#[derive(Clone, Debug)]
-pub struct Adam {
-    lr: f32,
-    beta1: f32,
-    beta2: f32,
-    eps: f32,
-    t: u32,
-    m: Vec<Tensor>,
-    v: Vec<Tensor>,
-}
-
-impl Adam {
-    /// Creates Adam with the given learning rate and standard β/ε defaults.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lr` is not a positive finite number.
-    pub fn new(lr: f32) -> Self {
-        assert!(lr.is_finite() && lr > 0.0, "learning rate must be positive");
-        Self {
-            lr,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
-            t: 0,
-            m: Vec::new(),
-            v: Vec::new(),
-        }
-    }
-}
-
-impl Optimizer for Adam {
-    fn step(&mut self, net: &mut Network) {
-        self.t += 1;
-        let t = self.t as i32;
-        let bias1 = 1.0 - self.beta1.powi(t);
-        let bias2 = 1.0 - self.beta2.powi(t);
-        let (lr, b1, b2, eps) = (self.lr, self.beta1, self.beta2, self.eps);
-        let (m, v) = (&mut self.m, &mut self.v);
-        let mut idx = 0;
-        net.for_each_param(&mut |p: &mut Param| {
-            if m.len() <= idx {
-                m.push(Tensor::zeros(p.value.dims()));
-                v.push(Tensor::zeros(p.value.dims()));
-            }
-            let (mi, vi) = (&mut m[idx], &mut v[idx]);
-            for i in 0..p.value.len() {
-                let g = p.grad.data()[i];
-                let md = mi.data_mut();
-                md[i] = b1 * md[i] + (1.0 - b1) * g;
-                let vd = vi.data_mut();
-                vd[i] = b2 * vd[i] + (1.0 - b2) * g * g;
-                let m_hat = md[i] / bias1;
-                let v_hat = vd[i] / bias2;
-                p.value.data_mut()[i] -= lr * m_hat / (v_hat.sqrt() + eps);
-            }
-            idx += 1;
-        });
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
+    /// Overrides the learning rate (for schedules).
+    pub fn set_learning_rate(&mut self, lr: f32) {
         self.lr = lr;
     }
 }
@@ -193,7 +112,7 @@ mod tests {
     use forms_tensor::Tensor;
 
     /// Minimize ||Wx - y||² on a fixed (x, y) pair and check the loss drops.
-    fn fit_linear(opt: &mut dyn Optimizer, steps: usize) -> (f32, f32) {
+    fn fit_linear(opt: &mut Sgd, steps: usize) -> (f32, f32) {
         let mut rng = StdRng::seed_from_u64(11);
         let mut net = Network::new(vec![Layer::linear(&mut rng, 3, 2)]);
         let x = Tensor::from_vec(vec![1.0, -0.5, 0.25], &[1, 3]);
@@ -222,12 +141,6 @@ mod tests {
     #[test]
     fn sgd_with_momentum_reduces_loss() {
         let (initial, fin) = fit_linear(&mut Sgd::new(0.02).momentum(0.9), 100);
-        assert!(fin < initial * 0.01, "loss {initial} → {fin}");
-    }
-
-    #[test]
-    fn adam_reduces_loss() {
-        let (initial, fin) = fit_linear(&mut Adam::new(0.05), 200);
         assert!(fin < initial * 0.01, "loss {initial} → {fin}");
     }
 

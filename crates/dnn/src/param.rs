@@ -4,7 +4,7 @@ use forms_tensor::Tensor;
 
 /// A trainable parameter: a value tensor plus its accumulated gradient.
 ///
-/// Layers own their `Param`s; optimizers and the ADMM regularizer visit them
+/// Layers own their `Param`s; the optimizer and the ADMM regularizer visit them
 /// through [`crate::Network::for_each_param`].
 ///
 /// # Example

@@ -3,7 +3,7 @@
 use forms_rng::Rng;
 
 use crate::data::Dataset;
-use crate::{accuracy, softmax_cross_entropy, top_k_accuracy, Network, Optimizer};
+use crate::{accuracy, softmax_cross_entropy, top_k_accuracy, Network, Sgd};
 
 /// Configuration for a training run.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -45,7 +45,7 @@ pub struct TrainReport {
 /// Panics if `batch_size` is zero or the dataset is empty.
 pub fn train_epoch<R: Rng + ?Sized>(
     net: &mut Network,
-    opt: &mut dyn Optimizer,
+    opt: &mut Sgd,
     data: &mut Dataset,
     batch_size: usize,
     rng: &mut R,

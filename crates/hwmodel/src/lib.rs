@@ -35,7 +35,6 @@
 
 mod chip;
 mod components;
-mod edram;
 mod energy;
 mod mcu;
 mod throughput;
@@ -45,7 +44,6 @@ pub use components::{
     AdcModel, ComponentCost, CrossbarModel, DacModel, DigitalUnitModel, HyperTransportModel,
     RegistersModel, SampleHoldModel, ShiftAddModel, SignIndicatorModel, SkippingLogicModel,
 };
-pub use edram::{required_edram_kb, BufferRequirement};
 pub use energy::{per_layer_energy_pj, Activity, DynamicActivity, EnergyModel};
 pub use mcu::{McuConfig, McuCost};
 pub use throughput::{

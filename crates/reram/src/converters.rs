@@ -2,47 +2,6 @@
 
 use crate::CellSpec;
 
-/// A 1-bit DAC: maps an input bit to a read voltage (paper §IV, "the output
-/// of DAC becomes the analog input of the ReRAM crossbars"; FORMS and ISAAC
-/// both use 1-bit DACs and feed inputs bit-serially).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Dac {
-    v_read: f64,
-}
-
-impl Dac {
-    /// Creates a DAC with the given read voltage (volts).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v_read` is not positive.
-    pub fn new(v_read: f64) -> Self {
-        assert!(v_read > 0.0, "read voltage must be positive");
-        Self { v_read }
-    }
-
-    /// The read voltage.
-    pub fn v_read(&self) -> f64 {
-        self.v_read
-    }
-
-    /// Drive voltage for one input bit, normalized to code units (1.0 for a
-    /// set bit so that crossbar currents stay in integer code units).
-    pub fn drive(&self, bit: bool) -> f64 {
-        if bit {
-            1.0
-        } else {
-            0.0
-        }
-    }
-}
-
-impl Default for Dac {
-    fn default() -> Self {
-        Self::new(0.3)
-    }
-}
-
 /// An ADC quantizing a column current (in code units) to an output code,
 /// saturating at full scale.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -96,11 +55,9 @@ impl Adc {
     }
 
     /// Converts a current in code units to an output code, rounding to the
-    /// nearest level and saturating at full scale. `spec` is accepted for
-    /// interface symmetry with the crossbar (code units are defined by the
-    /// cell spec).
+    /// nearest level and saturating at full scale.
     #[inline]
-    pub fn convert(&self, current: f64, _spec: &CellSpec) -> u32 {
+    pub fn convert(&self, current: f64) -> u32 {
         let max_code = (self.levels() - 1) as f64;
         let code = (current / self.full_scale * max_code).round();
         code.clamp(0.0, max_code) as u32
@@ -123,42 +80,32 @@ mod tests {
         // Max value 8 × 3 = 24 → needs 5 bits.
         assert_eq!(adc.bits(), 5);
         for v in 0..=24u32 {
-            assert_eq!(adc.convert(v as f64, &spec), v);
-            assert!((adc.reconstruct(adc.convert(v as f64, &spec)) - v as f64).abs() < 1e-9);
+            assert_eq!(adc.convert(v as f64), v);
+            assert!((adc.reconstruct(adc.convert(v as f64)) - v as f64).abs() < 1e-9);
         }
     }
 
     #[test]
     fn adc_saturates_at_full_scale() {
-        let spec = CellSpec::paper_2bit();
         let adc = Adc::new(4, 15.0);
-        assert_eq!(adc.convert(100.0, &spec), 15);
-        assert_eq!(adc.convert(-5.0, &spec), 0);
+        assert_eq!(adc.convert(100.0), 15);
+        assert_eq!(adc.convert(-5.0), 0);
     }
 
     #[test]
     fn adc_rounds_to_nearest_level() {
-        let spec = CellSpec::paper_2bit();
         let adc = Adc::new(4, 15.0);
-        assert_eq!(adc.convert(7.4, &spec), 7);
-        assert_eq!(adc.convert(7.6, &spec), 8);
+        assert_eq!(adc.convert(7.4), 7);
+        assert_eq!(adc.convert(7.6), 8);
     }
 
     #[test]
     fn underresolved_adc_loses_information() {
         // A 4-bit ADC over a 24-unit range cannot represent all 25 values.
-        let spec = CellSpec::paper_2bit();
         let adc = Adc::new(4, 24.0);
         let distinct: std::collections::HashSet<u32> =
-            (0..=24u32).map(|v| adc.convert(v as f64, &spec)).collect();
+            (0..=24u32).map(|v| adc.convert(v as f64)).collect();
         assert!(distinct.len() < 25);
-    }
-
-    #[test]
-    fn dac_drive_levels() {
-        let dac = Dac::default();
-        assert_eq!(dac.drive(true), 1.0);
-        assert_eq!(dac.drive(false), 0.0);
     }
 
     #[test]

@@ -8,13 +8,11 @@
 //!
 //! - [`CellSpec`] — multi-bit conductance cells with a linear
 //!   code-to-conductance map,
-//! - [`VteamDevice`] — a VTEAM-inspired threshold write model used to
-//!   program cells with voltage pulses,
 //! - [`Crossbar`] — an analog array computing column currents
 //!   `i = Gᵀ·v` over arbitrary row windows (fragments),
 //! - [`BitSlicer`] — weight-magnitude bit-slicing across
 //!   `weight_bits / cell_bits` cells,
-//! - [`Adc`] / [`Dac`] — converter transfer functions with saturation,
+//! - [`Adc`] — the column ADC's transfer function with saturation,
 //! - [`LogNormalVariation`] / [`StuckAtFault`] — the device non-idealities
 //!   behind the paper's Table VI.
 //!
@@ -33,7 +31,7 @@
 //! let currents = xbar.column_currents(&[1.0, 0.0, 1.0, 0.0], 0..4);
 //! // Column 0 sees cells with codes 3 and 1 active: 3 + 1 = 4 units.
 //! let adc = Adc::for_fragment(4, &spec);
-//! assert_eq!(adc.convert(currents[0], &spec), 4);
+//! assert_eq!(adc.convert(currents[0]), 4);
 //! ```
 
 #![warn(missing_docs)]
@@ -42,21 +40,17 @@
 mod bitslice;
 mod converters;
 mod crossbar;
-mod device;
 mod faults;
 mod irdrop;
 mod noise;
 mod packing;
-mod programming;
 mod variation;
 
 pub use bitslice::BitSlicer;
-pub use converters::{Adc, Dac};
+pub use converters::Adc;
 pub use crossbar::{CellSpec, Crossbar};
-pub use device::{VteamDevice, VteamParams};
 pub use faults::{FaultCampaign, FaultReport};
 pub use irdrop::IrDropModel;
 pub use noise::CurrentNoise;
 pub use packing::{for_each_set_bit, pack_tile_bit_planes, plane_is_zero, plane_ones, plane_words};
-pub use programming::{program_physical, ArrayProgrammer, ProgrammingReport};
 pub use variation::{LogNormalVariation, StuckAtFault, StuckAtKind};

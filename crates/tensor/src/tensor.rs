@@ -198,7 +198,7 @@ impl Tensor {
     }
 
     /// `self + alpha * other`, the BLAS `axpy` primitive used pervasively by
-    /// the optimizers and ADMM dual updates.
+    /// the optimizer and ADMM dual updates.
     ///
     /// # Panics
     ///

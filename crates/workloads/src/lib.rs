@@ -42,4 +42,4 @@ pub use capture::capture_weight_layer_inputs;
 pub use shapes::{
     lenet5_mnist, resnet18_cifar, resnet18_imagenet, resnet50_imagenet, vgg16_cifar, LayerShape,
 };
-pub use trace::{poisson_arrivals, synth_request, TraceSpec};
+pub use trace::{poisson_arrivals, synth_request};

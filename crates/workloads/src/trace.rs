@@ -12,15 +12,6 @@ use forms_rng::{Distribution, Exp, Rng};
 
 use crate::activations::ActivationModel;
 
-/// Specification of one synthetic request stream.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct TraceSpec {
-    /// Offered load in requests per second.
-    pub rate_rps: f64,
-    /// Number of requests in the trace.
-    pub requests: usize,
-}
-
 /// Draws Poisson-process arrival offsets: `n` cumulative arrival times
 /// (measured from the stream start) whose inter-arrival gaps are i.i.d.
 /// exponential with mean `1 / rate_rps`.

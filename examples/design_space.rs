@@ -6,7 +6,6 @@
 //! cargo run --release --example design_space
 //! ```
 
-use forms::arch::DesignSpace;
 use forms::hwmodel::{AdcModel, ChipCost, McuConfig, ThroughputModel};
 
 fn main() {
@@ -68,23 +67,6 @@ fn main() {
             gops / isaac
         );
     }
-
-    println!();
-    println!("— automated DSE: Pareto frontier at workload EIC 10.7 —");
-    println!("  frag | cell bits | ADCs | GOPs/mm² | GOPs/W");
-    for p in DesignSpace::default().pareto_frontier() {
-        println!(
-            "  {:4} | {:9} | {:4} | {:8.1} | {:.1}",
-            p.fragment_size, p.cell_bits, p.adcs_per_crossbar, p.gops_per_mm2, p.gops_per_watt
-        );
-    }
-
-    println!(
-        "  (the cost model alone favors the largest fragment/ADC corner — it does not see\n\
-         the accuracy ceiling of Fig. 6 (fragments ≤ 16) or the ADC-orchestration overhead\n\
-         the paper cites against more than 4 ADCs; under those constraints the frontier\n\
-         collapses to the paper's neighborhood)"
-    );
 
     println!();
     println!(

@@ -9,7 +9,7 @@
 //!
 //! - [`rng`] — deterministic in-tree PRNG and sampling distributions
 //! - [`tensor`] — dense tensors, fixed-point formats, conv lowering
-//! - [`dnn`] — layers, backprop, optimizers, model zoo, synthetic datasets
+//! - [`dnn`] — layers, backprop, SGD, model zoo, synthetic datasets
 //! - [`admm`] — ADMM-regularized pruning / polarization / quantization
 //! - [`exec`] — the shared crossbar execution core (engine trait + executor)
 //! - [`reram`] — behavioural ReRAM crossbar and converter simulation
