@@ -108,6 +108,15 @@ echo "== design-space example =="
 # ADC sharing); runs in well under a second.
 cargo run --release --offline --quiet --example design_space > /dev/null
 
+echo "== training and mapping examples =="
+# The remaining README-facing walk-throughs: train, ADMM-polarize, map
+# through the executor and run the analog path (~3.5 s together in
+# release on a 2-core host). Each exits non-zero on a panic, e.g. a
+# finalized model that no longer satisfies its constraints.
+for example in quickstart accelerator_sim isaac_vs_forms fault_tolerance polarized_training; do
+    cargo run --release --offline --quiet --example "$example" > /dev/null
+done
+
 echo "== end-to-end loopback benchmark (self-tests + short runs) =="
 # perfbench is a workspace of its own (path deps on the repo crates), so
 # the workspace test above does not reach it: run its validator

@@ -89,6 +89,12 @@ struct LayerState {
     u: Tensor,
     /// Cached fragment signs for the polarization projection.
     signs: Option<Vec<bool>>,
+    /// Quantization step frozen at [`AdmmTrainer::finalize`] (`None`
+    /// before it, or without a quantization constraint). Masked
+    /// retraining keeps weights on this grid even once no weight sits at
+    /// the saturating code, so feasibility is checked against it rather
+    /// than a step re-derived from the current maximum.
+    grid_step: Option<f32>,
 }
 
 /// ADMM trainer wrapping a [`Network`].
@@ -218,6 +224,7 @@ impl AdmmTrainer {
                     z,
                     u,
                     signs,
+                    grid_step: None,
                 }
             })
             .collect();
@@ -320,13 +327,24 @@ impl AdmmTrainer {
 
     /// Total elementwise distance-to-feasibility of the current weights:
     /// the number of entries `Π(W)` would change. Zero means every
-    /// constraint is satisfied exactly.
+    /// constraint is satisfied exactly. After [`finalize`](Self::finalize)
+    /// the quantization grid is the one frozen there.
     pub fn constraint_violations(&self, net: &mut Network) -> usize {
         self.policy_matrices(net)
             .iter()
             .zip(&self.states)
             .map(|(w, s)| {
-                let z = project_all(w, &s.constraints, s.signs.as_deref());
+                let z = match (s.grid_step, &s.constraints.quantize) {
+                    (Some(step), Some(q)) => {
+                        let structure = LayerConstraints {
+                            quantize: None,
+                            ..s.constraints
+                        };
+                        let z = project_all(w, &structure, s.signs.as_deref());
+                        crate::project_quantization(&z, step, q.bits)
+                    }
+                    _ => project_all(w, &s.constraints, s.signs.as_deref()),
+                };
                 w.data()
                     .iter()
                     .zip(z.data())
@@ -363,6 +381,10 @@ impl AdmmTrainer {
             if let Some(pol) = &s.constraints.polarize {
                 s.signs = Some(fragment_signs(&z, pol.fragment_size));
             }
+            s.grid_step = s
+                .constraints
+                .quantize
+                .map(|q| crate::quantization_step(&z, q.bits));
             finalized.push(match &s.perm {
                 Some(p) => unpermute_rows(&z, p),
                 None => z,
@@ -603,6 +625,41 @@ mod tests {
         let mut trainer = AdmmTrainer::new(&mut net, cs, AdmmConfig::default());
         assert!(trainer.constraint_violations(&mut net) > 0);
         trainer.finalize(&mut net);
+        assert_eq!(trainer.constraint_violations(&mut net), 0);
+    }
+
+    /// Masked retraining may lower the saturated weight of a layer while
+    /// staying on the frozen grid; that must not count as a violation.
+    #[test]
+    fn finalized_grid_survives_lowering_the_saturated_codes() {
+        let mut net = small_conv_net(3);
+        let c = LayerConstraints {
+            polarize: Some(PolarizeSpec {
+                fragment_size: 4,
+                policy: PolarizationPolicy::WMajor,
+            }),
+            quantize: Some(QuantSpec { bits: 8 }),
+            ..Default::default()
+        };
+        let cs = uniform_constraints(&mut net, c);
+        let mut trainer = AdmmTrainer::new(&mut net, cs, AdmmConfig::default());
+        trainer.finalize(&mut net);
+        assert_eq!(trainer.constraint_violations(&mut net), 0);
+        let lowered: Vec<Tensor> = layer_matrices(&mut net)
+            .into_iter()
+            .map(|(m, _)| {
+                let step = crate::quantization_step(&m, 8);
+                let top = 127.0 * step;
+                m.map(|v| {
+                    if v.abs() >= top {
+                        v - v.signum() * step
+                    } else {
+                        v
+                    }
+                })
+            })
+            .collect();
+        set_layer_matrices(&mut net, &lowered);
         assert_eq!(trainer.constraint_violations(&mut net), 0);
     }
 

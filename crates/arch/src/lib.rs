@@ -8,8 +8,9 @@
 //! - [`MappedLayer`] — the polarized magnitude-only crossbar mapping with
 //!   the 1R sign indicator (§IV-A, Fig. 5), executing bit-serial
 //!   mixed-signal matrix-vector products,
-//! - [`Accelerator`] — whole-network mapping and end-to-end inference
-//!   through the analog path, with device-variation injection (§V-E),
+//! - [`Executor`] (re-exported from `forms-exec`) — whole-network mapping
+//!   and end-to-end inference: `Executor<MappedLayer>` runs a polarized
+//!   network through the analog path,
 //! - [`Pipeline`] — the 22/26-stage execution pipeline (Fig. 12),
 //! - [`FpsModel`] — the frame-processing-rate model behind Figs. 13–14.
 //!
@@ -27,13 +28,11 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod accelerator;
 mod mapping;
 mod perf;
 mod pipeline;
 mod zero_skip;
 
-pub use accelerator::{Accelerator, AcceleratorConfig};
 pub use forms_exec::{CrossbarEngine, ExecError, Executor, LayerPrecision, Merge, PrecisionPlan};
 pub use mapping::{FormsActivity, MappedLayer, MappingConfig, MvmScratch, MvmStats, MATMUL_TILE};
 pub use perf::{FpsModel, LayerPerf};

@@ -1009,6 +1009,17 @@ mod tests {
         }
     }
 
+    /// `Executor::map_network` maps every layer with
+    /// `with_precision(config, precision_of(config))`, so that must give
+    /// the configuration back unchanged.
+    #[test]
+    fn precision_round_trip_is_identity() {
+        for config in [small_config(4), MappingConfig::paper(8)] {
+            let p = MappedLayer::precision_of(&config);
+            assert_eq!(MappedLayer::with_precision(&config, p), config);
+        }
+    }
+
     #[test]
     fn rejects_unpolarized_matrix() {
         let w = Tensor::from_vec(vec![1.0, -1.0, 2.0, 1.0], &[4, 1]);

@@ -1,8 +1,10 @@
-//! End-to-end ISAAC accelerator simulation: a whole DNN executed through
-//! offset-encoded crossbars — the apples-to-apples counterpart of
-//! `forms_arch::Accelerator`, used by the comparative experiments.
+//! The ISAAC crossbar engine: [`IsaacConfig`] and the
+//! [`CrossbarEngine`]/[`FaultableEngine`] impls that let a whole DNN run
+//! through offset-encoded crossbars as `Executor<IsaacLayer>` — the
+//! apples-to-apples counterpart of FORMS's `Executor<MappedLayer>`, used
+//! by the comparative experiments.
 //!
-//! Both accelerators drive the same shared execution core
+//! Both designs drive the same shared execution core
 //! ([`forms_exec::Executor`]): the network walk, im2col, activation
 //! quantization, per-layer statistics and parallel batch execution are
 //! identical code, so any measured difference between the designs comes
@@ -13,8 +15,7 @@
 //! subtraction, which the statistics expose.
 
 use forms_exec::{
-    CrossbarEngine, EngineHealth, ExecError, Executor, FaultCampaign, FaultReport, FaultableEngine,
-    LayerPerf,
+    CrossbarEngine, EngineHealth, ExecError, FaultCampaign, FaultReport, FaultableEngine,
 };
 use forms_hwmodel::{Activity, DynamicActivity};
 use forms_tensor::Tensor;
@@ -153,159 +154,11 @@ impl DynamicActivity for IsaacActivity {
     }
 }
 
-/// A DNN mapped onto offset-encoded ISAAC crossbars.
-///
-/// A thin wrapper over the shared [`Executor`] driving [`IsaacLayer`]
-/// engines — same network walk and quantization as the FORMS accelerator.
-#[derive(Clone, Debug)]
-pub struct IsaacAccelerator {
-    exec: Executor<IsaacLayer>,
-}
-
-impl IsaacAccelerator {
-    /// Maps any trained network — signed weights are fine.
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`ExecError`] if a weight layer is entirely zero (or the
-    /// configuration is unusable).
-    pub fn map_network(net: &forms_dnn::Network, config: IsaacConfig) -> Result<Self, ExecError> {
-        Ok(Self {
-            exec: Executor::map_network(net, &config, config.input_bits)?,
-        })
-    }
-
-    /// Maps a network under a per-layer [`forms_exec::PrecisionPlan`]:
-    /// weight layer `i` is offset-encoded at `plan.layer(i).weight_bits`
-    /// and its activations quantized at `plan.layer(i).input_bits`. A
-    /// uniform plan at the configuration's own widths is bitwise identical
-    /// to [`map_network`](Self::map_network).
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`ExecError`] if a layer cannot be mapped — note that
-    /// offset encoding requires `weight_bits >= 2` for every layer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a per-layer plan's length differs from the weight-layer
-    /// count.
-    pub fn with_plan(
-        net: &forms_dnn::Network,
-        config: IsaacConfig,
-        plan: forms_exec::PrecisionPlan,
-    ) -> Result<Self, ExecError> {
-        Ok(Self {
-            exec: Executor::with_plan(net, &config, plan)?,
-        })
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &IsaacConfig {
-        self.exec.engine_config()
-    }
-
-    /// The precision plan every layer was mapped and quantized under.
-    pub fn plan(&self) -> &forms_exec::PrecisionPlan {
-        self.exec.plan()
-    }
-
-    /// The configuration each weight layer was actually mapped with (the
-    /// plan-specialized per-layer view of the base configuration).
-    pub fn layer_configs(&self) -> &[IsaacConfig] {
-        self.exec.layer_configs()
-    }
-
-    /// The mapped weight layers, in visit order.
-    pub fn mapped_layers(&self) -> &[IsaacLayer] {
-        self.exec.engines()
-    }
-
-    /// Mutable access to the mapped layers (variation injection).
-    pub fn mapped_layers_mut(&mut self) -> &mut [IsaacLayer] {
-        self.exec.engines_mut()
-    }
-
-    /// Total crossbars used.
-    pub fn total_crossbars(&self) -> usize {
-        self.exec.total_crossbars()
-    }
-
-    /// Accumulated statistics since the last reset.
-    pub fn stats(&self) -> IsaacStats {
-        self.exec.stats()
-    }
-
-    /// Accumulated statistics per weight layer (visit order) since the
-    /// last reset.
-    pub fn layer_stats(&self) -> &[IsaacStats] {
-        self.exec.layer_stats()
-    }
-
-    /// Matrix-vector activations per weight layer since the last reset.
-    pub fn layer_mvms(&self) -> &[u64] {
-        self.exec.layer_mvms()
-    }
-
-    /// Clears accumulated statistics.
-    pub fn reset_stats(&mut self) {
-        self.exec.reset_stats();
-    }
-
-    /// Per-layer inputs of the frame-rate model from the inferences run
-    /// since the last reset (see `forms_arch::FpsModel`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if no inference has been run since the last reset or
-    /// `images` is zero.
-    pub fn layer_perfs(&self, images: usize) -> Vec<LayerPerf> {
-        self.exec.layer_perfs(images)
-    }
-
-    /// Runs inference on a `[N, ...]` batch through the offset-encoded
-    /// analog path: each weight layer lowers the whole batch into one
-    /// [`IsaacLayer::matmul_into`](crate::IsaacLayer::matmul_into) call.
-    pub fn forward(&mut self, x: &Tensor) -> Tensor {
-        self.exec.forward(x)
-    }
-
-    /// Runs inference with samples distributed over `workers` threads;
-    /// outputs are bitwise identical to [`forward`](Self::forward) and the
-    /// statistics of all workers are merged.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers` is zero.
-    pub fn forward_parallel(&mut self, x: &Tensor, workers: usize) -> Tensor {
-        self.exec.forward_parallel(x, workers)
-    }
-
-    /// Classification accuracy of the mapped model on a dataset.
-    pub fn evaluate(&mut self, data: &forms_dnn::data::Dataset, batch_size: usize) -> f32 {
-        self.exec.evaluate(data, batch_size)
-    }
-
-    /// [`evaluate`](Self::evaluate) with each batch distributed over
-    /// `workers` threads.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch_size` or `workers` is zero.
-    pub fn evaluate_parallel(
-        &mut self,
-        data: &forms_dnn::data::Dataset,
-        batch_size: usize,
-        workers: usize,
-    ) -> f32 {
-        self.exec.evaluate_parallel(data, batch_size, workers)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use forms_dnn::{Layer, Network};
+    use forms_exec::Executor;
     use forms_rng::StdRng;
 
     fn small_config() -> IsaacConfig {
@@ -331,7 +184,7 @@ mod tests {
     #[test]
     fn unpolarized_network_runs_and_tracks_reference() {
         let net = small_net(4);
-        let mut isaac = IsaacAccelerator::map_network(&net, small_config()).unwrap();
+        let mut isaac = Executor::<IsaacLayer>::map_network(&net, &small_config()).unwrap();
         let x = Tensor::from_fn(&[2, 1, 8, 8], |i| (i % 7) as f32 / 8.0);
         let digital = net.clone().forward(&x);
         let analog = isaac.forward(&x);
@@ -344,7 +197,7 @@ mod tests {
     fn stats_reset() {
         let mut rng = StdRng::seed_from_u64(5);
         let net = Network::new(vec![Layer::flatten(), Layer::linear(&mut rng, 16, 2)]);
-        let mut isaac = IsaacAccelerator::map_network(&net, small_config()).unwrap();
+        let mut isaac = Executor::<IsaacLayer>::map_network(&net, &small_config()).unwrap();
         isaac.forward(&Tensor::ones(&[1, 1, 4, 4]));
         assert!(isaac.stats().cycles > 0);
         isaac.reset_stats();
@@ -369,7 +222,7 @@ mod tests {
             Layer::flatten(),
             Layer::linear(&mut rng, 2 * 4 * 4, 2),
         ]);
-        let mut isaac = IsaacAccelerator::map_network(&net, small_config()).unwrap();
+        let mut isaac = Executor::<IsaacLayer>::map_network(&net, &small_config()).unwrap();
         let x = Tensor::from_fn(&[1, 1, 4, 4], |i| i as f32 / 16.0);
         let digital = net.clone().forward(&x);
         let analog = isaac.forward(&x);
@@ -380,7 +233,7 @@ mod tests {
     #[test]
     fn layer_stats_partition_the_totals() {
         let net = small_net(7);
-        let mut isaac = IsaacAccelerator::map_network(&net, small_config()).unwrap();
+        let mut isaac = Executor::<IsaacLayer>::map_network(&net, &small_config()).unwrap();
         let x = Tensor::from_fn(&[2, 1, 8, 8], |i| (i % 5) as f32 / 8.0);
         isaac.forward(&x);
         let per_layer = isaac.layer_stats();
@@ -397,7 +250,7 @@ mod tests {
     #[test]
     fn layer_perfs_report_full_input_cycles() {
         let net = small_net(8);
-        let mut isaac = IsaacAccelerator::map_network(&net, small_config()).unwrap();
+        let mut isaac = Executor::<IsaacLayer>::map_network(&net, &small_config()).unwrap();
         let x = Tensor::from_fn(&[1, 1, 8, 8], |i| (i % 5) as f32 / 8.0);
         isaac.forward(&x);
         let perfs = isaac.layer_perfs(1);
@@ -410,7 +263,7 @@ mod tests {
     #[test]
     fn parallel_forward_matches_serial() {
         let net = small_net(9);
-        let mut serial = IsaacAccelerator::map_network(&net, small_config()).unwrap();
+        let mut serial = Executor::<IsaacLayer>::map_network(&net, &small_config()).unwrap();
         let mut parallel = serial.clone();
         let x = Tensor::from_fn(&[5, 1, 8, 8], |i| (i % 9) as f32 / 9.0);
         let ys = serial.forward(&x);
@@ -435,7 +288,7 @@ mod tests {
         };
         let (_, test) = spec.generate(&mut rng);
         let net = small_net(11);
-        let mut serial = IsaacAccelerator::map_network(&net, small_config()).unwrap();
+        let mut serial = Executor::<IsaacLayer>::map_network(&net, &small_config()).unwrap();
         let mut parallel = serial.clone();
         let a = serial.evaluate(&test, 4);
         let b = parallel.evaluate_parallel(&test, 4, 3);
@@ -453,8 +306,19 @@ mod tests {
                 l.set_weight_matrix(&z);
             }
         });
-        let err = IsaacAccelerator::map_network(&net, small_config()).unwrap_err();
+        let err = Executor::<IsaacLayer>::map_network(&net, &small_config()).unwrap_err();
         assert!(matches!(err, ExecError::AllZero));
+    }
+
+    /// `Executor::map_network` maps every layer with
+    /// `with_precision(config, precision_of(config))`, so that must give
+    /// the configuration back unchanged.
+    #[test]
+    fn precision_round_trip_is_identity() {
+        for config in [small_config(), IsaacConfig::paper()] {
+            let p = IsaacLayer::precision_of(&config);
+            assert_eq!(IsaacLayer::with_precision(&config, p), config);
+        }
     }
 
     #[test]

@@ -37,7 +37,7 @@ mod isaac;
 mod puma;
 mod split;
 
-pub use accelerator::{IsaacAccelerator, IsaacActivity, IsaacConfig};
+pub use accelerator::{IsaacActivity, IsaacConfig};
 pub use forms_exec::ExecError;
 pub use isaac::{IsaacLayer, IsaacScratch, IsaacStats};
 pub use puma::PumaModel;

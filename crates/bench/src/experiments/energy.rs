@@ -6,8 +6,8 @@
 //! experiment quantifies the saving on a real trained model's activations
 //! and compares the per-inference energy of FORMS and ISAAC executions.
 
-use forms_arch::{Accelerator, AcceleratorConfig, MappingConfig};
-use forms_baselines::{IsaacAccelerator, IsaacActivity, IsaacConfig};
+use forms_arch::{Executor, MappedLayer, MappingConfig};
+use forms_baselines::{IsaacActivity, IsaacConfig, IsaacLayer};
 use forms_hwmodel::{DynamicActivity, McuConfig};
 use forms_reram::CellSpec;
 
@@ -15,17 +15,14 @@ use crate::report::{f2, pct, Experiment};
 use crate::suite::{compress, train_baseline, CompressionRecipe, DatasetKind, ModelKind};
 use forms_admm::PolarizationPolicy;
 
-fn accel_config(fragment: usize, zero_skipping: bool) -> AcceleratorConfig {
-    AcceleratorConfig {
-        mapping: MappingConfig {
-            crossbar_dim: 32,
-            fragment_size: fragment,
-            weight_bits: 8,
-            cell: CellSpec::paper_2bit(),
-            input_bits: 16,
-            zero_skipping,
-        },
-        activation_bits: 16,
+fn mapping_config(fragment: usize, zero_skipping: bool) -> MappingConfig {
+    MappingConfig {
+        crossbar_dim: 32,
+        fragment_size: fragment,
+        weight_bits: 8,
+        cell: CellSpec::paper_2bit(),
+        input_bits: 16,
+        zero_skipping,
     }
 }
 
@@ -59,10 +56,11 @@ pub fn run() -> Experiment {
         ("FORMS (zero-skip off)", false),
     ] {
         let mut accel =
-            Accelerator::map_network(&compressed.net, accel_config(8, skip)).expect("maps");
+            Executor::<MappedLayer>::map_network(&compressed.net, &mapping_config(8, skip))
+                .expect("maps");
         accel.forward(&x);
         let stats = accel.stats();
-        let energy = stats.energy_pj(&accel.config().mapping, &McuConfig::forms(8)) * 1e-6;
+        let energy = stats.energy_pj(accel.engine_config(), &McuConfig::forms(8)) * 1e-6;
         rows.push((
             label.to_string(),
             stats.cycles,
@@ -78,7 +76,8 @@ pub fn run() -> Experiment {
             weight_bits: 8,
             input_bits: 16,
         };
-        let mut isaac = IsaacAccelerator::map_network(&compressed.net, isaac_cfg).expect("maps");
+        let mut isaac =
+            Executor::<IsaacLayer>::map_network(&compressed.net, &isaac_cfg).expect("maps");
         isaac.forward(&x);
         let stats = isaac.stats();
         let energy = IsaacActivity {

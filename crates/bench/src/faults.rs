@@ -306,7 +306,7 @@ where
 pub fn run(spec: &FaultsBenchSpec) -> FaultsBenchReport {
     let net = faults_network(spec);
     let inputs = sample_inputs(spec);
-    let forms = Executor::<MappedLayer>::map_network(&net, &spec.mapping, spec.mapping.input_bits)
+    let forms = Executor::<MappedLayer>::map_network(&net, &spec.mapping)
         .expect("bench layer maps on FORMS");
     let isaac_config = IsaacConfig {
         crossbar_dim: spec.mapping.crossbar_dim,
@@ -314,7 +314,7 @@ pub fn run(spec: &FaultsBenchSpec) -> FaultsBenchReport {
         weight_bits: spec.mapping.weight_bits,
         input_bits: spec.mapping.input_bits,
     };
-    let isaac = Executor::<IsaacLayer>::map_network(&net, &isaac_config, spec.mapping.input_bits)
+    let isaac = Executor::<IsaacLayer>::map_network(&net, &isaac_config)
         .expect("bench layer maps on ISAAC");
     FaultsBenchReport {
         spec: spec.clone(),
@@ -481,7 +481,7 @@ mod tests {
                 fragment_size,
                 ..spec.mapping
             };
-            let exec = Executor::<MappedLayer>::map_network(&net, &config, config.input_bits)
+            let exec = Executor::<MappedLayer>::map_network(&net, &config)
                 .expect("smoke layer maps on FORMS");
             accuracy_curve("FORMS", Some(fragment_size), &exec, &inputs, &spec)
         };

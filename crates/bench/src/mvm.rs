@@ -12,8 +12,8 @@
 //! [`crate::json::parse`] before exiting, so CI fails on malformed
 //! output.
 
-use forms_arch::{Accelerator, AcceleratorConfig, MappedLayer, MappingConfig, MvmScratch};
-use forms_baselines::{IsaacAccelerator, IsaacConfig, IsaacLayer, IsaacScratch};
+use forms_arch::{Executor, MappedLayer, MappingConfig, MvmScratch};
+use forms_baselines::{IsaacConfig, IsaacLayer, IsaacScratch};
 use forms_dnn::{Layer, Network, WeightLayerMut};
 use forms_reram::CellSpec;
 use forms_rng::{Rng, StdRng};
@@ -397,11 +397,8 @@ pub fn run(spec: &MvmBenchSpec) -> MvmBenchReport {
     // --- end-to-end images/s ----------------------------------------
     let (mut net, x) = bench_network(spec, &mut rng);
     polarize_network(&mut net, spec.mapping.fragment_size);
-    let acc_config = AcceleratorConfig {
-        mapping: spec.mapping,
-        activation_bits: spec.mapping.input_bits,
-    };
-    let mut forms_acc = Accelerator::map_network(&net, acc_config).expect("bench net maps");
+    let mut forms_acc =
+        Executor::<MappedLayer>::map_network(&net, &spec.mapping).expect("bench net maps");
     let isaac_config = IsaacConfig {
         crossbar_dim: spec.mapping.crossbar_dim,
         cell: spec.mapping.cell,
@@ -409,7 +406,7 @@ pub fn run(spec: &MvmBenchSpec) -> MvmBenchReport {
         input_bits: spec.mapping.input_bits,
     };
     let mut isaac_acc =
-        IsaacAccelerator::map_network(&net, isaac_config).expect("bench net maps on ISAAC");
+        Executor::<IsaacLayer>::map_network(&net, &isaac_config).expect("bench net maps on ISAAC");
 
     let mut images = Vec::new();
     let batch = spec.batch as f64;

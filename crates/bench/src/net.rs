@@ -662,12 +662,8 @@ fn storm_network(spec: &NetBenchSpec) -> Network {
 /// which must reach the client as wire statuses on the live connection.
 fn run_storm(spec: &NetBenchSpec) -> NetStormResult {
     let replicas = 2;
-    let pristine = Executor::<MappedLayer>::map_network(
-        &storm_network(spec),
-        &spec.mapping,
-        spec.mapping.input_bits,
-    )
-    .expect("storm layer maps on FORMS");
+    let pristine = Executor::<MappedLayer>::map_network(&storm_network(spec), &spec.mapping)
+        .expect("storm layer maps on FORMS");
     let request = vec![1.0f32; spec.rows];
     let clean = pristine
         .clone()
@@ -778,12 +774,8 @@ pub fn run(spec: &NetBenchSpec) -> NetBenchReport {
         inner: spec.mapping,
         latency: spec.device_latency,
     };
-    let forms = Executor::<PacedEngine<MappedLayer>>::map_network(
-        &net,
-        &forms_config,
-        spec.mapping.input_bits,
-    )
-    .expect("bench layer maps on FORMS");
+    let forms = Executor::<PacedEngine<MappedLayer>>::map_network(&net, &forms_config)
+        .expect("bench layer maps on FORMS");
     let isaac_config = PacedConfig {
         inner: IsaacConfig {
             crossbar_dim: spec.mapping.crossbar_dim,
@@ -793,12 +785,8 @@ pub fn run(spec: &NetBenchSpec) -> NetBenchReport {
         },
         latency: spec.device_latency,
     };
-    let isaac = Executor::<PacedEngine<IsaacLayer>>::map_network(
-        &net,
-        &isaac_config,
-        spec.mapping.input_bits,
-    )
-    .expect("bench layer maps on ISAAC");
+    let isaac = Executor::<PacedEngine<IsaacLayer>>::map_network(&net, &isaac_config)
+        .expect("bench layer maps on ISAAC");
 
     let mut points = sweep_design("FORMS", &forms, spec);
     points.extend(sweep_design("ISAAC", &isaac, spec));

@@ -21,11 +21,11 @@
 //! plan must spend strictly fewer input cycles per MVM than the uniform
 //! 16-bit-input plan.
 
-use forms_arch::{Accelerator, AcceleratorConfig, FormsActivity, MappingConfig};
-use forms_baselines::{IsaacAccelerator, IsaacActivity, IsaacConfig};
+use forms_arch::{FormsActivity, MappedLayer, MappingConfig};
+use forms_baselines::{IsaacActivity, IsaacConfig, IsaacLayer};
 use forms_dnn::data::SyntheticSpec;
 use forms_dnn::{evaluate, train_epoch, Layer, Network, Sgd};
-use forms_exec::{LayerPrecision, PrecisionPlan};
+use forms_exec::{Executor, LayerPrecision, PrecisionPlan};
 use forms_hwmodel::{per_layer_energy_pj, McuConfig};
 use forms_reram::{Adc, CellSpec};
 use forms_rng::StdRng;
@@ -319,7 +319,7 @@ fn derive_mixed_plan(
 
 /// Measures one mapped FORMS accelerator against the digital reference.
 fn measure_forms(
-    acc: &mut Accelerator,
+    acc: &mut Executor<MappedLayer>,
     plan_name: &'static str,
     x: &Tensor,
     digital: &Tensor,
@@ -361,7 +361,7 @@ fn measure_forms(
 
 /// Measures one mapped ISAAC accelerator against the digital reference.
 fn measure_isaac(
-    acc: &mut IsaacAccelerator,
+    acc: &mut Executor<IsaacLayer>,
     plan_name: &'static str,
     x: &Tensor,
     digital: &Tensor,
@@ -432,10 +432,6 @@ pub fn run(spec: &QuantBenchSpec) -> QuantBenchReport {
     });
     let digital = net.clone().forward(&x);
 
-    let acc_config = AcceleratorConfig {
-        mapping: spec.mapping,
-        activation_bits: spec.mapping.input_bits,
-    };
     let isaac_config = IsaacConfig {
         crossbar_dim: spec.mapping.crossbar_dim,
         cell: spec.mapping.cell,
@@ -445,7 +441,7 @@ pub fn run(spec: &QuantBenchSpec) -> QuantBenchReport {
 
     let mut results = Vec::with_capacity(4);
     for (plan_name, plan) in [("uniform", &uniform), ("mixed", &mixed)] {
-        let mut forms = Accelerator::with_plan(&net, acc_config, plan.clone())
+        let mut forms = Executor::<MappedLayer>::with_plan(&net, &spec.mapping, plan.clone())
             .expect("bench net maps on FORMS");
         results.push(measure_forms(
             &mut forms,
@@ -454,7 +450,7 @@ pub fn run(spec: &QuantBenchSpec) -> QuantBenchReport {
             &digital,
             &mut bencher,
         ));
-        let mut isaac = IsaacAccelerator::with_plan(&net, isaac_config, plan.clone())
+        let mut isaac = Executor::<IsaacLayer>::with_plan(&net, &isaac_config, plan.clone())
             .expect("bench net maps on ISAAC");
         results.push(measure_isaac(
             &mut isaac,

@@ -125,8 +125,8 @@ pub trait CrossbarEngine: Clone + Send + Sync + fmt::Debug + Sized {
     /// a [`PrecisionPlan`](crate::PrecisionPlan). Everything except the
     /// widths (crossbar dimension, cell spec, fragment size, …) must be
     /// preserved, and `with_precision(c, precision_of(c))` must be
-    /// equivalent to `c` so a uniform plan stays bitwise identical to the
-    /// global-bit-width path.
+    /// equivalent to `c`: `Executor::map_network` maps every layer that
+    /// way, so it must behave as mapping with `c` itself.
     fn with_precision(config: &Self::Config, precision: LayerPrecision) -> Self::Config;
 
     /// Device-health counters for this layer's mapped crossbars. The

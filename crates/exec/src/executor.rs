@@ -357,8 +357,7 @@ pub struct Executor<E: CrossbarEngine> {
     /// The per-layer precision assignment every layer was mapped under.
     plan: PrecisionPlan,
     /// The engine configuration each layer was actually mapped with —
-    /// `config` specialized by the plan (or a verbatim copy on the legacy
-    /// global-bit-width path).
+    /// `config` specialized by the plan.
     layer_configs: Vec<E::Config>,
     /// Activation quantization width per weight layer.
     layer_input_bits: Vec<u32>,
@@ -367,22 +366,16 @@ pub struct Executor<E: CrossbarEngine> {
 }
 
 impl<E: CrossbarEngine> Executor<E> {
-    /// Maps a network with identity row order.
-    ///
-    /// `activation_bits` is the quantization width applied to every
-    /// activation tensor entering the analog path (with a shared per-call
-    /// scale).
+    /// Maps a network with identity row order. Every layer maps with
+    /// `config` and quantizes its activations at the configuration's own
+    /// input width ([`CrossbarEngine::precision_of`]).
     ///
     /// # Errors
     ///
     /// Returns the first failing layer's [`ExecError`].
-    pub fn map_network(
-        net: &Network,
-        config: &E::Config,
-        activation_bits: u32,
-    ) -> Result<Self, ExecError> {
+    pub fn map_network(net: &Network, config: &E::Config) -> Result<Self, ExecError> {
         let count = net.weight_layer_count();
-        Self::with_permutations(net, config, activation_bits, vec![None; count])
+        Self::with_permutations(net, config, vec![None; count])
     }
 
     /// Maps a network whose weight layers were trained under per-layer row
@@ -403,16 +396,11 @@ impl<E: CrossbarEngine> Executor<E> {
     pub fn with_permutations(
         net: &Network,
         config: &E::Config,
-        activation_bits: u32,
         perms: Vec<Option<Vec<usize>>>,
     ) -> Result<Self, ExecError> {
-        // The legacy global-bit-width path: every layer maps with `config`
-        // verbatim (never re-specialized, so behaviour is bit-identical to
-        // the pre-plan executor even when `activation_bits` differs from
-        // the width baked into `config`) and quantizes activations at
-        // `activation_bits`.
-        let plan = PrecisionPlan::uniform(E::precision_of(config).weight_bits, activation_bits);
-        Self::construct(net, config, plan, perms, false)
+        let p = E::precision_of(config);
+        let plan = PrecisionPlan::uniform(p.weight_bits, p.input_bits);
+        Self::construct(net, config, plan, perms)
     }
 
     /// Maps a network under a per-layer [`PrecisionPlan`]: weight layer
@@ -420,8 +408,7 @@ impl<E: CrossbarEngine> Executor<E> {
     /// [`CrossbarEngine::with_precision`]) and its activations are
     /// quantized at `plan.layer(i).input_bits`. A
     /// [`uniform`](PrecisionPlan::uniform) plan at the configuration's own
-    /// widths is bitwise identical to
-    /// [`map_network`](Self::map_network).
+    /// widths is exactly [`map_network`](Self::map_network).
     ///
     /// # Errors
     ///
@@ -437,18 +424,16 @@ impl<E: CrossbarEngine> Executor<E> {
         plan: PrecisionPlan,
     ) -> Result<Self, ExecError> {
         let count = net.weight_layer_count();
-        Self::construct(net, config, plan, vec![None; count], true)
+        Self::construct(net, config, plan, vec![None; count])
     }
 
-    /// Shared constructor: maps every weight layer, specializing `config`
-    /// per layer from `plan` when `specialize` is set (the legacy
-    /// global-bit-width path keeps `config` verbatim instead).
+    /// Shared constructor: maps every weight layer `i` with `config`
+    /// specialized to `plan.layer(i)`.
     fn construct(
         net: &Network,
         config: &E::Config,
         plan: PrecisionPlan,
         perms: Vec<Option<Vec<usize>>>,
-        specialize: bool,
     ) -> Result<Self, ExecError> {
         let mut net = net.clone();
         let mut matrices = Vec::new();
@@ -465,13 +450,7 @@ impl<E: CrossbarEngine> Executor<E> {
         );
         plan.assert_covers(matrices.len());
         let layer_configs: Vec<E::Config> = (0..matrices.len())
-            .map(|i| {
-                if specialize {
-                    E::with_precision(config, plan.layer(i))
-                } else {
-                    config.clone()
-                }
-            })
+            .map(|i| E::with_precision(config, plan.layer(i)))
             .collect();
         let layer_input_bits: Vec<u32> = (0..matrices.len())
             .map(|i| plan.layer(i).input_bits)
@@ -509,8 +488,7 @@ impl<E: CrossbarEngine> Executor<E> {
     }
 
     /// The engine configuration each weight layer was actually mapped
-    /// with: the base configuration specialized by the plan (or verbatim
-    /// copies on the legacy global-bit-width path).
+    /// with: the base configuration specialized by the plan.
     pub fn layer_configs(&self) -> &[E::Config] {
         &self.layer_configs
     }
@@ -929,7 +907,7 @@ mod tests {
     #[test]
     fn digital_engine_tracks_network_reference() {
         let net = small_net(1);
-        let mut exec = Executor::<DigitalEngine>::map_network(&net, &16, 16).unwrap();
+        let mut exec = Executor::<DigitalEngine>::map_network(&net, &16).unwrap();
         let x = Tensor::from_fn(&[2, 1, 8, 8], |i| (i % 7) as f32 / 8.0);
         let digital = net.clone().forward(&x);
         let out = exec.forward(&x);
@@ -941,7 +919,7 @@ mod tests {
     #[test]
     fn parallel_matches_serial_and_merges_stats() {
         let net = small_net(2);
-        let mut serial = Executor::<DigitalEngine>::map_network(&net, &16, 16).unwrap();
+        let mut serial = Executor::<DigitalEngine>::map_network(&net, &16).unwrap();
         let mut parallel = serial.clone();
         let x = Tensor::from_fn(&[5, 1, 8, 8], |i| (i % 9) as f32 / 9.0);
         let ys = serial.forward(&x);
@@ -955,7 +933,7 @@ mod tests {
     #[test]
     fn work_stealing_parallel_is_bitwise_stable_across_worker_counts() {
         let net = small_net(23);
-        let serial = Executor::<DigitalEngine>::map_network(&net, &16, 16).unwrap();
+        let serial = Executor::<DigitalEngine>::map_network(&net, &16).unwrap();
         // Odd batch sizes exercise ragged steal tails.
         for n in [1usize, 5, 9] {
             let x = Tensor::from_fn(&[n, 1, 8, 8], |i| ((i * 7 + n) % 11) as f32 / 11.0);
@@ -975,7 +953,7 @@ mod tests {
     #[test]
     fn layer_wall_time_accumulates_and_resets() {
         let net = small_net(31);
-        let mut exec = Executor::<DigitalEngine>::map_network(&net, &16, 16).unwrap();
+        let mut exec = Executor::<DigitalEngine>::map_network(&net, &16).unwrap();
         assert_eq!(exec.layer_wall_ns(), &[0, 0]);
         let x = Tensor::from_fn(&[2, 1, 8, 8], |i| (i % 5) as f32 / 8.0);
         // Sessions profile independently of the executor.
@@ -999,7 +977,7 @@ mod tests {
     #[test]
     fn layer_registry_counts_mvms_per_layer() {
         let net = small_net(3);
-        let mut exec = Executor::<DigitalEngine>::map_network(&net, &16, 16).unwrap();
+        let mut exec = Executor::<DigitalEngine>::map_network(&net, &16).unwrap();
         let x = Tensor::from_fn(&[2, 1, 8, 8], |i| (i % 5) as f32 / 8.0);
         exec.forward(&x);
         // Conv: 64 positions per image; linear: 1 — both over 2 images.
@@ -1016,7 +994,7 @@ mod tests {
     #[test]
     fn session_matches_forward_and_reuses_buffers() {
         let net = small_net(8);
-        let exec = Executor::<DigitalEngine>::map_network(&net, &16, 16).unwrap();
+        let exec = Executor::<DigitalEngine>::map_network(&net, &16).unwrap();
         let mut reference = exec.clone();
         let mut session = exec.session();
         let mut out = Vec::new();
@@ -1041,7 +1019,7 @@ mod tests {
     #[test]
     fn concurrent_sessions_share_one_executor() {
         let net = small_net(9);
-        let exec = Executor::<DigitalEngine>::map_network(&net, &16, 16).unwrap();
+        let exec = Executor::<DigitalEngine>::map_network(&net, &16).unwrap();
         let x = Tensor::from_fn(&[1, 1, 8, 8], |i| (i % 5) as f32 / 5.0);
         let mut expected = Vec::new();
         exec.session().forward_batch_into(&x, &mut expected);
@@ -1061,7 +1039,7 @@ mod tests {
     #[test]
     fn uniform_plan_matches_legacy_map_network_bitwise() {
         let net = small_net(11);
-        let mut legacy = Executor::<DigitalEngine>::map_network(&net, &16, 16).unwrap();
+        let mut legacy = Executor::<DigitalEngine>::map_network(&net, &16).unwrap();
         let mut planned =
             Executor::<DigitalEngine>::with_plan(&net, &16, PrecisionPlan::uniform(32, 16))
                 .unwrap();
@@ -1106,7 +1084,7 @@ mod tests {
         // garbage codes: the degenerate zero-scale spec zeroes the layer
         // inputs, so outputs stay finite (biases only).
         let net = small_net(14);
-        let mut exec = Executor::<DigitalEngine>::map_network(&net, &16, 16).unwrap();
+        let mut exec = Executor::<DigitalEngine>::map_network(&net, &16).unwrap();
         for poison in [f32::NAN, f32::INFINITY] {
             let x = Tensor::from_fn(&[1, 1, 8, 8], |i| if i == 3 { poison } else { 0.5 });
             let y = exec.forward(&x);
@@ -1126,7 +1104,7 @@ mod tests {
                 l.set_weight_matrix(&Tensor::zeros(&[4, 2]));
             }
         });
-        let err = Executor::<DigitalEngine>::map_network(&net, &16, 16).unwrap_err();
+        let err = Executor::<DigitalEngine>::map_network(&net, &16).unwrap_err();
         assert_eq!(err, ExecError::AllZero);
     }
 
@@ -1141,7 +1119,6 @@ mod tests {
             let err = Executor::<DigitalEngine>::with_permutations(
                 &net,
                 &16,
-                16,
                 vec![Some(perm.clone()), None],
             )
             .unwrap_err();
@@ -1152,9 +1129,9 @@ mod tests {
         }
         let reversed: Vec<usize> = (0..9).rev().collect();
         let mut permuted =
-            Executor::<DigitalEngine>::with_permutations(&net, &16, 16, vec![Some(reversed), None])
+            Executor::<DigitalEngine>::with_permutations(&net, &16, vec![Some(reversed), None])
                 .unwrap();
-        let mut identity = Executor::<DigitalEngine>::map_network(&net, &16, 16).unwrap();
+        let mut identity = Executor::<DigitalEngine>::map_network(&net, &16).unwrap();
         let x = Tensor::from_fn(&[2, 1, 8, 8], |i| (i % 5) as f32 / 5.0);
         // Reordered rows sum in a different order, so compare to rounding.
         assert!(permuted.forward(&x).allclose(&identity.forward(&x), 1e-5));
@@ -1174,7 +1151,7 @@ mod tests {
         };
         let (_, test) = spec.generate(&mut rng);
         let net = small_net(6);
-        let mut a = Executor::<DigitalEngine>::map_network(&net, &16, 16).unwrap();
+        let mut a = Executor::<DigitalEngine>::map_network(&net, &16).unwrap();
         let mut b = a.clone();
         let serial = a.evaluate(&test, 4);
         let parallel = b.evaluate_parallel(&test, 4, 3);

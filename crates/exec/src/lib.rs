@@ -22,13 +22,16 @@
 //!   `forms-serve` hold one each.
 //! - [`PrecisionPlan`] / [`LayerPrecision`] — per-layer mixed-precision
 //!   quantization plans: the executor specializes its engine configuration
-//!   and activation quantization per weight layer from the plan, with
-//!   uniform plans bitwise identical to the global-bit-width path.
+//!   and activation quantization per weight layer from the plan; a
+//!   uniform plan at the configuration's own widths is exactly
+//!   `Executor::map_network`.
 //! - [`ExecError`] — the workspace-level mapping/execution error type.
 //!
-//! `forms_arch::Accelerator` (polarized FORMS engine) and
-//! `forms_baselines::IsaacAccelerator` (offset-encoded ISAAC engine) are
-//! thin wrappers over `Executor<MappedLayer>` / `Executor<IsaacLayer>`.
+//! A network is mapped and run one way: `Executor<forms_arch::MappedLayer>`
+//! for the polarized FORMS engine, `Executor<forms_baselines::IsaacLayer>`
+//! for the offset-encoded ISAAC engine. The activation width is the
+//! engine configuration's own input width, or per layer from a
+//! [`PrecisionPlan`].
 //!
 //! # Example
 //!

@@ -55,7 +55,7 @@
 //! #     }
 //! # });
 //! # let exec = Executor::<forms_arch::MappedLayer>::map_network(
-//! #     &net, &forms_arch::MappingConfig::paper(8), 16).unwrap();
+//! #     &net, &forms_arch::MappingConfig::paper(8)).unwrap();
 //! let ((), telemetry) = Server::builder()
 //!     .run_net(&exec, &[1, 4, 4], &NetConfig::default(), |net| {
 //!         let addr = net.addr();

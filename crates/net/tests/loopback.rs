@@ -43,7 +43,7 @@ fn mapping() -> MappingConfig {
 }
 
 fn executor() -> Executor<MappedLayer> {
-    Executor::map_network(&polarized_network(), &mapping(), 8).unwrap()
+    Executor::map_network(&polarized_network(), &mapping()).unwrap()
 }
 
 /// The same layer behind a modeled device latency, for tests that need
@@ -53,7 +53,7 @@ fn paced_executor(latency: Duration) -> Executor<PacedEngine<MappedLayer>> {
         inner: mapping(),
         latency,
     };
-    Executor::map_network(&polarized_network(), &config, 8).unwrap()
+    Executor::map_network(&polarized_network(), &config).unwrap()
 }
 
 fn sample(scale: f32) -> Vec<f32> {

@@ -314,7 +314,7 @@ mod tests {
             input_bits: 8,
             ..MappingConfig::paper(4)
         };
-        Executor::map_network(&net, &config, 8).unwrap()
+        Executor::map_network(&net, &config).unwrap()
     }
 
     fn heavy_stuck() -> FaultCampaign {

@@ -68,7 +68,7 @@
 //! #     }
 //! # });
 //! # let exec = Executor::<forms_arch::MappedLayer>::map_network(
-//! #     &net, &forms_arch::MappingConfig::paper(8), 16).unwrap();
+//! #     &net, &forms_arch::MappingConfig::paper(8)).unwrap();
 //! let config = ServeConfig { replicas: 2, ..ServeConfig::default() };
 //! let (result, telemetry) = Server::builder()
 //!     .config(config)

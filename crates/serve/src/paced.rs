@@ -224,6 +224,21 @@ mod tests {
         fn with_precision(_: &(), _: forms_exec::LayerPrecision) {}
     }
 
+    /// `Executor::map_network` maps every layer with
+    /// `with_precision(config, precision_of(config))`, so pacing must
+    /// forward the inner configuration and keep the latency.
+    #[test]
+    fn precision_round_trip_is_identity() {
+        type Paced = PacedEngine<forms_arch::MappedLayer>;
+        let config = PacedConfig {
+            inner: forms_arch::MappingConfig::paper(8),
+            latency: Duration::from_micros(7),
+        };
+        let back = Paced::with_precision(&config, Paced::precision_of(&config));
+        assert_eq!(back.inner, config.inner);
+        assert_eq!(back.latency, config.latency);
+    }
+
     #[test]
     fn sustained_rate_tracks_the_modeled_latency_without_drift() {
         let latency = Duration::from_micros(500);

@@ -26,7 +26,7 @@
 //! #     }
 //! # });
 //! # let exec = Executor::<forms_arch::MappedLayer>::map_network(
-//! #     &net, &forms_arch::MappingConfig::paper(8), 16).unwrap();
+//! #     &net, &forms_arch::MappingConfig::paper(8)).unwrap();
 //! let builder = Server::builder().config(ServeConfig {
 //!     replicas: 2,
 //!     ..ServeConfig::default()

@@ -201,7 +201,7 @@ fn payload(len: usize, seed: u64) -> Vec<f32> {
 #[test]
 fn served_outputs_match_direct_forward_bitwise() {
     let net = linear_net(24, 5, 1);
-    let exec = Executor::<DigitalEngine>::map_network(&net, &OK, 16).unwrap();
+    let exec = Executor::<DigitalEngine>::map_network(&net, &OK).unwrap();
     let mut reference = exec.clone();
     let config = ServeConfig {
         replicas: 2,
@@ -244,7 +244,6 @@ fn overload_sheds_instead_of_growing_the_queue() {
             inner: OK,
             latency: Duration::from_millis(5),
         },
-        16,
     )
     .unwrap();
     // One slow replica, a tiny queue, and a burst far beyond capacity.
@@ -295,7 +294,6 @@ fn expired_requests_are_rejected_not_executed() {
             inner: OK,
             latency: Duration::from_millis(20),
         },
-        16,
     )
     .unwrap();
     let config = ServeConfig {
@@ -332,7 +330,6 @@ fn cancellation_resolves_without_execution() {
             inner: OK,
             latency: Duration::from_millis(20),
         },
-        16,
     )
     .unwrap();
     let config = ServeConfig {
@@ -359,7 +356,7 @@ fn cancellation_resolves_without_execution() {
 #[test]
 fn bad_shape_is_refused_at_the_door() {
     let net = linear_net(8, 2, 5);
-    let exec = Executor::<DigitalEngine>::map_network(&net, &OK, 16).unwrap();
+    let exec = Executor::<DigitalEngine>::map_network(&net, &OK).unwrap();
     let ((), telemetry) = Server::builder().run(&exec, &[8], |handle| {
         let err = handle.submit(vec![0.0; 7]).unwrap_err();
         assert_eq!(
@@ -383,7 +380,6 @@ fn panicking_engine_fails_its_batch_and_service_drains() {
             // code, so every all-positive payload contains it.
             panic_on_code: Some((1 << 16) - 1),
         },
-        16,
     )
     .unwrap();
     let builder = Server::builder().config(ServeConfig {
@@ -435,7 +431,7 @@ fn panicking_engine_fails_its_batch_and_service_drains() {
 #[test]
 fn open_loop_load_generator_accounts_every_request() {
     let net = linear_net(16, 4, 7);
-    let exec = Executor::<DigitalEngine>::map_network(&net, &OK, 16).unwrap();
+    let exec = Executor::<DigitalEngine>::map_network(&net, &OK).unwrap();
     let config = ServeConfig {
         replicas: 2,
         queue_capacity: 32,
@@ -476,7 +472,6 @@ fn replicas_scale_throughput_with_paced_engines() {
             inner: OK,
             latency: Duration::from_millis(4),
         },
-        16,
     )
     .unwrap();
     // Saturating closed burst: wall clock is requests × 4 ms / replicas

@@ -129,7 +129,7 @@ fn payload(len: usize, seed: u64) -> Vec<f32> {
 #[test]
 fn stage_durations_telescope_exactly_for_every_completed_request() {
     let net = linear_net(24, 5, 11);
-    let exec = Executor::<DigitalEngine>::map_network(&net, &OK, 16).unwrap();
+    let exec = Executor::<DigitalEngine>::map_network(&net, &OK).unwrap();
     let config = ServeConfig {
         replicas: 3,
         queue_capacity: 128,
@@ -192,7 +192,6 @@ fn requests_that_never_execute_carry_no_execute_stage() {
             inner: OK,
             latency: Duration::from_millis(15),
         },
-        16,
     )
     .unwrap();
     let config = ServeConfig {
@@ -253,7 +252,6 @@ fn panicking_replica_flushes_partial_spans_as_terminal_events() {
             // code, so every all-positive payload contains it.
             panic_on_code: Some((1 << 16) - 1),
         },
-        16,
     )
     .unwrap();
     let config = ServeConfig {
@@ -297,7 +295,7 @@ fn panicking_replica_flushes_partial_spans_as_terminal_events() {
 #[test]
 fn zero_trace_capacities_disable_events_but_not_stage_histograms() {
     let net = linear_net(8, 2, 14);
-    let exec = Executor::<DigitalEngine>::map_network(&net, &OK, 16).unwrap();
+    let exec = Executor::<DigitalEngine>::map_network(&net, &OK).unwrap();
     let ((), telemetry) = Server::builder()
         .trace(TraceConfig {
             event_capacity: 0,

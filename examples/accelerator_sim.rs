@@ -8,7 +8,7 @@
 //! ```
 
 use forms::admm::{AdmmConfig, AdmmTrainer, LayerConstraints, PolarizationPolicy, PolarizeSpec};
-use forms::arch::{Accelerator, AcceleratorConfig, FpsModel, MappingConfig};
+use forms::arch::{Executor, FpsModel, MappedLayer, MappingConfig};
 use forms::dnn::data::SyntheticSpec;
 use forms::dnn::{evaluate, train_epoch, Layer, Network, Sgd};
 use forms::hwmodel::McuConfig;
@@ -70,18 +70,15 @@ fn main() {
         let mut trainer = AdmmTrainer::new(&mut net, constraints, config);
         trainer.train(&mut net, &mut train, &test, &mut rng);
 
-        let accel_config = AcceleratorConfig {
-            mapping: MappingConfig {
-                crossbar_dim: 16,
-                fragment_size: fragment,
-                weight_bits: 8,
-                cell: CellSpec::paper_2bit(),
-                input_bits: 12,
-                zero_skipping: true,
-            },
-            activation_bits: 12,
+        let mapping = MappingConfig {
+            crossbar_dim: 16,
+            fragment_size: fragment,
+            weight_bits: 8,
+            cell: CellSpec::paper_2bit(),
+            input_bits: 12,
+            zero_skipping: true,
         };
-        let mut accel = Accelerator::map_network(&net, accel_config).expect("maps");
+        let mut accel = Executor::<MappedLayer>::map_network(&net, &mapping).expect("maps");
         let acc = accel.evaluate_parallel(&test, 8, workers);
         let stats = accel.stats();
 
@@ -126,20 +123,22 @@ fn main() {
         },
     );
     trainer.train(&mut net, &mut train, &test, &mut rng);
-    let accel_config = AcceleratorConfig {
-        mapping: MappingConfig {
-            crossbar_dim: 16,
-            fragment_size: 8,
-            weight_bits: 8,
-            cell: CellSpec::paper_2bit(),
-            input_bits: 12,
-            zero_skipping: true,
-        },
-        activation_bits: 12,
+    let mapping = MappingConfig {
+        crossbar_dim: 16,
+        fragment_size: 8,
+        weight_bits: 8,
+        cell: CellSpec::paper_2bit(),
+        input_bits: 12,
+        zero_skipping: true,
     };
-    let mut accel = Accelerator::map_network(&net, accel_config).expect("maps");
+    let mut accel = Executor::<MappedLayer>::map_network(&net, &mapping).expect("maps");
     let clean = accel.evaluate_parallel(&test, 8, workers);
-    accel.apply_variation(&LogNormalVariation::paper(), &mut rng);
+    let variation = LogNormalVariation::paper();
+    for layer in accel.engines_mut() {
+        for xbar in layer.crossbars_mut() {
+            variation.apply(xbar, &mut rng);
+        }
+    }
     let noisy = accel.evaluate_parallel(&test, 8, workers);
     println!(
         "device variation σ=0.1: accuracy {:.1}% → {:.1}%",

@@ -7,22 +7,12 @@
 //! ```
 
 use forms::admm::{AdmmConfig, AdmmTrainer, LayerConstraints, PolarizationPolicy, PolarizeSpec};
-use forms::arch::{Accelerator, AcceleratorConfig, MappingConfig};
+use forms::arch::{Executor, MappedLayer, MappingConfig};
 use forms::dnn::data::SyntheticSpec;
 use forms::dnn::{train_epoch, Layer, Network, Sgd};
-use forms::exec::{FaultCampaign, FaultReport, FaultableEngine};
+use forms::exec::FaultCampaign;
 use forms::reram::{CellSpec, IrDropModel, LogNormalVariation};
 use forms::rng::StdRng;
-
-/// Applies one seeded campaign to every mapped layer of an accelerator,
-/// decorrelating layers by salt, and returns the merged fault report.
-fn inject(acc: &mut Accelerator, campaign: &FaultCampaign) -> FaultReport {
-    let mut report = FaultReport::default();
-    for (i, layer) in acc.mapped_layers_mut().iter_mut().enumerate() {
-        report.merge(&layer.inject_faults(campaign, i as u64));
-    }
-    report
-}
 
 fn main() {
     let mut rng = StdRng::seed_from_u64(13);
@@ -68,18 +58,15 @@ fn main() {
     );
     trainer.train(&mut net, &mut train, &test, &mut rng);
 
-    let config = AcceleratorConfig {
-        mapping: MappingConfig {
-            crossbar_dim: 16,
-            fragment_size: 4,
-            weight_bits: 8,
-            cell: CellSpec::paper_2bit(),
-            input_bits: 12,
-            zero_skipping: true,
-        },
-        activation_bits: 12,
+    let config = MappingConfig {
+        crossbar_dim: 16,
+        fragment_size: 4,
+        weight_bits: 8,
+        cell: CellSpec::paper_2bit(),
+        input_bits: 12,
+        zero_skipping: true,
     };
-    let clean = Accelerator::map_network(&net, config).expect("polarized model maps");
+    let clean = Executor::<MappedLayer>::map_network(&net, &config).expect("polarized model maps");
     let baseline = clean.clone().evaluate(&test, 8);
     println!("clean mixed-signal accuracy: {:.1}%", 100.0 * baseline);
     println!();
@@ -88,7 +75,12 @@ fn main() {
     // 1. Log-normal device variation at increasing sigma.
     for sigma in [0.05, 0.1, 0.3] {
         let mut acc = clean.clone();
-        acc.apply_variation(&LogNormalVariation::new(0.0, sigma), &mut rng);
+        let variation = LogNormalVariation::new(0.0, sigma);
+        for layer in acc.engines_mut() {
+            for xbar in layer.crossbars_mut() {
+                variation.apply(xbar, &mut rng);
+            }
+        }
         println!(
             "variation σ={sigma:<4}               | {:7.1}%",
             100.0 * acc.evaluate(&test, 8)
@@ -101,7 +93,7 @@ fn main() {
     for rate in [0.001, 0.01, 0.05] {
         for (label, low, high) in [("low ", rate, 0.0), ("high", 0.0, rate)] {
             let mut acc = clean.clone();
-            let report = inject(&mut acc, &FaultCampaign::stuck_at(21, low, high));
+            let report = acc.inject_faults(&FaultCampaign::stuck_at(21, low, high), 0);
             println!(
                 "stuck-at-{label} rate {rate:<5} ({:4} cells) | {:7.1}%",
                 report.stuck(),
@@ -113,7 +105,7 @@ fn main() {
     // 3. Conductance drift as a campaign, for the same replayability.
     for sigma in [0.05, 0.2] {
         let mut acc = clean.clone();
-        let report = inject(&mut acc, &FaultCampaign::drift(34, sigma));
+        let report = acc.inject_faults(&FaultCampaign::drift(34, sigma), 0);
         println!(
             "drift campaign σ={sigma:<4} ({:4} cells) | {:7.1}%",
             report.drifted,

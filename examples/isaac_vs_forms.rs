@@ -7,8 +7,8 @@
 //! ```
 
 use forms::admm::{AdmmConfig, AdmmTrainer, LayerConstraints, PolarizationPolicy, PolarizeSpec};
-use forms::arch::{Accelerator, AcceleratorConfig, MappingConfig};
-use forms::baselines::{IsaacAccelerator, IsaacConfig};
+use forms::arch::{Executor, MappedLayer, MappingConfig};
+use forms::baselines::{IsaacConfig, IsaacLayer};
 use forms::dnn::data::SyntheticSpec;
 use forms::dnn::{evaluate, train_epoch, Layer, Network, Sgd};
 use forms::reram::CellSpec;
@@ -47,7 +47,8 @@ fn main() {
         weight_bits: 8,
         input_bits: 12,
     };
-    let mut isaac = IsaacAccelerator::map_network(&net, isaac_cfg).expect("any trained model maps");
+    let mut isaac =
+        Executor::<IsaacLayer>::map_network(&net, &isaac_cfg).expect("any trained model maps");
     let isaac_acc = isaac.evaluate(&test, 8);
     let istats = isaac.stats();
 
@@ -72,18 +73,16 @@ fn main() {
         },
     );
     trainer.train(&mut net, &mut train, &test, &mut rng);
-    let forms_cfg = AcceleratorConfig {
-        mapping: MappingConfig {
-            crossbar_dim: 16,
-            fragment_size: 4,
-            weight_bits: 8,
-            cell: CellSpec::paper_2bit(),
-            input_bits: 12,
-            zero_skipping: true,
-        },
-        activation_bits: 12,
+    let forms_cfg = MappingConfig {
+        crossbar_dim: 16,
+        fragment_size: 4,
+        weight_bits: 8,
+        cell: CellSpec::paper_2bit(),
+        input_bits: 12,
+        zero_skipping: true,
     };
-    let mut forms = Accelerator::map_network(&net, forms_cfg).expect("polarized model maps");
+    let mut forms =
+        Executor::<MappedLayer>::map_network(&net, &forms_cfg).expect("polarized model maps");
     let forms_acc = forms.evaluate(&test, 8);
     let fstats = forms.stats();
 
@@ -110,11 +109,7 @@ fn main() {
     println!(
         "sign-indicator bits  | {:9} | {:9}",
         0,
-        forms
-            .mapped_layers()
-            .iter()
-            .map(|l| l.sign_bits())
-            .sum::<usize>()
+        forms.engines().iter().map(|l| l.sign_bits()).sum::<usize>()
     );
     println!(
         "cycles saved by skip | {:>9} | {:8.1}%",

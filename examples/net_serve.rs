@@ -31,7 +31,7 @@ fn main() {
             l.set_weight_matrix(&matrix);
         }
     });
-    let exec = Executor::<MappedLayer>::map_network(&net, &MappingConfig::paper(8), 16)
+    let exec = Executor::<MappedLayer>::map_network(&net, &MappingConfig::paper(8))
         .expect("polarized model maps");
 
     // The builder holds the serving core's sizing; `NetConfig` holds the

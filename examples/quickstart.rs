@@ -6,7 +6,7 @@
 //! ```
 
 use forms::admm::{AdmmConfig, AdmmTrainer, LayerConstraints, PolarizationPolicy, PolarizeSpec};
-use forms::arch::{Accelerator, AcceleratorConfig, MappingConfig};
+use forms::arch::{Executor, MappedLayer, MappingConfig};
 use forms::dnn::data::SyntheticSpec;
 use forms::dnn::{evaluate, train_epoch, Layer, Network, Sgd};
 use forms::reram::CellSpec;
@@ -65,18 +65,16 @@ fn main() {
     );
 
     // 4. Map onto polarized crossbars and run the analog path.
-    let config = AcceleratorConfig {
-        mapping: MappingConfig {
-            crossbar_dim: 16,
-            fragment_size: 4,
-            weight_bits: 8,
-            cell: CellSpec::paper_2bit(),
-            input_bits: 12,
-            zero_skipping: true,
-        },
-        activation_bits: 12,
+    let config = MappingConfig {
+        crossbar_dim: 16,
+        fragment_size: 4,
+        weight_bits: 8,
+        cell: CellSpec::paper_2bit(),
+        input_bits: 12,
+        zero_skipping: true,
     };
-    let mut accel = Accelerator::map_network(&net, config).expect("polarized model maps");
+    let mut accel =
+        Executor::<MappedLayer>::map_network(&net, &config).expect("polarized model maps");
     let analog_acc = accel.evaluate(&test, 8);
     let stats = accel.stats();
     println!(

@@ -11,7 +11,9 @@
 //! - [`tensor`] — dense tensors, fixed-point formats, conv lowering
 //! - [`dnn`] — layers, backprop, SGD, model zoo, synthetic datasets
 //! - [`admm`] — ADMM-regularized pruning / polarization / quantization
-//! - [`exec`] — the shared crossbar execution core (engine trait + executor)
+//! - [`exec`] — the shared crossbar execution core (engine trait +
+//!   executor); `exec::Executor<arch::MappedLayer>` and
+//!   `exec::Executor<baselines::IsaacLayer>` map and run whole networks
 //! - [`reram`] — behavioural ReRAM crossbar and converter simulation
 //! - [`arch`] — the FORMS accelerator (mapping, zero-skipping, pipeline)
 //! - [`baselines`] — ISAAC / PUMA / DaDianNao comparators

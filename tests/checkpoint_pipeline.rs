@@ -6,7 +6,7 @@ use forms::admm::{
     polarization_violations, AdmmConfig, AdmmTrainer, LayerConstraints, PolarizationPolicy,
     PolarizeSpec, QuantSpec,
 };
-use forms::arch::{Accelerator, AcceleratorConfig, MappingConfig};
+use forms::arch::{Executor, MappedLayer, MappingConfig};
 use forms::dnn::{checkpoint, Layer, Network, WeightLayerMut};
 use forms::reram::CellSpec;
 use forms::rng::StdRng;
@@ -23,17 +23,14 @@ fn build_net(seed: u64) -> Network {
     ])
 }
 
-fn config() -> AcceleratorConfig {
-    AcceleratorConfig {
-        mapping: MappingConfig {
-            crossbar_dim: 16,
-            fragment_size: 4,
-            weight_bits: 8,
-            cell: CellSpec::paper_2bit(),
-            input_bits: 12,
-            zero_skipping: true,
-        },
-        activation_bits: 12,
+fn config() -> MappingConfig {
+    MappingConfig {
+        crossbar_dim: 16,
+        fragment_size: 4,
+        weight_bits: 8,
+        cell: CellSpec::paper_2bit(),
+        input_bits: 12,
+        zero_skipping: true,
     }
 }
 
@@ -69,8 +66,8 @@ fn compressed_model_round_trips_through_checkpoint() {
     });
 
     // … and both copies map to bit-identical accelerators.
-    let mut a = Accelerator::map_network(&net, config()).expect("original maps");
-    let mut b = Accelerator::map_network(&restored, config()).expect("restored maps");
+    let mut a = Executor::<MappedLayer>::map_network(&net, &config()).expect("original maps");
+    let mut b = Executor::<MappedLayer>::map_network(&restored, &config()).expect("restored maps");
     let x = Tensor::from_fn(&[1, 1, 8, 8], |i| (i % 5) as f32 / 8.0);
     assert_eq!(a.forward(&x), b.forward(&x));
     assert_eq!(a.total_crossbars(), b.total_crossbars());

@@ -254,8 +254,7 @@ where
 #[test]
 fn forms_parallel_forward_is_bitwise_deterministic() {
     let net = pruned_polarized_net();
-    let exec =
-        Executor::<MappedLayer>::map_network(&net, &forms_config(), 8).expect("maps on FORMS");
+    let exec = Executor::<MappedLayer>::map_network(&net, &forms_config()).expect("maps on FORMS");
     assert!(
         exec.total_crossbars() > 4,
         "the regression must cover a multi-crossbar mapping, got {}",
@@ -268,8 +267,7 @@ fn forms_parallel_forward_is_bitwise_deterministic() {
 #[test]
 fn isaac_parallel_forward_is_bitwise_deterministic() {
     let net = pruned_polarized_net();
-    let exec =
-        Executor::<IsaacLayer>::map_network(&net, &isaac_config(), 8).expect("maps on ISAAC");
+    let exec = Executor::<IsaacLayer>::map_network(&net, &isaac_config()).expect("maps on ISAAC");
     assert!(exec.total_crossbars() > 4);
     let perms = vec![None; exec.engines().len()];
     assert_matches_per_sample(&exec, &net, &perms, "ISAAC");
@@ -280,11 +278,11 @@ fn permuted_rows_are_bitwise_deterministic() {
     // Reversed rows cross every fragment boundary, so FORMS maps this
     // network only through the permutation it was polarized under.
     let (net, perms) = polarized_under(|rows| (0..rows).rev().collect());
-    assert!(Executor::<MappedLayer>::map_network(&net, &forms_config(), 8).is_err());
-    let forms = Executor::<MappedLayer>::with_permutations(&net, &forms_config(), 8, perms.clone())
+    assert!(Executor::<MappedLayer>::map_network(&net, &forms_config()).is_err());
+    let forms = Executor::<MappedLayer>::with_permutations(&net, &forms_config(), perms.clone())
         .expect("maps on FORMS under its row order");
     assert_matches_per_sample(&forms, &net, &perms, "FORMS(permuted)");
-    let isaac = Executor::<IsaacLayer>::with_permutations(&net, &isaac_config(), 8, perms.clone())
+    let isaac = Executor::<IsaacLayer>::with_permutations(&net, &isaac_config(), perms.clone())
         .expect("maps on ISAAC");
     assert_matches_per_sample(&isaac, &net, &perms, "ISAAC(permuted)");
 }
@@ -295,9 +293,9 @@ fn faulted_engines_are_bitwise_deterministic() {
     // trip the output sentinels; both must still agree column for column.
     let net = pruned_polarized_net();
     let campaign = FaultCampaign::stuck_at(3, 0.0, 0.9);
-    let mut forms = Executor::<MappedLayer>::map_network(&net, &forms_config(), 8).unwrap();
+    let mut forms = Executor::<MappedLayer>::map_network(&net, &forms_config()).unwrap();
     forms.inject_faults(&campaign, 1);
-    let mut isaac = Executor::<IsaacLayer>::map_network(&net, &isaac_config(), 8).unwrap();
+    let mut isaac = Executor::<IsaacLayer>::map_network(&net, &isaac_config()).unwrap();
     isaac.inject_faults(&campaign, 1);
     let perms = vec![None; forms.engines().len()];
     let trips = assert_matches_per_sample(&forms, &net, &perms, "FORMS(faulted)")
@@ -344,14 +342,14 @@ fn uniform_plan_is_bitwise_identical_to_legacy_mapping() {
     let x = &batches()[1];
 
     let fconfig = forms_config();
-    let mut legacy = Executor::<MappedLayer>::map_network(&net, &fconfig, 8).unwrap();
+    let mut legacy = Executor::<MappedLayer>::map_network(&net, &fconfig).unwrap();
     let mut planned =
         Executor::<MappedLayer>::with_plan(&net, &fconfig, PrecisionPlan::uniform(8, 8)).unwrap();
     assert_eq!(legacy.forward(x).data(), planned.forward(x).data());
     assert_eq!(legacy.stats(), planned.stats(), "FORMS stats diverge");
 
     let iconfig = isaac_config();
-    let mut legacy = Executor::<IsaacLayer>::map_network(&net, &iconfig, 8).unwrap();
+    let mut legacy = Executor::<IsaacLayer>::map_network(&net, &iconfig).unwrap();
     let mut planned =
         Executor::<IsaacLayer>::with_plan(&net, &iconfig, PrecisionPlan::uniform(8, 8)).unwrap();
     assert_eq!(legacy.forward(x).data(), planned.forward(x).data());

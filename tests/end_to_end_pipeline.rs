@@ -5,24 +5,21 @@ use forms::admm::{
     AdmmConfig, AdmmTrainer, LayerConstraints, PolarizationPolicy, PolarizeSpec, PruneSpec,
     QuantSpec,
 };
-use forms::arch::{Accelerator, AcceleratorConfig, MappingConfig};
+use forms::arch::{Executor, MappedLayer, MappingConfig};
 use forms::dnn::data::SyntheticSpec;
 use forms::dnn::{evaluate, train_epoch, Network, Sgd};
 use forms::exec::ExecError;
 use forms::reram::CellSpec;
 use forms::rng::StdRng;
 
-fn small_accel_config(fragment: usize) -> AcceleratorConfig {
-    AcceleratorConfig {
-        mapping: MappingConfig {
-            crossbar_dim: 16,
-            fragment_size: fragment,
-            weight_bits: 8,
-            cell: CellSpec::paper_2bit(),
-            input_bits: 12,
-            zero_skipping: true,
-        },
-        activation_bits: 12,
+fn small_mapping(fragment: usize) -> MappingConfig {
+    MappingConfig {
+        crossbar_dim: 16,
+        fragment_size: fragment,
+        weight_bits: 8,
+        cell: CellSpec::paper_2bit(),
+        input_bits: 12,
+        zero_skipping: true,
     }
 }
 
@@ -60,7 +57,7 @@ fn admm_to_accelerator_pipeline() {
 
     // An unpolarized net must be rejected by the mapper.
     assert!(matches!(
-        Accelerator::map_network(&net, small_accel_config(4)),
+        Executor::<MappedLayer>::map_network(&net, &small_mapping(4)),
         Err(ExecError::NotPolarized { .. })
     ));
 
@@ -93,8 +90,8 @@ fn admm_to_accelerator_pipeline() {
     );
 
     // Map and run through the analog path.
-    let mut accel =
-        Accelerator::map_network(&net, small_accel_config(4)).expect("polarized net must map");
+    let mut accel = Executor::<MappedLayer>::map_network(&net, &small_mapping(4))
+        .expect("polarized net must map");
     let analog_acc = accel.evaluate(&test, 8);
     assert!(
         (analog_acc - report.test_accuracy).abs() <= 0.15,
@@ -149,7 +146,7 @@ fn fragment_sizes_all_map() {
         let mut t = AdmmTrainer::new(&mut net.clone(), cs, AdmmConfig::default());
         let mut n = net.clone();
         t.finalize(&mut n);
-        let accel = Accelerator::map_network(&n, small_accel_config(fragment))
+        let accel = Executor::<MappedLayer>::map_network(&n, &small_mapping(fragment))
             .expect("re-polarized net must map");
         assert!(accel.total_crossbars() > 0);
     }

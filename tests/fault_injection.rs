@@ -97,7 +97,7 @@ fn mapped_executor(weights: &Tensor) -> Executor<MappedLayer> {
             l.set_weight_matrix(weights);
         }
     });
-    Executor::map_network(&net, &config(), 8).unwrap()
+    Executor::map_network(&net, &config()).unwrap()
 }
 
 #[test]
