@@ -9,8 +9,8 @@
 
 use forms_exec::{CrossbarEngine, EngineHealth, ExecError, FaultableEngine, Merge};
 use forms_reram::{
-    for_each_set_bit, pack_tile_bit_planes, plane_is_zero, Adc, BitSlicer, CellSpec, Crossbar,
-    CurrentNoise, FaultCampaign, FaultReport,
+    for_each_set_bit, pack_tile_bit_planes, partial_sums_fit_i32, Adc, BitSlicer, CellSpec,
+    Crossbar, CurrentNoise, FaultCampaign, FaultReport, IntWindows, PartialSum,
 };
 use forms_rng::Rng;
 use forms_tensor::Tensor;
@@ -154,12 +154,13 @@ impl forms_hwmodel::DynamicActivity for FormsActivity {
 /// Each fragment's weight window is rebuilt once per tile and swept over
 /// all of the tile's samples, so the tile size trades window-build
 /// amortization against working-set residency. At the paper's full shape
-/// (fragment 8, 128 weight columns) the integer fast path holds an 8×128
-/// window of signed `i64` weight codes (8 KiB: each weight's four 2-bit
-/// cell slices folded back into its code and negated by the fragment's
-/// sign indicator), 32 packed plane sets (4 KiB at 16 planes) and 32×128
-/// `i64` accumulators (32 KiB) — around 44 KiB, inside L2 — while paying
-/// each window build only once per 32 samples.
+/// (fragment 8, 128 weight columns, 16-bit inputs) the integer fast path
+/// holds an 8×128 window of `i32` weight-code magnitudes (4 KiB: each
+/// weight's four 2-bit cell slices folded back into its code), one
+/// sample's 128 `i32` fragment partial sums (512 B), 32 packed plane sets
+/// (4 KiB at 16 planes) and 32×128 `i64` accumulators (32 KiB) — around
+/// 41 KiB, inside L2 — while paying each window build only once per 32
+/// samples.
 pub const MATMUL_TILE: usize = 32;
 
 /// Reusable working memory of one [`MappedLayer`] MVM.
@@ -177,7 +178,8 @@ pub struct MvmScratch {
     /// column.
     slice_acc: Vec<u64>,
     /// Signed digital accumulators, one per (tile sample, compact weight
-    /// column).
+    /// column). The integer fast path widens each (fragment, sample) row
+    /// of partial sums into them once, applying the fragment's sign.
     accs: Vec<i64>,
     /// f64 path: dequantized cell values of the current fragment window,
     /// row-major over all mapped cell columns — the division by the
@@ -190,21 +192,10 @@ pub struct MvmScratch {
     tile_eic: Vec<u32>,
     /// Packed bit planes of the whole tile (see [`pack_tile_bit_planes`]).
     tile_planes: Vec<u64>,
-    /// Integer fast path: integer cell codes of one window row (see
-    /// [`Crossbar::integral_dequant_codes`]).
-    icell: Vec<u16>,
-    /// Integer fast path: signed weight codes of the fragment window,
-    /// row-major over the compact weight columns.
-    wcodes: Vec<i64>,
-}
-
-/// Adds one active window row of signed weight codes, weighted by its
-/// bit plane `2^cycle`, into one sample's digital accumulators.
-#[inline]
-fn add_row_shifted(accs: &mut [i64], wcodes: &[i64], cycle: usize) {
-    for (acc, &w) in accs.iter_mut().zip(wcodes) {
-        *acc += w << cycle;
-    }
+    /// Integer fast path: the fragment's weight-code magnitudes and one
+    /// sample's fragment partial sums, at the layer's partial-sum width
+    /// (`i32` or `i64`, see [`IntWindow`](forms_reram::IntWindow)).
+    windows: IntWindows,
 }
 
 /// Accumulates one active window row into the f64 column currents.
@@ -234,9 +225,14 @@ pub struct MappedLayer {
     orig_cols: usize,
     /// Weight quantization step (value of magnitude code 1).
     step: f32,
-    /// Sign per (compact column, fragment): `true` = positive.
+    /// Sign per (fragment, compact column), fragment-major: `true` =
+    /// positive.
     signs: Vec<bool>,
     fragments_per_col: usize,
+    /// Whether one fragment's worst-case partial sum fits an `i32`, so the
+    /// integer fast path sums fragments in `i32` (see
+    /// [`partial_sums_fit_i32`]).
+    i32_sums: bool,
     /// Physical crossbar grid, row-major `[xb_rows × xb_cols]`.
     crossbars: Vec<Crossbar>,
     xb_cols: usize,
@@ -310,11 +306,12 @@ impl MappedLayer {
                 reason: "worst-case column accumulation overflows the i64 accumulators",
             });
         }
+        let i32_sums = partial_sums_fit_i32(m, max_stored_code, max_input_code);
 
         // Polarization check + sign extraction on the compact matrix.
-        let mut signs = Vec::with_capacity(compact_cols * fragments_per_col);
+        let mut signs = vec![true; fragments_per_col * compact_cols];
         let mut violations = 0usize;
-        for &c in &col_index {
+        for (ci, &c) in col_index.iter().enumerate() {
             for frag in 0..fragments_per_col {
                 let lo = frag * m;
                 let hi = (lo + m).min(compact_rows);
@@ -327,7 +324,7 @@ impl MappedLayer {
                     .iter()
                     .filter(|&&v| if positive { v < 0.0 } else { v > 0.0 })
                     .count();
-                signs.push(positive);
+                signs[frag * compact_cols + ci] = positive;
             }
         }
         if violations > 0 {
@@ -390,6 +387,7 @@ impl MappedLayer {
             step,
             signs,
             fragments_per_col,
+            i32_sums,
             crossbars,
             xb_cols,
             adc,
@@ -457,7 +455,7 @@ impl MappedLayer {
                 }
                 let code = self.slicer.recombine(&slices);
                 let frag = ri / self.config.fragment_size;
-                let sign = if self.signs[ci * self.fragments_per_col + frag] {
+                let sign = if self.signs[frag * self.col_index.len() + ci] {
                     1.0
                 } else {
                     -1.0
@@ -552,18 +550,37 @@ impl MappedLayer {
     /// weight window is materialized once per tile and swept over every
     /// sample. Pristine arrays additionally take an integer fast path (see
     /// [`integer_matmul_path`](Self::integer_matmul_path)) that folds each
-    /// weight's cell slices and its fragment's sign into one signed code,
-    /// adds `±code << plane` per set input bit straight into the output
-    /// accumulators and skips planes whose packed input bits are all
-    /// zero; drifted arrays fall back to an f64 path that preserves the
-    /// reference kernel's ascending-row summation order, keeping results
-    /// bitwise identical either way.
+    /// weight's cell slices back into its code magnitude, sums `code <<
+    /// plane` per set input bit into one row of fragment partial sums per
+    /// sample, skipping planes whose packed input bits are all zero, and
+    /// widens that row into the sample's `i64` accumulators once,
+    /// applying the fragment's sign as the sign indicator does. The row is
+    /// summed in `i32` when one fragment's worst case fits (decided at map
+    /// time), in `i64` otherwise. Drifted arrays fall back to an f64 path
+    /// that preserves the reference kernel's ascending-row summation
+    /// order, keeping results bitwise identical either way.
     ///
     /// # Panics
     ///
     /// Panics if the buffer lengths are inconsistent with `scales.len()`
     /// or any input code exceeds `input_bits`.
     pub fn matmul_into(
+        &self,
+        batch_codes: &[u32],
+        scales: &[f32],
+        scratch: &mut MvmScratch,
+        outs: &mut [f32],
+    ) -> MvmStats {
+        if self.i32_sums {
+            self.matmul_tiles::<i32>(batch_codes, scales, scratch, outs)
+        } else {
+            self.matmul_tiles::<i64>(batch_codes, scales, scratch, outs)
+        }
+    }
+
+    /// [`matmul_into`](Self::matmul_into) with fragment partial sums of
+    /// type `T`.
+    fn matmul_tiles<T: PartialSum>(
         &self,
         batch_codes: &[u32],
         scales: &[f32],
@@ -647,65 +664,43 @@ impl MappedLayer {
                 );
                 let stride = max_planes as usize * words;
                 let (xr, row_lo) = (lo / dim, lo % dim);
+                let signs = &self.signs[frag * ncols..][..ncols];
 
                 if fast {
                     let MvmScratch {
                         tile_eic,
                         tile_planes,
-                        icell,
-                        wcodes,
+                        windows,
                         accs,
                         ..
                     } = scratch;
-                    // Signed weight-code window, once per (fragment,
-                    // tile). Lossless conversion is the identity and
-                    // shift-&-add is linear, so each weight's cell slices
-                    // fold back into its code and the sign indicator into
-                    // its sign: every set input bit then adds `±code <<
-                    // cycle` straight into the sample's accumulators.
-                    wcodes.clear();
-                    wcodes.resize(frag_rows * ncols, 0);
-                    icell.resize(cell_cols, 0);
-                    for r in 0..frag_rows {
-                        for xc in 0..self.xb_cols {
-                            let col_lo = xc * dim;
-                            if col_lo >= cell_cols {
-                                break;
-                            }
-                            let col_hi = (col_lo + dim).min(cell_cols);
-                            self.crossbars[xr * self.xb_cols + xc]
-                                .integral_row_into(row_lo + r, &mut icell[col_lo..col_hi]);
-                        }
-                        let row = &mut wcodes[r * ncols..(r + 1) * ncols];
-                        for ((ci, w), slices) in
-                            row.iter_mut().enumerate().zip(icell.chunks_exact(cpw))
-                        {
-                            let code = slices
-                                .iter()
-                                .fold(0i64, |code, &s| (code << cell_bits) + i64::from(s));
-                            let positive = self.signs[ci * self.fragments_per_col + frag];
-                            *w = if positive { code } else { -code };
-                        }
-                    }
+                    // Weight-code window, once per (fragment, tile).
+                    // Lossless conversion is the identity and shift-&-add
+                    // is linear, so each weight's cell slices fold back
+                    // into its code and a fragment's result is its row of
+                    // `Σ code × input` partial sums.
+                    let window = T::window(windows);
+                    window.load(
+                        &self.crossbars[xr * self.xb_cols..][..self.xb_cols],
+                        row_lo,
+                        frag_rows,
+                        ncols,
+                        cpw,
+                        cell_bits,
+                    );
                     for (si, &eic) in tile_eic.iter().enumerate() {
                         if eic == 0 {
                             continue;
                         }
-                        let sample_accs = &mut accs[si * ncols..][..ncols];
                         let planes = &tile_planes[si * stride..][..eic as usize * words];
-                        for (cycle, plane) in planes.chunks_exact(words).enumerate() {
-                            if plane_is_zero(plane) {
-                                continue;
-                            }
-                            for_each_set_bit(plane, |i| {
-                                if i < frag_rows {
-                                    add_row_shifted(
-                                        sample_accs,
-                                        &wcodes[i * ncols..(i + 1) * ncols],
-                                        cycle,
-                                    );
-                                }
-                            });
+                        let sums = window.sum_planes(planes, words);
+                        // The sign indicator steers the one add/subtract
+                        // per column into the digital accumulators.
+                        let sample_accs = &mut accs[si * ncols..][..ncols];
+                        for ((acc, &sum), &positive) in sample_accs.iter_mut().zip(sums).zip(signs)
+                        {
+                            let sum: i64 = sum.into();
+                            *acc += if positive { sum } else { -sum };
                         }
                         // Lossless conversion is the identity, so the
                         // conversions are counted arithmetically: every
@@ -775,8 +770,7 @@ impl MappedLayer {
                             for &s in slice_acc.iter() {
                                 frag_total = (frag_total << cell_bits) + s;
                             }
-                            let positive = self.signs[ci * self.fragments_per_col + frag];
-                            *acc += if positive {
+                            *acc += if signs[ci] {
                                 frag_total as i64
                             } else {
                                 -(frag_total as i64)
@@ -883,7 +877,7 @@ impl MappedLayer {
                     frag_total = (frag_total << cell_bits) + s;
                 }
                 // The sign indicator steers the accumulator add/subtract.
-                let positive = self.signs[ci * self.fragments_per_col + frag];
+                let positive = self.signs[frag * self.col_index.len() + ci];
                 *acc += if positive {
                     frag_total as i64
                 } else {
@@ -1518,6 +1512,57 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn partial_sum_width_switches_at_the_i32_bound() {
+        // Fragment 4 of w8 codes (at most 255): 4 × 255 × (2^21 − 1) fits
+        // an i32, 4 × 255 × (2^22 − 1) does not.
+        // Every weight at the top code; fragment 1 of the even columns is
+        // negative, so no column's fragments cancel.
+        let top = Tensor::from_fn(
+            &[16, 4],
+            |i| {
+                if i / 16 == 1 && i % 2 == 0 {
+                    -1.0
+                } else {
+                    1.0
+                }
+            },
+        );
+        let mut layers = Vec::new();
+        for (input_bits, narrow) in [(21, true), (22, false)] {
+            let cfg = MappingConfig {
+                input_bits,
+                ..small_config(4)
+            };
+            // Full-scale inputs drive each fragment's partial sums of the
+            // top codes to the worst case.
+            let top_codes = MappedLayer::map(&top, cfg).unwrap();
+            // Stuck-high cells raise codes to the top rail after mapping.
+            let mut faulted = MappedLayer::map(&polarized_matrix(16, 4, 4), cfg).unwrap();
+            let report = faulted.inject_faults(&FaultCampaign::stuck_at(5, 0.05, 0.3), 17);
+            assert!(report.stuck_high > 0);
+            for layer in [top_codes, faulted] {
+                assert_eq!(layer.i32_sums, narrow, "a{input_bits}");
+                assert!(layer.integer_matmul_path());
+                layers.push(layer);
+            }
+        }
+        // One scratch threaded narrow → wide → narrow pins its reuse
+        // across partial-sum widths.
+        let mut scratch = MvmScratch::default();
+        for layer in layers.iter().chain(&layers[..2]) {
+            let full_scale = (1u32 << layer.config.input_bits) - 1;
+            let mut codes = vec![full_scale; 3 * 16];
+            codes[16..24].fill(0);
+            let scales = [1.0, 0.5, 0.25];
+            let mut outs = vec![0.0f32; 3 * 4];
+            let stats = layer.matmul_into(&codes, &scales, &mut scratch, &mut outs);
+            let (want, want_stats) = matmul_oracle(layer, &codes, &scales);
+            assert_eq!(outs, want, "a{}", layer.config.input_bits);
+            assert_eq!(stats, want_stats, "a{}", layer.config.input_bits);
         }
     }
 

@@ -2,8 +2,8 @@
 
 use forms_exec::{ExecError, Merge};
 use forms_reram::{
-    for_each_set_bit, pack_tile_bit_planes, plane_is_zero, plane_ones, Adc, BitSlicer, CellSpec,
-    Crossbar, FaultCampaign, FaultReport,
+    for_each_set_bit, pack_tile_bit_planes, partial_sums_fit_i32, plane_ones, Adc, BitSlicer,
+    CellSpec, Crossbar, FaultCampaign, FaultReport, IntWindows, PartialSum,
 };
 use forms_tensor::Tensor;
 
@@ -53,7 +53,8 @@ pub struct IsaacScratch {
     /// column.
     slice_acc: Vec<u64>,
     /// Signed digital accumulators, one per (tile sample, compact weight
-    /// column).
+    /// column). The integer fast path widens each (block, sample) row of
+    /// partial sums into them once, subtracting the block's offset.
     accs: Vec<i64>,
     /// f64 path: dequantized cell values of the current block window,
     /// row-major over all mapped cell columns — the division by the
@@ -64,11 +65,10 @@ pub struct IsaacScratch {
     tile_codes: Vec<u32>,
     /// Packed bit planes of the whole tile.
     tile_planes: Vec<u64>,
-    /// Integer fast path: integer cell codes of one window row.
-    icell: Vec<u16>,
-    /// Integer fast path: offset-encoded weight codes of the block window,
-    /// row-major over the compact weight columns.
-    wcodes: Vec<i64>,
+    /// Integer fast path: the block's offset-encoded weight codes and one
+    /// sample's block partial sums, at the layer's partial-sum width
+    /// (`i32` or `i64`, see [`IntWindow`](forms_reram::IntWindow)).
+    windows: IntWindows,
 }
 
 /// A signed weight matrix mapped with ISAAC's offset encoding.
@@ -90,6 +90,10 @@ pub struct IsaacLayer {
     xb_cols: usize,
     adc: Adc,
     slicer: BitSlicer,
+    /// Whether one row block's worst-case partial sum (before the offset
+    /// subtraction) fits an `i32`, so the integer fast path sums blocks in
+    /// `i32` (see [`partial_sums_fit_i32`]).
+    i32_sums: bool,
     /// Pristine nominal output ceiling: `max_col Σ|k| × max_input × step`
     /// — the offset correction cancels the bias exactly on clean arrays,
     /// so no clean output can exceed this (per unit input scale).
@@ -173,6 +177,7 @@ impl IsaacLayer {
                 reason: "worst-case column accumulation overflows the i64 accumulators",
             });
         }
+        let i32_sums = partial_sums_fit_i32(crossbar_dim, max_stored_code, max_input_code);
 
         let xb_rows = row_index.len().div_ceil(crossbar_dim);
         let xb_cols = (col_index.len() * cpw).div_ceil(crossbar_dim);
@@ -215,6 +220,7 @@ impl IsaacLayer {
             xb_cols,
             adc,
             slicer,
+            i32_sums,
             ceiling,
             faulted_cells: 0,
             drifted_cells: 0,
@@ -340,17 +346,36 @@ impl IsaacLayer {
     ///
     /// Samples are processed in tiles; per row block the weight window is
     /// materialized once per tile and swept over every sample. Pristine
-    /// arrays take an integer fast path (ADC conversion is the identity,
-    /// so each weight's cell slices fold into its encoded code and every
-    /// set input bit adds `code << plane` straight into the output
-    /// accumulators); drifted arrays fall back to an f64 path preserving
-    /// the reference kernel's ascending-row summation order.
+    /// arrays take an integer fast path: ADC conversion is the identity,
+    /// so each weight's cell slices fold into its encoded code, every set
+    /// input bit adds `code << plane` into one row of block partial sums
+    /// per sample, and that row is widened into the sample's `i64`
+    /// accumulators once, minus the block's counted-ones offset. The row
+    /// is summed in `i32` when one block's worst case fits (decided at map
+    /// time), in `i64` otherwise. Drifted arrays fall back to an f64 path
+    /// preserving the reference kernel's ascending-row summation order.
     ///
     /// # Panics
     ///
     /// Panics if the buffer lengths are inconsistent with `scales.len()`
     /// or any input code exceeds `input_bits`.
     pub fn matmul_into(
+        &self,
+        batch_codes: &[u32],
+        scales: &[f32],
+        scratch: &mut IsaacScratch,
+        outs: &mut [f32],
+    ) -> IsaacStats {
+        if self.i32_sums {
+            self.matmul_tiles::<i32>(batch_codes, scales, scratch, outs)
+        } else {
+            self.matmul_tiles::<i64>(batch_codes, scales, scratch, outs)
+        }
+    }
+
+    /// [`matmul_into`](Self::matmul_into) with block partial sums of type
+    /// `T`.
+    fn matmul_tiles<T: PartialSum>(
         &self,
         batch_codes: &[u32],
         scales: &[f32],
@@ -414,39 +439,25 @@ impl IsaacLayer {
                 if fast {
                     let IsaacScratch {
                         tile_planes,
-                        icell,
-                        wcodes,
+                        windows,
                         accs,
                         ..
                     } = scratch;
                     // Encoded weight-code window, once per (block, tile):
                     // lossless conversion is the identity and shift-&-add
                     // is linear, so each weight's cell slices fold back
-                    // into its encoded code and every set input bit adds
-                    // `code << plane` straight into the sample's
-                    // accumulators.
-                    wcodes.clear();
-                    wcodes.resize(block_rows * ncols, 0);
-                    icell.resize(cell_cols, 0);
-                    for r in 0..block_rows {
-                        for xc in 0..self.xb_cols {
-                            let col_lo = xc * dim;
-                            if col_lo >= cell_cols {
-                                break;
-                            }
-                            let col_hi = (col_lo + dim).min(cell_cols);
-                            self.crossbars[block * self.xb_cols + xc]
-                                .integral_row_into(r, &mut icell[col_lo..col_hi]);
-                        }
-                        let row = &mut wcodes[r * ncols..(r + 1) * ncols];
-                        for (w, slices) in row.iter_mut().zip(icell.chunks_exact(cpw)) {
-                            *w = slices
-                                .iter()
-                                .fold(0i64, |code, &s| (code << cell_bits) + i64::from(s));
-                        }
-                    }
+                    // into its encoded code and a block's result is its
+                    // row of `Σ code × input` partial sums.
+                    let window = T::window(windows);
+                    window.load(
+                        &self.crossbars[block * self.xb_cols..][..self.xb_cols],
+                        0,
+                        block_rows,
+                        ncols,
+                        cpw,
+                        cell_bits,
+                    );
                     for si in 0..t {
-                        let sample_accs = &mut accs[si * ncols..][..ncols];
                         let planes = &tile_planes[si * stride..(si + 1) * stride];
                         let mut offset = 0u64;
                         for (plane, mask) in planes.chunks_exact(words).enumerate() {
@@ -454,25 +465,16 @@ impl IsaacLayer {
                             stats.ones_counted += ones;
                             stats.offset_subtractions += ones;
                             offset += (self.bias * ones) << plane;
-                            if plane_is_zero(mask) {
-                                continue;
-                            }
-                            for_each_set_bit(mask, |i| {
-                                if i < block_rows {
-                                    let row = &wcodes[i * ncols..(i + 1) * ncols];
-                                    for (acc, &w) in sample_accs.iter_mut().zip(row) {
-                                        *acc += w << plane;
-                                    }
-                                }
-                            });
+                        }
+                        let sums = window.sum_planes(planes, words);
+                        let sample_accs = &mut accs[si * ncols..][..ncols];
+                        for (acc, &sum) in sample_accs.iter_mut().zip(sums) {
+                            *acc += sum.into() - offset as i64;
                         }
                         // Lossless conversion is the identity; conversions
                         // are counted arithmetically (every column converts
                         // every slice each bit plane).
                         stats.adc_conversions += n_planes as u64 * cell_cols as u64;
-                        for acc in sample_accs.iter_mut() {
-                            *acc -= offset as i64;
-                        }
                     }
                 } else {
                     let IsaacScratch {
@@ -877,6 +879,45 @@ mod tests {
         let (want, want_stats) = matmul_oracle(&layer, &codes, &scales);
         assert_eq!(outs, want);
         assert_eq!(stats, want_stats);
+    }
+
+    #[test]
+    fn partial_sum_width_switches_at_the_i32_bound() {
+        // A 16-row block of w8 encoded codes (at most 255): 16 × 255 ×
+        // (2^19 − 1) fits an i32, 16 × 255 × (2^20 − 1) does not.
+        let top = Tensor::from_vec(vec![1.0; 32 * 4], &[32, 4]);
+        let mut layers = Vec::new();
+        for (input_bits, narrow) in [(19, true), (20, false)] {
+            let map = |w: &Tensor| {
+                IsaacLayer::map_with(w, 8, input_bits, 16, CellSpec::paper_2bit()).unwrap()
+            };
+            // Every weight at the top encoded code: full-scale inputs
+            // drive each block's partial sums to the worst case.
+            let top_codes = map(&top);
+            // Stuck-high cells raise codes to the top rail after mapping.
+            let mut faulted = map(&signed_matrix(32, 4));
+            let report = faulted.inject_faults(&FaultCampaign::stuck_at(5, 0.05, 0.3), 17);
+            assert!(report.stuck_high > 0);
+            for layer in [top_codes, faulted] {
+                assert_eq!(layer.i32_sums, narrow, "a{input_bits}");
+                assert!(layer.integer_matmul_path());
+                layers.push(layer);
+            }
+        }
+        // One scratch threaded narrow → wide → narrow pins its reuse
+        // across partial-sum widths.
+        let mut scratch = IsaacScratch::default();
+        for layer in layers.iter().chain(&layers[..2]) {
+            let full_scale = (1u32 << layer.input_bits) - 1;
+            let mut codes = vec![full_scale; 3 * 32];
+            codes[32..40].fill(0);
+            let scales = [1.0, 0.5, 0.25];
+            let mut outs = vec![0.0f32; 3 * 4];
+            let stats = layer.matmul_into(&codes, &scales, &mut scratch, &mut outs);
+            let (want, want_stats) = matmul_oracle(layer, &codes, &scales);
+            assert_eq!(outs, want, "a{}", layer.input_bits);
+            assert_eq!(stats, want_stats, "a{}", layer.input_bits);
+        }
     }
 
     #[test]

@@ -12,6 +12,8 @@
 //! [`crate::json::parse`] before exiting, so CI fails on malformed
 //! output.
 
+use std::hint::black_box;
+
 use forms_arch::{Executor, MappedLayer, MappingConfig, MvmScratch};
 use forms_baselines::{IsaacConfig, IsaacLayer, IsaacScratch};
 use forms_dnn::{Layer, Network, WeightLayerMut};
@@ -20,7 +22,7 @@ use forms_rng::{Rng, StdRng};
 use forms_tensor::Tensor;
 
 use crate::json::JsonValue;
-use crate::timing::{BenchConfig, Bencher};
+use crate::timing::{BenchCase, BenchConfig, Bencher};
 
 /// How many distinct random input vectors each kernel cycles through, so
 /// timings are not flattered by a single cached activation pattern.
@@ -358,6 +360,12 @@ pub fn run(spec: &MvmBenchSpec) -> MvmBenchReport {
     }
 
     // --- batched matmul kernels -------------------------------------
+    // The gates compare batch sizes against each other, so the sweep is
+    // timed round-robin (one timed batch per design and batch size per
+    // round): a slow phase of the host then lands on every batch size
+    // alike instead of on whichever one was timing then.
+    let (forms, isaac) = (&forms, &isaac);
+    let mut runs: Vec<BenchCase<'_>> = Vec::new();
     for &b in &spec.batch_sweep {
         // Rotated batched inputs: each buffer concatenates `b` consecutive
         // rotation vectors, so the batched kernel sees the same activation
@@ -370,28 +378,38 @@ pub fn run(spec: &MvmBenchSpec) -> MvmBenchReport {
             })
             .collect();
         let scales = vec![scale; b];
-        {
-            let mut scratch = MvmScratch::default();
-            let mut out = vec![0.0f32; b * spec.cols];
-            let mut i = 0;
-            let r = bencher.bench(&format!("forms/batched/b{b}"), || {
-                let codes = &batches[i % INPUT_ROTATION];
+        let (codes, sc) = (batches.clone(), scales.clone());
+        let (mut scratch, mut out, mut i) = (MvmScratch::default(), vec![0.0; b * spec.cols], 0);
+        runs.push((
+            format!("forms/batched/b{b}"),
+            Box::new(move || {
+                black_box(forms.matmul_into(
+                    &codes[i % INPUT_ROTATION],
+                    &sc,
+                    &mut scratch,
+                    &mut out,
+                ));
                 i += 1;
-                forms.matmul_into(codes, &scales, &mut scratch, &mut out)
-            });
-            kernels.push(kernel_result("FORMS", "batched", b, r));
-        }
-        {
-            let mut scratch = IsaacScratch::default();
-            let mut out = vec![0.0f32; b * isaac.output_len()];
-            let mut i = 0;
-            let r = bencher.bench(&format!("isaac/batched/b{b}"), || {
-                let codes = &batches[i % INPUT_ROTATION];
+            }),
+        ));
+        let (mut scratch, mut out, mut i) = (IsaacScratch::default(), vec![0.0; b * spec.cols], 0);
+        runs.push((
+            format!("isaac/batched/b{b}"),
+            Box::new(move || {
+                black_box(isaac.matmul_into(
+                    &batches[i % INPUT_ROTATION],
+                    &scales,
+                    &mut scratch,
+                    &mut out,
+                ));
                 i += 1;
-                isaac.matmul_into(codes, &scales, &mut scratch, &mut out)
-            });
-            kernels.push(kernel_result("ISAAC", "batched", b, r));
-        }
+            }),
+        ));
+    }
+    let timings = bencher.bench_round_robin(&mut runs);
+    for (&b, pair) in spec.batch_sweep.iter().zip(timings.chunks_exact(2)) {
+        kernels.push(kernel_result("FORMS", "batched", b, &pair[0]));
+        kernels.push(kernel_result("ISAAC", "batched", b, &pair[1]));
     }
 
     // --- end-to-end images/s ----------------------------------------

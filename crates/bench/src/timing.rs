@@ -132,6 +132,10 @@ fn format_ns(ns: f64) -> String {
     }
 }
 
+/// One case of [`Bencher::bench_round_robin`]: its name and a closure
+/// that runs one iteration.
+pub type BenchCase<'a> = (String, Box<dyn FnMut() + 'a>);
+
 /// A named group of benchmarks sharing one configuration.
 pub struct Bencher {
     config: BenchConfig,
@@ -156,7 +160,38 @@ impl Bencher {
     /// is passed through [`black_box`] so the computation cannot be
     /// optimized away.
     pub fn bench<T>(&mut self, name: &str, mut f: impl FnMut() -> T) -> &BenchResult {
-        // Warm up and calibrate the per-batch iteration count.
+        let iters_per_batch = self.calibrate(&mut f);
+        let ns_per_iter = (0..self.config.batches)
+            .map(|_| time_batch(&mut f, iters_per_batch))
+            .collect();
+        self.finish(name, iters_per_batch, ns_per_iter);
+        self.results.last().expect("just pushed")
+    }
+
+    /// Times several cases as one paired comparison: each case is warmed
+    /// up and calibrated on its own, then the timed batches run
+    /// round-robin, one batch of every case per round, so slow phases of
+    /// the host land on every case alike instead of on whichever case was
+    /// timing then. Each case gets the same batches and batch target as
+    /// [`bench`](Self::bench). Closures pass their results through
+    /// [`black_box`] themselves. Returns the cases' results in order.
+    pub fn bench_round_robin(&mut self, cases: &mut [BenchCase<'_>]) -> &[BenchResult] {
+        let iters: Vec<u64> = cases.iter_mut().map(|(_, f)| self.calibrate(f)).collect();
+        let mut samples = vec![Vec::with_capacity(self.config.batches); cases.len()];
+        for _ in 0..self.config.batches {
+            for (((_, f), &n), batch) in cases.iter_mut().zip(&iters).zip(&mut samples) {
+                batch.push(time_batch(f, n));
+            }
+        }
+        let first = self.results.len();
+        for (((name, _), n), batch) in cases.iter().zip(iters).zip(samples) {
+            self.finish(name, n, batch);
+        }
+        &self.results[first..]
+    }
+
+    /// Warms `f` up and returns the iterations that fill one timed batch.
+    fn calibrate<T>(&self, mut f: impl FnMut() -> T) -> u64 {
         let warmup_end = Instant::now() + self.config.warmup;
         let mut warm_iters: u64 = 0;
         let warm_start = Instant::now();
@@ -168,17 +203,11 @@ impl Bencher {
             }
         }
         let per_iter = warm_start.elapsed().as_secs_f64() / warm_iters as f64;
-        let iters_per_batch =
-            ((self.config.batch_target.as_secs_f64() / per_iter.max(1e-9)) as u64).max(1);
+        ((self.config.batch_target.as_secs_f64() / per_iter.max(1e-9)) as u64).max(1)
+    }
 
-        let mut ns_per_iter = Vec::with_capacity(self.config.batches);
-        for _ in 0..self.config.batches {
-            let start = Instant::now();
-            for _ in 0..iters_per_batch {
-                black_box(f());
-            }
-            ns_per_iter.push(start.elapsed().as_nanos() as f64 / iters_per_batch as f64);
-        }
+    /// Records one benchmark's batch timings and prints its summary.
+    fn finish(&mut self, name: &str, iters_per_batch: u64, mut ns_per_iter: Vec<f64>) {
         ns_per_iter.sort_by(|a, b| a.total_cmp(b));
         let result = BenchResult {
             name: name.to_string(),
@@ -195,13 +224,21 @@ impl Bencher {
             result.iters_per_batch
         );
         self.results.push(result);
-        self.results.last().expect("just pushed")
     }
 
     /// All results measured so far.
     pub fn results(&self) -> &[BenchResult] {
         &self.results
     }
+}
+
+/// Runs one timed batch of `iters` calls and returns ns per call.
+fn time_batch<T>(mut f: impl FnMut() -> T, iters: u64) -> f64 {
+    let start = Instant::now();
+    for _ in 0..iters {
+        black_box(f());
+    }
+    start.elapsed().as_nanos() as f64 / iters as f64
 }
 
 impl Default for Bencher {
@@ -225,6 +262,34 @@ mod tests {
         assert!(r.min_ns() > 0.0);
         assert!(r.median_ns() >= r.min_ns());
         assert_eq!(b.results().len(), 1);
+    }
+
+    #[test]
+    fn round_robin_times_one_batch_per_case_per_round() {
+        let mut b = Bencher::with_config(BenchConfig {
+            batch_target: Duration::from_micros(50),
+            batches: 4,
+            warmup: Duration::from_micros(20),
+        });
+        let log = std::cell::RefCell::new(Vec::new());
+        let results = b.bench_round_robin(&mut [
+            ("a".into(), Box::new(|| log.borrow_mut().push('a'))),
+            ("z".into(), Box::new(|| log.borrow_mut().push('z'))),
+        ]);
+        assert_eq!(results.len(), 2);
+        assert_eq!(
+            (results[0].name.as_str(), results[1].name.as_str()),
+            ("a", "z")
+        );
+        assert!(results.iter().all(|r| r.ns_per_iter.len() == 4));
+        // After both calibrations, the timed calls alternate case by case,
+        // one whole batch at a time.
+        let timed: usize = results.iter().map(|r| r.iters_per_batch as usize * 4).sum();
+        let log = log.borrow();
+        let mut runs = log[log.len() - timed..].to_vec();
+        runs.dedup();
+        assert_eq!(runs, ['a', 'z', 'a', 'z', 'a', 'z', 'a', 'z']);
+        assert_eq!(b.results().len(), 2);
     }
 
     #[test]

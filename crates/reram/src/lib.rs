@@ -13,6 +13,9 @@
 //! - [`BitSlicer`] — weight-magnitude bit-slicing across
 //!   `weight_bits / cell_bits` cells,
 //! - [`Adc`] — the column ADC's transfer function with saturation,
+//! - [`IntWindow`] — the integer weight window and partial-sum row the
+//!   batched MVM kernels sweep on integral arrays, in `i32` or `i64`
+//!   ([`PartialSum`]),
 //! - [`LogNormalVariation`] / [`StuckAtFault`] — the device non-idealities
 //!   behind the paper's Table VI.
 //!
@@ -45,6 +48,7 @@ mod irdrop;
 mod noise;
 mod packing;
 mod variation;
+mod window;
 
 pub use bitslice::BitSlicer;
 pub use converters::Adc;
@@ -54,3 +58,4 @@ pub use irdrop::IrDropModel;
 pub use noise::CurrentNoise;
 pub use packing::{for_each_set_bit, pack_tile_bit_planes, plane_is_zero, plane_ones, plane_words};
 pub use variation::{LogNormalVariation, StuckAtFault, StuckAtKind};
+pub use window::{partial_sums_fit_i32, IntWindow, IntWindows, PartialSum};
