@@ -25,9 +25,10 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --offline --no-deps
 echo "== paper results (byte-identical regeneration) =="
 # README's determinism contract: every experiment binary is seeded, so
 # rerunning it rewrites its committed results/*.json byte for byte. Run
-# the nine that finish in seconds (table1, table2, table6 and fig6 take
-# minutes each) and fail if any committed file changed.
-for bin in table3 table4 table5 fig7 fig8 fig13 fig14 energy noise; do
+# all but table2 and table6 (2-4 min each on a 2-core host) and fail if
+# any committed file changed. table1 and fig6 train their models and take
+# about 1 and 2 min; the other nine finish in seconds.
+for bin in table1 fig6 table3 table4 table5 fig7 fig8 fig13 fig14 energy noise; do
     cargo run --release --offline --quiet -p forms-bench --bin "$bin" > /dev/null
 done
 git diff --exit-code --stat -- results/ || {

@@ -34,7 +34,8 @@ mod pipeline;
 mod zero_skip;
 
 pub use forms_exec::{CrossbarEngine, ExecError, Executor, LayerPrecision, Merge, PrecisionPlan};
-pub use mapping::{FormsActivity, MappedLayer, MappingConfig, MvmScratch, MvmStats, MATMUL_TILE};
+pub use forms_reram::MATMUL_TILE;
+pub use mapping::{FormsActivity, MappedLayer, MappingConfig, MvmStats};
 pub use perf::{FpsModel, LayerPerf};
 pub use pipeline::{Pipeline, PipelineOp, PipelineStage};
 pub use zero_skip::{effective_bits, eic_stats, fragment_eic, EicStats, ShiftRegisterBank};

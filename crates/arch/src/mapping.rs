@@ -9,8 +9,8 @@
 
 use forms_exec::{CrossbarEngine, EngineHealth, ExecError, FaultableEngine, Merge};
 use forms_reram::{
-    for_each_set_bit, pack_tile_bit_planes, partial_sums_fit_i32, Adc, BitSlicer, CellSpec,
-    Crossbar, CurrentNoise, FaultCampaign, FaultReport, IntWindows, PartialSum,
+    matmul_sweep, partial_sums_fit_i32, Adc, BitSlicer, CellSpec, Crossbar, CurrentNoise,
+    FaultCampaign, FaultReport, PartialSum, SweepEngine, SweepLayout, SweepScratch,
 };
 use forms_rng::Rng;
 use forms_tensor::Tensor;
@@ -146,63 +146,6 @@ pub struct FormsActivity {
 impl forms_hwmodel::DynamicActivity for FormsActivity {
     fn activity(&self) -> forms_hwmodel::Activity {
         self.stats.activity(&self.config)
-    }
-}
-
-/// Samples per tile of the blocked [`MappedLayer::matmul_into`] kernel.
-///
-/// Each fragment's weight window is rebuilt once per tile and swept over
-/// all of the tile's samples, so the tile size trades window-build
-/// amortization against working-set residency. At the paper's full shape
-/// (fragment 8, 128 weight columns, 16-bit inputs) the integer fast path
-/// holds an 8×128 window of `i32` weight-code magnitudes (4 KiB: each
-/// weight's four 2-bit cell slices folded back into its code), one
-/// sample's 128 `i32` fragment partial sums (512 B), 32 packed plane sets
-/// (4 KiB at 16 planes) and 32×128 `i64` accumulators (32 KiB) — around
-/// 41 KiB, inside L2 — while paying each window build only once per 32
-/// samples.
-pub const MATMUL_TILE: usize = 32;
-
-/// Reusable working memory of one [`MappedLayer`] MVM.
-///
-/// Owned by the caller (one per inference worker) and grown on first use;
-/// with a warm scratch [`MappedLayer::matmul_into`] performs no heap
-/// allocation. The default value is an empty scratch that fits any layer.
-#[derive(Clone, Debug, Default)]
-pub struct MvmScratch {
-    /// f64 path: raw pre-ADC column currents of one sample, plane-major:
-    /// plane `cycle` covers `cycle * cell_cols ..` over all mapped cell
-    /// columns.
-    currents: Vec<f64>,
-    /// f64 path: per-slice shift-&-add accumulators of the current weight
-    /// column.
-    slice_acc: Vec<u64>,
-    /// Signed digital accumulators, one per (tile sample, compact weight
-    /// column). The integer fast path widens each (fragment, sample) row
-    /// of partial sums into them once, applying the fragment's sign.
-    accs: Vec<i64>,
-    /// f64 path: dequantized cell values of the current fragment window,
-    /// row-major over all mapped cell columns — the division by the
-    /// conductance step is paid once per cell instead of once per cell per
-    /// input cycle.
-    cell_vals: Vec<f64>,
-    /// Gathered fragment codes of one tile of samples, sample-major.
-    tile_codes: Vec<u32>,
-    /// Effective input cycles per sample of the tile.
-    tile_eic: Vec<u32>,
-    /// Packed bit planes of the whole tile (see [`pack_tile_bit_planes`]).
-    tile_planes: Vec<u64>,
-    /// Integer fast path: the fragment's weight-code magnitudes and one
-    /// sample's fragment partial sums, at the layer's partial-sum width
-    /// (`i32` or `i64`, see [`IntWindow`](forms_reram::IntWindow)).
-    windows: IntWindows,
-}
-
-/// Accumulates one active window row into the f64 column currents.
-#[inline]
-fn add_row_f64(currents: &mut [f64], vals: &[f64]) {
-    for (acc, &v) in currents.iter_mut().zip(vals) {
-        *acc += v;
     }
 }
 
@@ -469,7 +412,7 @@ impl MappedLayer {
     /// Executes the mixed-signal matrix-vector product on quantized input
     /// codes (length = original rows; codes of pruned rows are ignored):
     /// a one-column [`matmul_into`](Self::matmul_into) on a fresh
-    /// [`MvmScratch`].
+    /// [`SweepScratch`].
     ///
     /// `input_scale` is the value of input code 1; the result is in real
     /// units (`scale × step × integer dot product`), length = original
@@ -484,7 +427,7 @@ impl MappedLayer {
         let stats = self.matmul_into(
             input_codes,
             &[input_scale],
-            &mut MvmScratch::default(),
+            &mut SweepScratch::default(),
             &mut out,
         );
         (out, stats)
@@ -520,45 +463,21 @@ impl MappedLayer {
         self.matvec_impl(input_codes, input_scale, |c| c)
     }
 
-    /// Whether the batched kernel may run its integer fast path: every
-    /// mapped cell dequantizes to an exact integer code (no conductance
-    /// drift) *and* the ADC is lossless over the fragment's current range
-    /// (full scale on the top code, range covering `fragment_size ×
-    /// max_cell_code`). Under those conditions ADC conversion is the
-    /// identity on every current the array can produce, so integer
-    /// accumulation is bitwise identical to the f64 path.
+    /// Whether [`matmul_into`](Self::matmul_into) runs its integer path
+    /// (see [`SweepLayout::integer_path`]): every mapped cell dequantizes to
+    /// an exact integer code and the ADC is lossless over a fragment's
+    /// current range.
     pub fn integer_matmul_path(&self) -> bool {
-        let max_window = self.config.fragment_size as u64 * u64::from(self.config.cell.max_code());
-        self.adc.full_scale() == f64::from(self.adc.levels() - 1)
-            && max_window as f64 <= self.adc.full_scale()
-            && self
-                .crossbars
-                .iter()
-                .all(|x| x.integral_dequant_codes().is_some())
+        self.layout().integer_path(self.config.fragment_size)
     }
 
     /// The blocked weight-stationary batch kernel: executes
-    /// `scales.len()` matrix-vector products in one sweep, bitwise
-    /// identical to calling [`matvec_reference`](Self::matvec_reference)
-    /// once per sample (outputs *and* merged stats).
-    ///
-    /// `batch_codes` holds the samples' input codes sample-major
-    /// (`scales.len() × original rows`); `outs` receives the concatenated
-    /// outputs (`scales.len() × original columns`, overwritten).
-    ///
-    /// Samples are processed in tiles of [`MATMUL_TILE`]; per fragment the
-    /// weight window is materialized once per tile and swept over every
-    /// sample. Pristine arrays additionally take an integer fast path (see
-    /// [`integer_matmul_path`](Self::integer_matmul_path)) that folds each
-    /// weight's cell slices back into its code magnitude, sums `code <<
-    /// plane` per set input bit into one row of fragment partial sums per
-    /// sample, skipping planes whose packed input bits are all zero, and
-    /// widens that row into the sample's `i64` accumulators once,
-    /// applying the fragment's sign as the sign indicator does. The row is
-    /// summed in `i32` when one fragment's worst case fits (decided at map
-    /// time), in `i64` otherwise. Drifted arrays fall back to an f64 path
-    /// that preserves the reference kernel's ascending-row summation
-    /// order, keeping results bitwise identical either way.
+    /// `scales.len()` matrix-vector products in one [`matmul_sweep`] over
+    /// the fragments, bitwise identical to calling
+    /// [`matvec_reference`](Self::matvec_reference) once per sample
+    /// (outputs *and* merged stats). `batch_codes` holds the samples' input
+    /// codes sample-major; `outs` receives the concatenated outputs
+    /// (overwritten).
     ///
     /// # Panics
     ///
@@ -568,244 +487,28 @@ impl MappedLayer {
         &self,
         batch_codes: &[u32],
         scales: &[f32],
-        scratch: &mut MvmScratch,
+        scratch: &mut SweepScratch,
         outs: &mut [f32],
     ) -> MvmStats {
-        if self.i32_sums {
-            self.matmul_tiles::<i32>(batch_codes, scales, scratch, outs)
-        } else {
-            self.matmul_tiles::<i64>(batch_codes, scales, scratch, outs)
-        }
+        matmul_sweep(self, &self.layout(), batch_codes, scales, scratch, outs)
     }
 
-    /// [`matmul_into`](Self::matmul_into) with fragment partial sums of
-    /// type `T`.
-    fn matmul_tiles<T: PartialSum>(
-        &self,
-        batch_codes: &[u32],
-        scales: &[f32],
-        scratch: &mut MvmScratch,
-        outs: &mut [f32],
-    ) -> MvmStats {
-        let mut stats = MvmStats::default();
-        if scales.is_empty() {
-            assert!(batch_codes.is_empty(), "codes without scales");
-            assert!(outs.is_empty(), "outputs without scales");
-            return stats;
+    /// The layer as the sweep reads it.
+    fn layout(&self) -> SweepLayout<'_> {
+        SweepLayout {
+            row_index: &self.row_index,
+            col_index: &self.col_index,
+            orig_rows: self.orig_rows,
+            orig_cols: self.orig_cols,
+            crossbars: &self.crossbars,
+            xb_cols: self.xb_cols,
+            crossbar_dim: self.config.crossbar_dim,
+            slicer: self.slicer,
+            adc: &self.adc,
+            input_bits: self.config.input_bits,
+            step: self.step,
+            i32_sums: self.i32_sums,
         }
-        let nsamples = scales.len();
-        assert_eq!(
-            batch_codes.len(),
-            nsamples * self.orig_rows,
-            "need one whole input vector per batched sample"
-        );
-        assert_eq!(
-            outs.len(),
-            nsamples * self.orig_cols,
-            "need one whole output vector per batched sample"
-        );
-        for sample in batch_codes.chunks_exact(self.orig_rows) {
-            self.validate_input_codes(sample);
-        }
-        let m = self.config.fragment_size;
-        let dim = self.config.crossbar_dim;
-        let cpw = self.config.cells_per_weight();
-        let cell_bits = self.config.cell.bits();
-        let ncols = self.col_index.len();
-        let cell_cols = ncols * cpw;
-        let fast = self.integer_matmul_path();
-        outs.fill(0.0);
-
-        for tile_lo in (0..nsamples).step_by(MATMUL_TILE) {
-            let tile = tile_lo..(tile_lo + MATMUL_TILE).min(nsamples);
-            let t = tile.len();
-            scratch.accs.clear();
-            scratch.accs.resize(t * ncols, 0);
-
-            for frag in 0..self.fragments_per_col {
-                let lo = frag * m;
-                let hi = ((frag + 1) * m).min(self.row_index.len());
-                let frag_rows = hi - lo;
-
-                // Gather the tile's fragment codes (sample-major) and each
-                // sample's effective input cycles, accounting stats exactly
-                // as the reference kernel does.
-                scratch.tile_codes.clear();
-                scratch.tile_eic.clear();
-                let mut max_planes = 0u32;
-                for s in tile.clone() {
-                    let codes = &batch_codes[s * self.orig_rows..(s + 1) * self.orig_rows];
-                    let start = scratch.tile_codes.len();
-                    scratch
-                        .tile_codes
-                        .extend((lo..hi).map(|i| codes[self.row_index[i]]));
-                    let n_planes = if self.config.zero_skipping {
-                        fragment_eic(&scratch.tile_codes[start..])
-                    } else {
-                        self.config.input_bits
-                    };
-                    scratch.tile_eic.push(n_planes);
-                    max_planes = max_planes.max(n_planes);
-                    stats.fragments_total += 1;
-                    stats.cycles_without_skip += u64::from(self.config.input_bits);
-                    stats.cycles += u64::from(n_planes);
-                    if n_planes == 0 {
-                        stats.fragments_skipped += 1;
-                    }
-                }
-                if max_planes == 0 {
-                    continue;
-                }
-                let words = pack_tile_bit_planes(
-                    &scratch.tile_codes,
-                    t,
-                    max_planes,
-                    &mut scratch.tile_planes,
-                );
-                let stride = max_planes as usize * words;
-                let (xr, row_lo) = (lo / dim, lo % dim);
-                let signs = &self.signs[frag * ncols..][..ncols];
-
-                if fast {
-                    let MvmScratch {
-                        tile_eic,
-                        tile_planes,
-                        windows,
-                        accs,
-                        ..
-                    } = scratch;
-                    // Weight-code window, once per (fragment, tile).
-                    // Lossless conversion is the identity and shift-&-add
-                    // is linear, so each weight's cell slices fold back
-                    // into its code and a fragment's result is its row of
-                    // `Σ code × input` partial sums.
-                    let window = T::window(windows);
-                    window.load(
-                        &self.crossbars[xr * self.xb_cols..][..self.xb_cols],
-                        row_lo,
-                        frag_rows,
-                        ncols,
-                        cpw,
-                        cell_bits,
-                    );
-                    for (si, &eic) in tile_eic.iter().enumerate() {
-                        if eic == 0 {
-                            continue;
-                        }
-                        let planes = &tile_planes[si * stride..][..eic as usize * words];
-                        let sums = window.sum_planes(planes, words);
-                        // The sign indicator steers the one add/subtract
-                        // per column into the digital accumulators.
-                        let sample_accs = &mut accs[si * ncols..][..ncols];
-                        for ((acc, &sum), &positive) in sample_accs.iter_mut().zip(sums).zip(signs)
-                        {
-                            let sum: i64 = sum.into();
-                            *acc += if positive { sum } else { -sum };
-                        }
-                        // Lossless conversion is the identity, so the
-                        // conversions are counted arithmetically: every
-                        // column converts every slice each shift cycle.
-                        stats.adc_conversions += u64::from(eic) * (cell_cols as u64);
-                    }
-                } else {
-                    let MvmScratch {
-                        tile_eic,
-                        tile_planes,
-                        cell_vals,
-                        currents,
-                        slice_acc,
-                        accs,
-                        ..
-                    } = scratch;
-                    // f64 window, once per (fragment, tile).
-                    cell_vals.clear();
-                    cell_vals.resize(frag_rows * cell_cols, 0.0);
-                    for r in 0..frag_rows {
-                        let row = &mut cell_vals[r * cell_cols..(r + 1) * cell_cols];
-                        for xc in 0..self.xb_cols {
-                            let col_lo = xc * dim;
-                            if col_lo >= cell_cols {
-                                break;
-                            }
-                            let col_hi = (col_lo + dim).min(cell_cols);
-                            self.crossbars[xr * self.xb_cols + xc]
-                                .dequant_row_into(row_lo + r, &mut row[col_lo..col_hi]);
-                        }
-                    }
-                    for (si, &eic) in tile_eic.iter().enumerate() {
-                        if eic == 0 {
-                            continue;
-                        }
-                        let n_planes = eic as usize;
-                        // Currents accumulate active rows in ascending
-                        // order, matching the reference summation order
-                        // bitwise.
-                        currents.clear();
-                        currents.resize(n_planes * cell_cols, 0.0);
-                        let planes = &tile_planes[si * stride..][..n_planes * words];
-                        for (cycle, plane) in planes.chunks_exact(words).enumerate() {
-                            let row = &mut currents[cycle * cell_cols..(cycle + 1) * cell_cols];
-                            for_each_set_bit(plane, |i| {
-                                if i < frag_rows {
-                                    add_row_f64(
-                                        row,
-                                        &cell_vals[i * cell_cols..(i + 1) * cell_cols],
-                                    );
-                                }
-                            });
-                        }
-                        let sample_accs = &mut accs[si * ncols..][..ncols];
-                        for (ci, acc) in sample_accs.iter_mut().enumerate() {
-                            slice_acc.clear();
-                            slice_acc.resize(cpw, 0);
-                            for cycle in 0..n_planes {
-                                let cur = &currents[cycle * cell_cols..];
-                                for (k, acc_k) in slice_acc.iter_mut().enumerate() {
-                                    let code = self.adc.convert(cur[ci * cpw + k]);
-                                    stats.adc_conversions += 1;
-                                    *acc_k += u64::from(code) << cycle;
-                                }
-                            }
-                            let mut frag_total = 0u64;
-                            for &s in slice_acc.iter() {
-                                frag_total = (frag_total << cell_bits) + s;
-                            }
-                            *acc += if signs[ci] {
-                                frag_total as i64
-                            } else {
-                                -(frag_total as i64)
-                            };
-                        }
-                    }
-                }
-            }
-
-            for (si, s) in tile.enumerate() {
-                let out = &mut outs[s * self.orig_cols..][..self.orig_cols];
-                for (ci, &c) in self.col_index.iter().enumerate() {
-                    out[c] = scratch.accs[si * ncols + ci] as f32 * self.step * scales[s];
-                }
-            }
-        }
-        stats
-    }
-
-    /// Validates the whole input vector in one pass (length + range), so
-    /// the per-fragment gather loops stay assert-free.
-    fn validate_input_codes(&self, input_codes: &[u32]) {
-        assert_eq!(
-            input_codes.len(),
-            self.orig_rows,
-            "need one input code per original row"
-        );
-        let limit = 1u64 << self.config.input_bits;
-        assert!(
-            self.row_index
-                .iter()
-                .all(|&r| u64::from(input_codes[r]) < limit),
-            "input code exceeds {} bits",
-            self.config.input_bits
-        );
     }
 
     fn matvec_impl(
@@ -814,7 +517,7 @@ impl MappedLayer {
         input_scale: f32,
         mut perturb: impl FnMut(f64) -> f64,
     ) -> (Vec<f32>, MvmStats) {
-        self.validate_input_codes(input_codes);
+        self.layout().validate_input_codes(input_codes);
         let m = self.config.fragment_size;
         let dim = self.config.crossbar_dim;
         let cpw = self.config.cells_per_weight();
@@ -892,10 +595,55 @@ impl MappedLayer {
     }
 }
 
+/// FORMS' part of the sweep: fragment-high sub-arrays, zero-skipped input
+/// cycles, and the sign indicator as the digital step.
+impl SweepEngine for MappedLayer {
+    type Stats = MvmStats;
+
+    fn subarray_rows(&self) -> usize {
+        self.config.fragment_size
+    }
+
+    fn sample_planes(&self, codes: &[u32], stats: &mut MvmStats) -> u32 {
+        // The shift-register bank drains after the fragment's effective
+        // input cycles; an all-zero fragment is skipped outright.
+        let paid = if self.config.zero_skipping {
+            fragment_eic(codes)
+        } else {
+            self.config.input_bits
+        };
+        stats.fragments_total += 1;
+        stats.cycles_without_skip += u64::from(self.config.input_bits);
+        stats.cycles += u64::from(paid);
+        stats.fragments_skipped += u64::from(paid == 0);
+        // Every column converts every slice each shift cycle.
+        let cell_cols = self.col_index.len() * self.config.cells_per_weight();
+        stats.adc_conversions += u64::from(paid) * cell_cols as u64;
+        paid
+    }
+
+    fn digital_step<T: PartialSum>(
+        &self,
+        fragment: usize,
+        _planes: &[u64],
+        _words: usize,
+        sums: &[T],
+        accs: &mut [i64],
+        _stats: &mut MvmStats,
+    ) {
+        // The sign indicator steers the one add/subtract per column.
+        let signs = &self.signs[fragment * accs.len()..][..accs.len()];
+        for ((acc, &sum), &positive) in accs.iter_mut().zip(sums).zip(signs) {
+            let sum: i64 = sum.into();
+            *acc += if positive { sum } else { -sum };
+        }
+    }
+}
+
 impl CrossbarEngine for MappedLayer {
     type Config = MappingConfig;
     type Stats = MvmStats;
-    type Scratch = MvmScratch;
+    type Scratch = SweepScratch;
 
     fn map_matrix(matrix: &Tensor, config: &MappingConfig) -> Result<Self, ExecError> {
         MappedLayer::map(matrix, *config)
@@ -909,7 +657,7 @@ impl CrossbarEngine for MappedLayer {
         &self,
         batch_codes: &[u32],
         scales: &[f32],
-        scratch: &mut MvmScratch,
+        scratch: &mut SweepScratch,
         outs: &mut [f32],
     ) -> MvmStats {
         MappedLayer::matmul_into(self, batch_codes, scales, scratch, outs)
@@ -959,13 +707,7 @@ impl CrossbarEngine for MappedLayer {
 
 impl FaultableEngine for MappedLayer {
     fn inject_faults(&mut self, campaign: &FaultCampaign, salt: u64) -> FaultReport {
-        let mut total = FaultReport::default();
-        for (i, xbar) in self.crossbars.iter_mut().enumerate() {
-            // Decorrelate crossbars within the layer; the caller's salt
-            // already decorrelates layers and replicas.
-            let xb_salt = salt ^ (i as u64).wrapping_mul(0xD1B5_4A32_D192_ED03);
-            total.merge(&campaign.apply(xbar, xb_salt));
-        }
+        let total = campaign.apply_all(&mut self.crossbars, salt);
         self.faulted_cells += total.stuck() as u64;
         self.drifted_cells += total.drifted as u64;
         total
@@ -975,6 +717,7 @@ impl FaultableEngine for MappedLayer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use forms_reram::MATMUL_TILE;
     use forms_tensor::QuantizedTensor;
 
     /// A small polarized matrix: fragments of 4 rows, alternating sign per
@@ -1246,7 +989,7 @@ mod tests {
     fn scratch_is_reusable_across_layers_and_inputs() {
         // One warm scratch threaded through one-column MVMs of different
         // shapes must keep producing bitwise-reference results.
-        let mut scratch = MvmScratch::default();
+        let mut scratch = SweepScratch::default();
         for &(rows, cols, m) in &[(40usize, 5usize, 8usize), (16, 4, 4), (8, 2, 4)] {
             let w = polarized_matrix(rows, cols, m);
             let cfg = MappingConfig {
@@ -1388,7 +1131,7 @@ mod tests {
                 };
                 let mapped = MappedLayer::map(&w, cfg).unwrap();
                 assert!(mapped.integer_matmul_path(), "pristine map must be fast");
-                let mut scratch = MvmScratch::default();
+                let mut scratch = SweepScratch::default();
                 for samples in [0usize, 1, 5, MATMUL_TILE + 1] {
                     let (codes, scales) = batch_codes_for(&mapped, samples, 7);
                     let mut outs = vec![0.0f32; samples * cols];
@@ -1418,7 +1161,7 @@ mod tests {
             !mapped.integer_matmul_path(),
             "drift must disable fast path"
         );
-        let mut scratch = MvmScratch::default();
+        let mut scratch = SweepScratch::default();
         let (codes, scales) = batch_codes_for(&mapped, MATMUL_TILE + 3, 11);
         let mut outs = vec![0.0f32; scales.len() * 5];
         let stats = mapped.matmul_into(&codes, &scales, &mut scratch, &mut outs);
@@ -1436,7 +1179,7 @@ mod tests {
         let mut mapped = MappedLayer::map(&w, small_config(4)).unwrap();
         let report = mapped.inject_faults(&FaultCampaign::stuck_at(7, 0.2, 0.1), 99);
         assert!(report.stuck() > 0);
-        let mut scratch = MvmScratch::default();
+        let mut scratch = SweepScratch::default();
         let (codes, scales) = batch_codes_for(&mapped, 9, 3);
         let mut outs = vec![0.0f32; 9 * 4];
         let stats = mapped.matmul_into(&codes, &scales, &mut scratch, &mut outs);
@@ -1498,7 +1241,7 @@ mod tests {
                 let mapped = MappedLayer::map(&w, cfg).unwrap();
                 assert!(mapped.integer_matmul_path(), "pristine map must be fast");
                 assert!(mapped.crossbar_count() >= 6, "window must span crossbars");
-                let mut scratch = MvmScratch::default();
+                let mut scratch = SweepScratch::default();
                 for samples in [1usize, 16, MATMUL_TILE + 1] {
                     let (codes, scales) = full_range_codes(rows, samples, 8);
                     let mut outs = vec![0.0f32; samples * cols];
@@ -1552,7 +1295,7 @@ mod tests {
         }
         // One scratch threaded narrow → wide → narrow pins its reuse
         // across partial-sum widths.
-        let mut scratch = MvmScratch::default();
+        let mut scratch = SweepScratch::default();
         for layer in layers.iter().chain(&layers[..2]) {
             let full_scale = (1u32 << layer.config.input_bits) - 1;
             let mut codes = vec![full_scale; 3 * 16];

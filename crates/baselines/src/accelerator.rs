@@ -18,9 +18,10 @@ use forms_exec::{
     CrossbarEngine, EngineHealth, ExecError, FaultCampaign, FaultReport, FaultableEngine,
 };
 use forms_hwmodel::{Activity, DynamicActivity};
+use forms_reram::SweepScratch;
 use forms_tensor::Tensor;
 
-use crate::isaac::{IsaacLayer, IsaacScratch, IsaacStats};
+use crate::isaac::{IsaacLayer, IsaacStats};
 
 /// Configuration of the ISAAC executor.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -56,7 +57,7 @@ impl IsaacConfig {
 impl CrossbarEngine for IsaacLayer {
     type Config = IsaacConfig;
     type Stats = IsaacStats;
-    type Scratch = IsaacScratch;
+    type Scratch = SweepScratch;
 
     fn map_matrix(matrix: &Tensor, config: &IsaacConfig) -> Result<Self, ExecError> {
         IsaacLayer::map_with(
@@ -76,7 +77,7 @@ impl CrossbarEngine for IsaacLayer {
         &self,
         batch_codes: &[u32],
         scales: &[f32],
-        scratch: &mut IsaacScratch,
+        scratch: &mut SweepScratch,
         outs: &mut [f32],
     ) -> IsaacStats {
         IsaacLayer::matmul_into(self, batch_codes, scales, scratch, outs)

@@ -2,15 +2,10 @@
 
 use forms_exec::{ExecError, Merge};
 use forms_reram::{
-    for_each_set_bit, pack_tile_bit_planes, partial_sums_fit_i32, plane_ones, Adc, BitSlicer,
-    CellSpec, Crossbar, FaultCampaign, FaultReport, IntWindows, PartialSum,
+    matmul_sweep, partial_sums_fit_i32, plane_ones, Adc, BitSlicer, CellSpec, Crossbar,
+    FaultCampaign, FaultReport, PartialSum, SweepEngine, SweepLayout, SweepScratch,
 };
 use forms_tensor::Tensor;
-
-/// Samples per tile of the blocked [`IsaacLayer::matmul_into`] kernel —
-/// kept equal to `forms_arch::MATMUL_TILE` so FORMS-vs-ISAAC batch
-/// throughput comparisons use the same blocking.
-const MATMUL_TILE: usize = 32;
 
 /// Statistics of one ISAAC matrix-vector multiplication.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -38,37 +33,6 @@ impl Merge for IsaacStats {
         self.offset_subtractions += other.offset_subtractions;
         self.row_blocks += other.row_blocks;
     }
-}
-
-/// Reusable working memory of one [`IsaacLayer`] MVM — the ISAAC mirror of
-/// `forms_arch::MvmScratch`, so the FORMS-vs-ISAAC throughput comparison
-/// stays apples-to-apples (both kernels are blocked and allocation-free
-/// with a warm scratch).
-#[derive(Clone, Debug, Default)]
-pub struct IsaacScratch {
-    /// f64 path: raw column currents of one sample, plane-major over all
-    /// mapped cell columns.
-    currents: Vec<f64>,
-    /// f64 path: per-slice shift-&-add accumulators of the current weight
-    /// column.
-    slice_acc: Vec<u64>,
-    /// Signed digital accumulators, one per (tile sample, compact weight
-    /// column). The integer fast path widens each (block, sample) row of
-    /// partial sums into them once, subtracting the block's offset.
-    accs: Vec<i64>,
-    /// f64 path: dequantized cell values of the current block window,
-    /// row-major over all mapped cell columns — the division by the
-    /// conductance step is paid once per cell instead of once per cell per
-    /// input bit plane.
-    cell_vals: Vec<f64>,
-    /// Gathered block codes of one tile of samples, sample-major.
-    tile_codes: Vec<u32>,
-    /// Packed bit planes of the whole tile.
-    tile_planes: Vec<u64>,
-    /// Integer fast path: the block's offset-encoded weight codes and one
-    /// sample's block partial sums, at the layer's partial-sum width
-    /// (`i32` or `i64`, see [`IntWindow`](forms_reram::IntWindow)).
-    windows: IntWindows,
 }
 
 /// A signed weight matrix mapped with ISAAC's offset encoding.
@@ -231,11 +195,7 @@ impl IsaacLayer {
     /// per-crossbar salting as the FORMS engine, so FORMS-vs-ISAAC fault
     /// sweeps are apples-to-apples).
     pub fn inject_faults(&mut self, campaign: &FaultCampaign, salt: u64) -> FaultReport {
-        let mut total = FaultReport::default();
-        for (i, xbar) in self.crossbars.iter_mut().enumerate() {
-            let xb_salt = salt ^ (i as u64).wrapping_mul(0xD1B5_4A32_D192_ED03);
-            total.merge(&campaign.apply(xbar, xb_salt));
-        }
+        let total = campaign.apply_all(&mut self.crossbars, salt);
         self.faulted_cells += total.stuck() as u64;
         self.drifted_cells += total.drifted as u64;
         total
@@ -306,7 +266,7 @@ impl IsaacLayer {
     /// crossbar block activate together, every input bit plane is fed (no
     /// zero-skipping), and the counted-ones offset is subtracted digitally.
     /// A one-column [`matmul_into`](Self::matmul_into) on a fresh
-    /// [`IsaacScratch`].
+    /// [`SweepScratch`].
     ///
     /// # Panics
     ///
@@ -317,43 +277,25 @@ impl IsaacLayer {
         let stats = self.matmul_into(
             input_codes,
             &[input_scale],
-            &mut IsaacScratch::default(),
+            &mut SweepScratch::default(),
             &mut out,
         );
         (out, stats)
     }
 
-    /// Whether the batched kernel may run its integer fast path — the
-    /// ISAAC mirror of `forms_arch::MappedLayer::integer_matmul_path`:
-    /// every mapped cell dequantizes to an exact integer code and the ADC
-    /// is lossless over a full block's current range.
+    /// Whether [`matmul_into`](Self::matmul_into) runs its integer path
+    /// (see [`SweepLayout::integer_path`]): every mapped cell dequantizes to
+    /// an exact integer code and the ADC is lossless over a full block's
+    /// current range.
     pub fn integer_matmul_path(&self) -> bool {
-        let spec = self.crossbars[0].spec();
-        let max_window = self.crossbar_dim as u64 * u64::from(spec.max_code());
-        self.adc.full_scale() == f64::from(self.adc.levels() - 1)
-            && max_window as f64 <= self.adc.full_scale()
-            && self
-                .crossbars
-                .iter()
-                .all(|x| x.integral_dequant_codes().is_some())
+        self.layout().integer_path(self.crossbar_dim)
     }
 
     /// The blocked weight-stationary batch kernel: executes
-    /// `scales.len()` offset-encoded matrix-vector products in one sweep,
-    /// bitwise identical to calling
+    /// `scales.len()` offset-encoded matrix-vector products in one
+    /// [`matmul_sweep`] over the row blocks, bitwise identical to calling
     /// [`matvec_reference`](Self::matvec_reference) once per sample
     /// (outputs *and* merged stats).
-    ///
-    /// Samples are processed in tiles; per row block the weight window is
-    /// materialized once per tile and swept over every sample. Pristine
-    /// arrays take an integer fast path: ADC conversion is the identity,
-    /// so each weight's cell slices fold into its encoded code, every set
-    /// input bit adds `code << plane` into one row of block partial sums
-    /// per sample, and that row is widened into the sample's `i64`
-    /// accumulators once, minus the block's counted-ones offset. The row
-    /// is summed in `i32` when one block's worst case fits (decided at map
-    /// time), in `i64` otherwise. Drifted arrays fall back to an f64 path
-    /// preserving the reference kernel's ascending-row summation order.
     ///
     /// # Panics
     ///
@@ -363,214 +305,28 @@ impl IsaacLayer {
         &self,
         batch_codes: &[u32],
         scales: &[f32],
-        scratch: &mut IsaacScratch,
+        scratch: &mut SweepScratch,
         outs: &mut [f32],
     ) -> IsaacStats {
-        if self.i32_sums {
-            self.matmul_tiles::<i32>(batch_codes, scales, scratch, outs)
-        } else {
-            self.matmul_tiles::<i64>(batch_codes, scales, scratch, outs)
-        }
+        matmul_sweep(self, &self.layout(), batch_codes, scales, scratch, outs)
     }
 
-    /// [`matmul_into`](Self::matmul_into) with block partial sums of type
-    /// `T`.
-    fn matmul_tiles<T: PartialSum>(
-        &self,
-        batch_codes: &[u32],
-        scales: &[f32],
-        scratch: &mut IsaacScratch,
-        outs: &mut [f32],
-    ) -> IsaacStats {
-        let mut stats = IsaacStats::default();
-        if scales.is_empty() {
-            assert!(batch_codes.is_empty(), "codes without scales");
-            assert!(outs.is_empty(), "outputs without scales");
-            return stats;
+    /// The layer as the sweep reads it.
+    fn layout(&self) -> SweepLayout<'_> {
+        SweepLayout {
+            row_index: &self.row_index,
+            col_index: &self.col_index,
+            orig_rows: self.orig_rows,
+            orig_cols: self.orig_cols,
+            crossbars: &self.crossbars,
+            xb_cols: self.xb_cols,
+            crossbar_dim: self.crossbar_dim,
+            slicer: self.slicer,
+            adc: &self.adc,
+            input_bits: self.input_bits,
+            step: self.step,
+            i32_sums: self.i32_sums,
         }
-        let nsamples = scales.len();
-        assert_eq!(
-            batch_codes.len(),
-            nsamples * self.orig_rows,
-            "need one whole input vector per batched sample"
-        );
-        assert_eq!(
-            outs.len(),
-            nsamples * self.orig_cols,
-            "need one whole output vector per batched sample"
-        );
-        for sample in batch_codes.chunks_exact(self.orig_rows) {
-            self.validate_input_codes(sample);
-        }
-        let dim = self.crossbar_dim;
-        let cpw = self.slicer.cells_per_weight();
-        let cell_bits = self.slicer.cell_bits();
-        let ncols = self.col_index.len();
-        let cell_cols = ncols * cpw;
-        let n_planes = self.input_bits as usize;
-        let fast = self.integer_matmul_path();
-        outs.fill(0.0);
-
-        for tile_lo in (0..nsamples).step_by(MATMUL_TILE) {
-            let tile = tile_lo..(tile_lo + MATMUL_TILE).min(nsamples);
-            let t = tile.len();
-            scratch.accs.clear();
-            scratch.accs.resize(t * ncols, 0);
-
-            for (block, rows) in self.row_index.chunks(dim).enumerate() {
-                let block_rows = rows.len();
-                // Gather the tile's block codes (sample-major). ISAAC has
-                // no zero-skipping: every sample pays all input bit planes.
-                scratch.tile_codes.clear();
-                for s in tile.clone() {
-                    let codes = &batch_codes[s * self.orig_rows..(s + 1) * self.orig_rows];
-                    scratch.tile_codes.extend(rows.iter().map(|&r| codes[r]));
-                }
-                stats.cycles += t as u64 * u64::from(self.input_bits);
-                stats.row_blocks += t as u64;
-                let words = pack_tile_bit_planes(
-                    &scratch.tile_codes,
-                    t,
-                    self.input_bits,
-                    &mut scratch.tile_planes,
-                );
-                let stride = n_planes * words;
-
-                if fast {
-                    let IsaacScratch {
-                        tile_planes,
-                        windows,
-                        accs,
-                        ..
-                    } = scratch;
-                    // Encoded weight-code window, once per (block, tile):
-                    // lossless conversion is the identity and shift-&-add
-                    // is linear, so each weight's cell slices fold back
-                    // into its encoded code and a block's result is its
-                    // row of `Σ code × input` partial sums.
-                    let window = T::window(windows);
-                    window.load(
-                        &self.crossbars[block * self.xb_cols..][..self.xb_cols],
-                        0,
-                        block_rows,
-                        ncols,
-                        cpw,
-                        cell_bits,
-                    );
-                    for si in 0..t {
-                        let planes = &tile_planes[si * stride..(si + 1) * stride];
-                        let mut offset = 0u64;
-                        for (plane, mask) in planes.chunks_exact(words).enumerate() {
-                            let ones = plane_ones(mask);
-                            stats.ones_counted += ones;
-                            stats.offset_subtractions += ones;
-                            offset += (self.bias * ones) << plane;
-                        }
-                        let sums = window.sum_planes(planes, words);
-                        let sample_accs = &mut accs[si * ncols..][..ncols];
-                        for (acc, &sum) in sample_accs.iter_mut().zip(sums) {
-                            *acc += sum.into() - offset as i64;
-                        }
-                        // Lossless conversion is the identity; conversions
-                        // are counted arithmetically (every column converts
-                        // every slice each bit plane).
-                        stats.adc_conversions += n_planes as u64 * cell_cols as u64;
-                    }
-                } else {
-                    let IsaacScratch {
-                        tile_planes,
-                        cell_vals,
-                        currents,
-                        slice_acc,
-                        accs,
-                        ..
-                    } = scratch;
-                    // f64 window, once per (block, tile).
-                    cell_vals.clear();
-                    cell_vals.resize(block_rows * cell_cols, 0.0);
-                    for r in 0..block_rows {
-                        let row = &mut cell_vals[r * cell_cols..(r + 1) * cell_cols];
-                        for xc in 0..self.xb_cols {
-                            let col_lo = xc * dim;
-                            if col_lo >= cell_cols {
-                                break;
-                            }
-                            let col_hi = (col_lo + dim).min(cell_cols);
-                            self.crossbars[block * self.xb_cols + xc]
-                                .dequant_row_into(r, &mut row[col_lo..col_hi]);
-                        }
-                    }
-                    for si in 0..t {
-                        let planes = &tile_planes[si * stride..(si + 1) * stride];
-                        let mut offset = 0u64;
-                        currents.clear();
-                        currents.resize(n_planes * cell_cols, 0.0);
-                        for (plane, mask) in planes.chunks_exact(words).enumerate() {
-                            let ones = plane_ones(mask);
-                            stats.ones_counted += ones;
-                            stats.offset_subtractions += ones;
-                            offset += (self.bias * ones) << plane;
-                            // Active rows accumulate in ascending order,
-                            // matching the reference summation order
-                            // bitwise.
-                            let row = &mut currents[plane * cell_cols..(plane + 1) * cell_cols];
-                            for_each_set_bit(mask, |i| {
-                                if i < block_rows {
-                                    let vals = &cell_vals[i * cell_cols..(i + 1) * cell_cols];
-                                    for (acc, &v) in row.iter_mut().zip(vals) {
-                                        *acc += v;
-                                    }
-                                }
-                            });
-                        }
-                        let sample_accs = &mut accs[si * ncols..][..ncols];
-                        for (ci, acc) in sample_accs.iter_mut().enumerate() {
-                            slice_acc.clear();
-                            slice_acc.resize(cpw, 0);
-                            for plane in 0..n_planes {
-                                let cur = &currents[plane * cell_cols..];
-                                for (k, acc_k) in slice_acc.iter_mut().enumerate() {
-                                    let code = self.adc.convert(cur[ci * cpw + k]);
-                                    stats.adc_conversions += 1;
-                                    *acc_k += u64::from(code) << plane;
-                                }
-                            }
-                            let mut encoded_total = 0u64;
-                            for &s in slice_acc.iter() {
-                                encoded_total = (encoded_total << cell_bits) + s;
-                            }
-                            *acc += encoded_total as i64 - offset as i64;
-                        }
-                    }
-                }
-            }
-
-            for (si, s) in tile.enumerate() {
-                let out = &mut outs[s * self.orig_cols..][..self.orig_cols];
-                for (ci, &c) in self.col_index.iter().enumerate() {
-                    out[c] = scratch.accs[si * ncols + ci] as f32 * self.step * scales[s];
-                }
-            }
-        }
-        stats
-    }
-
-    /// Validates the whole input vector in one pass (length + range), so
-    /// the per-block gather loops stay assert-free.
-    fn validate_input_codes(&self, input_codes: &[u32]) {
-        assert_eq!(
-            input_codes.len(),
-            self.orig_rows,
-            "need one input code per original row"
-        );
-        let limit = 1u64 << self.input_bits;
-        assert!(
-            self.row_index
-                .iter()
-                .all(|&r| u64::from(input_codes[r]) < limit),
-            "input code exceeds {} bits",
-            self.input_bits
-        );
     }
 
     /// The legacy allocating kernel, kept as the bitwise oracle for
@@ -586,7 +342,7 @@ impl IsaacLayer {
         input_codes: &[u32],
         input_scale: f32,
     ) -> (Vec<f32>, IsaacStats) {
-        self.validate_input_codes(input_codes);
+        self.layout().validate_input_codes(input_codes);
         let dim = self.crossbar_dim;
         let cpw = self.slicer.cells_per_weight();
         let cell_bits = self.slicer.cell_bits();
@@ -645,9 +401,53 @@ impl IsaacLayer {
     }
 }
 
+/// ISAAC's part of the sweep: whole-block sub-arrays, every input plane
+/// paid, and the offset subtraction as the digital step.
+impl SweepEngine for IsaacLayer {
+    type Stats = IsaacStats;
+
+    fn subarray_rows(&self) -> usize {
+        self.crossbar_dim
+    }
+
+    fn sample_planes(&self, _codes: &[u32], stats: &mut IsaacStats) -> u32 {
+        // No zero-skipping: every sample pays all input bit planes, and
+        // every column converts every slice each plane.
+        stats.cycles += u64::from(self.input_bits);
+        stats.row_blocks += 1;
+        let cell_cols = self.col_index.len() * self.slicer.cells_per_weight();
+        stats.adc_conversions += u64::from(self.input_bits) * cell_cols as u64;
+        self.input_bits
+    }
+
+    fn digital_step<T: PartialSum>(
+        &self,
+        _block: usize,
+        planes: &[u64],
+        words: usize,
+        sums: &[T],
+        accs: &mut [i64],
+        stats: &mut IsaacStats,
+    ) {
+        // Offset term shared by every column of the block:
+        // bias × Σ_planes ones(plane) << plane.
+        let mut offset = 0u64;
+        for (plane, mask) in planes.chunks_exact(words).enumerate() {
+            let ones = plane_ones(mask);
+            stats.ones_counted += ones;
+            stats.offset_subtractions += ones;
+            offset += (self.bias * ones) << plane;
+        }
+        for (acc, &sum) in accs.iter_mut().zip(sums) {
+            *acc += sum.into() - offset as i64;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use forms_reram::MATMUL_TILE;
     use forms_tensor::QuantizedTensor;
 
     fn signed_matrix(rows: usize, cols: usize) -> Tensor {
@@ -761,7 +561,7 @@ mod tests {
     fn scratch_is_reusable_across_blocks_and_inputs() {
         let w = signed_matrix(40, 4);
         let layer = IsaacLayer::map_with(&w, 8, 8, 16, CellSpec::paper_2bit()).expect("map");
-        let mut scratch = IsaacScratch::default();
+        let mut scratch = SweepScratch::default();
         let mut out = vec![0.0f32; layer.output_len()];
         for seed in 0..3u32 {
             let codes: Vec<u32> = (0..40).map(|i| (i as u32 * 7 + seed) % 256).collect();
@@ -838,7 +638,7 @@ mod tests {
             }
             let layer = IsaacLayer::map_with(&w, 8, 8, 16, CellSpec::paper_2bit()).expect("map");
             assert!(layer.integer_matmul_path(), "pristine map must be fast");
-            let mut scratch = IsaacScratch::default();
+            let mut scratch = SweepScratch::default();
             for samples in [0usize, 1, 5, MATMUL_TILE + 1] {
                 let (codes, scales) = batch_codes_for(&layer, samples, 5);
                 let mut outs = vec![0.0f32; samples * cols];
@@ -857,7 +657,7 @@ mod tests {
         layer.crossbars_mut()[0].conductances_mut()[5] += 3.77;
         layer.crossbars_mut()[0].commit_writes();
         assert!(!layer.integer_matmul_path(), "drift must disable fast path");
-        let mut scratch = IsaacScratch::default();
+        let mut scratch = SweepScratch::default();
         let (codes, scales) = batch_codes_for(&layer, MATMUL_TILE + 2, 9);
         let mut outs = vec![0.0f32; scales.len() * 5];
         let stats = layer.matmul_into(&codes, &scales, &mut scratch, &mut outs);
@@ -872,7 +672,7 @@ mod tests {
         let mut layer = IsaacLayer::map_with(&w, 8, 8, 16, CellSpec::paper_2bit()).expect("map");
         let report = layer.inject_faults(&FaultCampaign::stuck_at(3, 0.15, 0.1), 7);
         assert!(report.stuck() > 0);
-        let mut scratch = IsaacScratch::default();
+        let mut scratch = SweepScratch::default();
         let (codes, scales) = batch_codes_for(&layer, 11, 2);
         let mut outs = vec![0.0f32; 11 * 4];
         let stats = layer.matmul_into(&codes, &scales, &mut scratch, &mut outs);
@@ -906,7 +706,7 @@ mod tests {
         }
         // One scratch threaded narrow → wide → narrow pins its reuse
         // across partial-sum widths.
-        let mut scratch = IsaacScratch::default();
+        let mut scratch = SweepScratch::default();
         for layer in layers.iter().chain(&layers[..2]) {
             let full_scale = (1u32 << layer.input_bits) - 1;
             let mut codes = vec![full_scale; 3 * 32];

@@ -39,6 +39,6 @@ mod split;
 
 pub use accelerator::{IsaacActivity, IsaacConfig};
 pub use forms_exec::ExecError;
-pub use isaac::{IsaacLayer, IsaacScratch, IsaacStats};
+pub use isaac::{IsaacLayer, IsaacStats};
 pub use puma::PumaModel;
 pub use split::SplitLayer;

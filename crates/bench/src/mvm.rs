@@ -14,10 +14,10 @@
 
 use std::hint::black_box;
 
-use forms_arch::{Executor, MappedLayer, MappingConfig, MvmScratch};
-use forms_baselines::{IsaacConfig, IsaacLayer, IsaacScratch};
+use forms_arch::{Executor, MappedLayer, MappingConfig};
+use forms_baselines::{IsaacConfig, IsaacLayer};
 use forms_dnn::{Layer, Network, WeightLayerMut};
-use forms_reram::CellSpec;
+use forms_reram::{CellSpec, SweepScratch};
 use forms_rng::{Rng, StdRng};
 use forms_tensor::Tensor;
 
@@ -379,7 +379,7 @@ pub fn run(spec: &MvmBenchSpec) -> MvmBenchReport {
             .collect();
         let scales = vec![scale; b];
         let (codes, sc) = (batches.clone(), scales.clone());
-        let (mut scratch, mut out, mut i) = (MvmScratch::default(), vec![0.0; b * spec.cols], 0);
+        let (mut scratch, mut out, mut i) = (SweepScratch::default(), vec![0.0; b * spec.cols], 0);
         runs.push((
             format!("forms/batched/b{b}"),
             Box::new(move || {
@@ -392,7 +392,7 @@ pub fn run(spec: &MvmBenchSpec) -> MvmBenchReport {
                 i += 1;
             }),
         ));
-        let (mut scratch, mut out, mut i) = (IsaacScratch::default(), vec![0.0; b * spec.cols], 0);
+        let (mut scratch, mut out, mut i) = (SweepScratch::default(), vec![0.0; b * spec.cols], 0);
         runs.push((
             format!("isaac/batched/b{b}"),
             Box::new(move || {
@@ -415,7 +415,7 @@ pub fn run(spec: &MvmBenchSpec) -> MvmBenchReport {
     // --- end-to-end images/s ----------------------------------------
     let (mut net, x) = bench_network(spec, &mut rng);
     polarize_network(&mut net, spec.mapping.fragment_size);
-    let mut forms_acc =
+    let forms_acc =
         Executor::<MappedLayer>::map_network(&net, &spec.mapping).expect("bench net maps");
     let isaac_config = IsaacConfig {
         crossbar_dim: spec.mapping.crossbar_dim,
@@ -423,32 +423,51 @@ pub fn run(spec: &MvmBenchSpec) -> MvmBenchReport {
         weight_bits: spec.mapping.weight_bits,
         input_bits: spec.mapping.input_bits,
     };
-    let mut isaac_acc =
+    let isaac_acc =
         Executor::<IsaacLayer>::map_network(&net, &isaac_config).expect("bench net maps on ISAAC");
 
-    let mut images = Vec::new();
+    // Timed round-robin like the kernel sweep, so the reported
+    // parallel-over-batched ratio sees the same host phases on both sides.
+    // `forward` and `forward_parallel` take the executor mutably, so each
+    // case owns a clone.
     let batch = spec.batch as f64;
     let workers = spec.workers;
-    {
-        let r = bencher.bench("forms/images/batched", || forms_acc.forward(&x));
-        images.push(image_result("FORMS", "batched", 1, batch, r));
-    }
-    {
-        let r = bencher.bench("forms/images/parallel", || {
-            forms_acc.forward_parallel(&x, workers)
-        });
-        images.push(image_result("FORMS", "parallel", workers, batch, r));
-    }
-    {
-        let r = bencher.bench("isaac/images/batched", || isaac_acc.forward(&x));
-        images.push(image_result("ISAAC", "batched", 1, batch, r));
-    }
-    {
-        let r = bencher.bench("isaac/images/parallel", || {
-            isaac_acc.forward_parallel(&x, workers)
-        });
-        images.push(image_result("ISAAC", "parallel", workers, batch, r));
-    }
+    let x = &x;
+    let (mut forms_batched, mut forms_parallel) = (forms_acc.clone(), forms_acc);
+    let (mut isaac_batched, mut isaac_parallel) = (isaac_acc.clone(), isaac_acc);
+    let mut runs: Vec<BenchCase<'_>> = vec![
+        (
+            "forms/images/batched".into(),
+            Box::new(move || {
+                black_box(forms_batched.forward(x));
+            }),
+        ),
+        (
+            "forms/images/parallel".into(),
+            Box::new(move || {
+                black_box(forms_parallel.forward_parallel(x, workers));
+            }),
+        ),
+        (
+            "isaac/images/batched".into(),
+            Box::new(move || {
+                black_box(isaac_batched.forward(x));
+            }),
+        ),
+        (
+            "isaac/images/parallel".into(),
+            Box::new(move || {
+                black_box(isaac_parallel.forward_parallel(x, workers));
+            }),
+        ),
+    ];
+    let timings = bencher.bench_round_robin(&mut runs);
+    let images = vec![
+        image_result("FORMS", "batched", 1, batch, &timings[0]),
+        image_result("FORMS", "parallel", workers, batch, &timings[1]),
+        image_result("ISAAC", "batched", 1, batch, &timings[2]),
+        image_result("ISAAC", "parallel", workers, batch, &timings[3]),
+    ];
 
     MvmBenchReport {
         spec: spec.clone(),

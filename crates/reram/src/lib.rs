@@ -13,9 +13,12 @@
 //! - [`BitSlicer`] — weight-magnitude bit-slicing across
 //!   `weight_bits / cell_bits` cells,
 //! - [`Adc`] — the column ADC's transfer function with saturation,
-//! - [`IntWindow`] — the integer weight window and partial-sum row the
-//!   batched MVM kernels sweep on integral arrays, in `i32` or `i64`
-//!   ([`PartialSum`]),
+//! - [`matmul_sweep`] — the one batched MVM sweep of both crossbar
+//!   engines: tiles of bit-serial input planes over sub-arrays, an integer
+//!   window path (partial sums in `i32` or `i64`, [`PartialSum`]) and an
+//!   f64 fallback, with the per-design sub-array height, planes paid and
+//!   digital step supplied by a [`SweepEngine`] and all working memory in
+//!   one reusable [`SweepScratch`],
 //! - [`LogNormalVariation`] / [`StuckAtFault`] — the device non-idealities
 //!   behind the paper's Table VI.
 //!
@@ -47,6 +50,7 @@ mod faults;
 mod irdrop;
 mod noise;
 mod packing;
+mod sweep;
 mod variation;
 mod window;
 
@@ -57,5 +61,6 @@ pub use faults::{FaultCampaign, FaultReport};
 pub use irdrop::IrDropModel;
 pub use noise::CurrentNoise;
 pub use packing::{for_each_set_bit, pack_tile_bit_planes, plane_is_zero, plane_ones, plane_words};
+pub use sweep::{matmul_sweep, SweepEngine, SweepLayout, SweepScratch, MATMUL_TILE};
 pub use variation::{LogNormalVariation, StuckAtFault, StuckAtKind};
-pub use window::{partial_sums_fit_i32, IntWindow, IntWindows, PartialSum};
+pub use window::{partial_sums_fit_i32, PartialSum};

@@ -18,11 +18,12 @@ use crate::packing::{for_each_set_bit, plane_is_zero};
 use crate::Crossbar;
 
 /// The integer one sub-array's partial sums are summed in: `i32` when
-/// [`partial_sums_fit_i32`] holds for the layer, `i64` otherwise.
+/// [`partial_sums_fit_i32`] holds for the layer, `i64` otherwise. Only
+/// those two types implement it.
 pub trait PartialSum:
     Copy + Default + From<u16> + Into<i64> + Add<Output = Self> + AddAssign + Shl<u32, Output = Self>
 {
-    /// This width's window among a scratch's [`IntWindows`].
+    /// This width's window among a sweep scratch's `IntWindows`.
     fn window(windows: &mut IntWindows) -> &mut IntWindow<Self>;
 }
 

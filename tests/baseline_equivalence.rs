@@ -3,9 +3,10 @@
 //! same `forms-reram` substrate — with exactly the cost differences the
 //! paper describes.
 
-use forms::arch::{MappedLayer, MappingConfig};
+use forms::arch::{MappedLayer, MappingConfig, MATMUL_TILE};
 use forms::baselines::{IsaacLayer, SplitLayer};
-use forms::reram::CellSpec;
+use forms::exec::{CrossbarEngine, Merge};
+use forms::reram::{CellSpec, SweepScratch};
 use forms::tensor::{QuantizedTensor, Tensor};
 
 /// A fragment-polarized matrix (columns alternate fragment signs).
@@ -129,4 +130,110 @@ fn zero_skipping_advantage_is_unique_to_forms() {
     let (_, is) = isaac.matvec(&codes, 1.0);
     assert!(fs.cycles < fs.cycles_without_skip, "FORMS saved nothing");
     assert_eq!(is.cycles, 8, "ISAAC always pays the full bit width");
+}
+
+/// Runs one batch through `engine` on the shared `scratch` and checks it
+/// bitwise against the per-sample `reference` kernel (outputs and merged
+/// stats).
+fn assert_batch_matches_reference<E>(
+    engine: &E,
+    reference: impl Fn(&[u32], f32) -> (Vec<f32>, E::Stats),
+    rows: usize,
+    input_bits: u32,
+    scratch: &mut SweepScratch,
+    tag: &str,
+) where
+    E: CrossbarEngine<Scratch = SweepScratch>,
+    E::Stats: PartialEq,
+{
+    let samples = MATMUL_TILE + 3;
+    // Full-width codes with whole zero fragments and small codes mixed in,
+    // so zero-skipping, skipped planes and the top planes are all driven.
+    let codes: Vec<u32> = (0..samples * rows)
+        .map(|i| {
+            let h = (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
+            match (i % rows / 4 + i / rows) % 4 {
+                0 => 0,
+                1 => (h % 8) as u32,
+                _ => (h % (1 << input_bits)) as u32,
+            }
+        })
+        .collect();
+    let scales: Vec<f32> = (0..samples).map(|s| 0.002 + 0.0005 * s as f32).collect();
+    let mut outs = vec![0.0f32; samples * engine.output_len()];
+    let stats = engine.matmul_into(&codes, &scales, scratch, &mut outs);
+
+    let mut want = Vec::with_capacity(outs.len());
+    let mut want_stats = E::Stats::default();
+    for (sample, &scale) in codes.chunks_exact(rows).zip(&scales) {
+        let (out, s) = reference(sample, scale);
+        want.extend(out);
+        want_stats.merge(s);
+    }
+    assert_eq!(outs, want, "{tag}");
+    assert_eq!(stats, want_stats, "{tag}");
+}
+
+#[test]
+fn one_scratch_serves_both_engines_at_both_partial_sum_widths() {
+    // Both engines run the same sub-array sweep on the same scratch type,
+    // so one warm scratch must carry over between them in any order. FORMS
+    // fragments of 4 w8 codes sum in i32 up to 21 input bits (4 × 255 ×
+    // (2^21 − 1) ≤ i32::MAX) and in i64 from 22; ISAAC's 16-row blocks up
+    // to 19 and from 20. A drifted layer of each design adds the f64 path,
+    // and the designs' layers differ in width.
+    let rows = 40;
+    let forms = |input_bits: u32, drift: bool| {
+        let config = MappingConfig {
+            input_bits,
+            ..mapping_config(4)
+        };
+        let mut layer = MappedLayer::map(&polarized_matrix(rows, 6, 4), config).expect("map");
+        if drift {
+            layer.crossbars_mut()[1].conductances_mut()[7] += 5.5;
+            layer.crossbars_mut()[1].commit_writes();
+        }
+        assert_eq!(layer.integer_matmul_path(), !drift);
+        layer
+    };
+    let isaac = |input_bits: u32, drift: bool| {
+        let w = Tensor::from_fn(&[rows, 9], |i| ((i * 37 % 17) as f32 - 8.0) / 8.0 + 0.05);
+        let mut layer =
+            IsaacLayer::map_with(&w, 8, input_bits, 16, CellSpec::paper_2bit()).expect("map");
+        if drift {
+            layer.crossbars_mut()[2].conductances_mut()[3] += 2.25;
+            layer.crossbars_mut()[2].commit_writes();
+        }
+        assert_eq!(layer.integer_matmul_path(), !drift);
+        layer
+    };
+    let forms_layers = [
+        (forms(21, false), 21),
+        (forms(22, false), 22),
+        (forms(16, true), 16),
+    ];
+    let isaac_layers = [
+        (isaac(20, false), 20),
+        (isaac(19, false), 19),
+        (isaac(16, true), 16),
+    ];
+
+    let mut scratch = SweepScratch::default();
+    // FORMS i32 → ISAAC i64, FORMS i64 → ISAAC i32, FORMS f64 → ISAAC f64,
+    // then the same pairs with ISAAC first.
+    for isaac_first in [false, true] {
+        for ((f, f_bits), (i, i_bits)) in forms_layers.iter().zip(&isaac_layers) {
+            for run_isaac in [isaac_first, !isaac_first] {
+                if run_isaac {
+                    let tag = format!("ISAAC a{i_bits}, isaac_first={isaac_first}");
+                    let reference = |c: &[u32], s: f32| i.matvec_reference(c, s);
+                    assert_batch_matches_reference(i, reference, rows, *i_bits, &mut scratch, &tag);
+                } else {
+                    let tag = format!("FORMS a{f_bits}, isaac_first={isaac_first}");
+                    let reference = |c: &[u32], s: f32| f.matvec_reference(c, s);
+                    assert_batch_matches_reference(f, reference, rows, *f_bits, &mut scratch, &tag);
+                }
+            }
+        }
+    }
 }
