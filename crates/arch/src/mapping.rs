@@ -9,8 +9,8 @@
 
 use forms_exec::{CrossbarEngine, EngineHealth, ExecError, FaultableEngine, Merge};
 use forms_reram::{
-    matmul_sweep, partial_sums_fit_i32, Adc, BitSlicer, CellSpec, Crossbar, CurrentNoise,
-    FaultCampaign, FaultReport, PartialSum, SweepEngine, SweepLayout, SweepScratch,
+    matmul_sweep, CellSpec, Crossbar, CrossbarGrid, CurrentNoise, FaultCampaign, FaultReport,
+    GridShape, PartialSum, SweepEngine, SweepScratch,
 };
 use forms_rng::Rng;
 use forms_tensor::Tensor;
@@ -60,16 +60,6 @@ impl MappingConfig {
     /// Cells per weight.
     pub fn cells_per_weight(&self) -> usize {
         self.weight_bits.div_ceil(self.cell.bits()) as usize
-    }
-
-    /// Weight columns per physical crossbar.
-    pub fn weights_per_crossbar_row(&self) -> usize {
-        self.crossbar_dim / self.cells_per_weight()
-    }
-
-    /// Fragments stacked per physical crossbar column.
-    pub fn fragments_per_crossbar_col(&self) -> usize {
-        self.crossbar_dim / self.fragment_size
     }
 }
 
@@ -159,107 +149,46 @@ impl forms_hwmodel::DynamicActivity for FormsActivity {
 #[derive(Clone, Debug)]
 pub struct MappedLayer {
     config: MappingConfig,
-    /// Map compact row index → original row index.
-    row_index: Vec<usize>,
-    /// Map compact column index → original column index.
-    col_index: Vec<usize>,
-    /// Original matrix dimensions.
-    orig_rows: usize,
-    orig_cols: usize,
-    /// Weight quantization step (value of magnitude code 1).
-    step: f32,
+    /// The compacted weight magnitudes on the crossbar grid.
+    grid: CrossbarGrid,
     /// Sign per (fragment, compact column), fragment-major: `true` =
     /// positive.
     signs: Vec<bool>,
-    fragments_per_col: usize,
-    /// Whether one fragment's worst-case partial sum fits an `i32`, so the
-    /// integer fast path sums fragments in `i32` (see
-    /// [`partial_sums_fit_i32`]).
-    i32_sums: bool,
-    /// Physical crossbar grid, row-major `[xb_rows × xb_cols]`.
-    crossbars: Vec<Crossbar>,
-    xb_cols: usize,
-    adc: Adc,
-    slicer: BitSlicer,
-    /// Pristine nominal output ceiling: `max_col Σ|code| × max_input ×
-    /// step` — what no clean MVM output can exceed (per unit input scale).
-    ceiling: f64,
-    /// Cumulative stuck cells injected through [`inject_faults`](FaultableEngine::inject_faults).
-    faulted_cells: u64,
-    /// Cumulative drifted cells injected likewise.
-    drifted_cells: u64,
 }
 
 impl MappedLayer {
-    /// Maps a polarized weight matrix.
+    /// Maps a polarized weight matrix: each weight stores its magnitude
+    /// code, and each fragment's sign goes to its sign indicator.
     ///
     /// # Errors
     ///
     /// Returns [`ExecError::NotPolarized`] if any fragment mixes signs,
-    /// [`ExecError::AllZero`] for an all-zero matrix,
-    /// [`ExecError::NotMatrix`] when `matrix` is not rank-2 and
-    /// [`ExecError::UnsupportedConfig`] when the fragment size does not
-    /// divide the crossbar dimension, the weight width is outside `1..=32`,
-    /// the input width is outside `1..=31`, or a column's worst-case
-    /// accumulation would overflow the `i64` digital accumulators.
+    /// and otherwise the errors of [`CrossbarGrid::new`] (a non-matrix, an
+    /// all-zero matrix, a fragment size that does not divide the crossbar
+    /// dimension, out-of-range widths, or overflowing accumulators).
     pub fn map(matrix: &Tensor, config: MappingConfig) -> Result<Self, ExecError> {
-        if matrix.shape().rank() != 2 {
-            return Err(ExecError::NotMatrix {
-                rank: matrix.shape().rank(),
-            });
-        }
-        if config.fragment_size == 0 || !config.crossbar_dim.is_multiple_of(config.fragment_size) {
-            return Err(ExecError::UnsupportedConfig {
-                reason: "fragment size must divide the crossbar dimension",
-            });
-        }
-        if !(1..=32).contains(&config.weight_bits) {
-            return Err(ExecError::UnsupportedConfig {
-                reason: "weight bits must be in 1..=32",
-            });
-        }
-        if !(1..=31).contains(&config.input_bits) {
-            return Err(ExecError::UnsupportedConfig {
-                reason: "input bits must be in 1..=31",
-            });
-        }
-        let (rows, cols) = (matrix.dims()[0], matrix.dims()[1]);
-        let m = config.fragment_size;
-
-        // Structural compaction: drop all-zero rows and columns.
-        let nz = |r: usize, c: usize| matrix.data()[r * cols + c] != 0.0;
-        let row_index: Vec<usize> = (0..rows).filter(|&r| (0..cols).any(|c| nz(r, c))).collect();
-        let col_index: Vec<usize> = (0..cols).filter(|&c| (0..rows).any(|r| nz(r, c))).collect();
-        if row_index.is_empty() || col_index.is_empty() {
-            return Err(ExecError::AllZero);
-        }
-
-        let compact_rows = row_index.len();
-        let compact_cols = col_index.len();
-        let fragments_per_col = compact_rows.div_ceil(m);
-        // Worst case of one column's signed accumulator: every compact row
-        // holds the largest code its cells can store (a stuck-at fault may
-        // exceed the quantizer's) and every input is at full scale.
-        let slicer = BitSlicer::new(config.weight_bits, config.cell.bits());
-        let max_stored_code =
-            (1u128 << (config.cells_per_weight() as u32 * config.cell.bits())) - 1;
-        let max_input_code = (1u128 << config.input_bits) - 1;
-        if compact_rows as u128 * max_stored_code * max_input_code > i64::MAX as u128 {
-            return Err(ExecError::UnsupportedConfig {
-                reason: "worst-case column accumulation overflows the i64 accumulators",
-            });
-        }
-        let i32_sums = partial_sums_fit_i32(m, max_stored_code, max_input_code);
+        let (row_index, col_index) = CrossbarGrid::compact(matrix)?;
+        let shape = GridShape {
+            crossbar_dim: config.crossbar_dim,
+            subarray_rows: config.fragment_size,
+            cell: config.cell,
+            weight_bits: config.weight_bits,
+            input_bits: config.input_bits,
+        };
+        let grid = CrossbarGrid::new(matrix, row_index, col_index, shape, 0, |k| {
+            k.unsigned_abs() as u32
+        })?;
 
         // Polarization check + sign extraction on the compact matrix.
-        let mut signs = vec![true; fragments_per_col * compact_cols];
+        let cols = matrix.dims()[1];
+        let (rows, ncols) = (grid.row_index(), grid.col_index().len());
+        let mut signs = vec![true; rows.len().div_ceil(config.fragment_size) * ncols];
         let mut violations = 0usize;
-        for (ci, &c) in col_index.iter().enumerate() {
-            for frag in 0..fragments_per_col {
-                let lo = frag * m;
-                let hi = (lo + m).min(compact_rows);
-                let vals: Vec<f32> = (lo..hi)
-                    .map(|i| matrix.data()[row_index[i] * cols + c])
+        for (ci, &c) in grid.col_index().iter().enumerate() {
+            for (frag, frag_rows) in rows.chunks(config.fragment_size).enumerate() {
+                let vals: Vec<f32> = frag_rows
+                    .iter()
+                    .map(|&r| matrix.data()[r * cols + c])
                     .collect();
                 let sum: f32 = vals.iter().sum();
                 let positive = sum >= 0.0;
@@ -267,77 +196,16 @@ impl MappedLayer {
                     .iter()
                     .filter(|&&v| if positive { v < 0.0 } else { v > 0.0 })
                     .count();
-                signs[frag * compact_cols + ci] = positive;
+                signs[frag * ncols + ci] = positive;
             }
         }
         if violations > 0 {
             return Err(ExecError::NotPolarized { violations });
         }
-
-        // Magnitude quantization.
-        let abs_max = matrix.abs_max();
-        let max_code = ((1u64 << config.weight_bits) - 1) as f32;
-        let step = if abs_max > 0.0 {
-            abs_max / max_code
-        } else {
-            1.0
-        };
-        let cpw = config.cells_per_weight();
-
-        // Physical crossbar grid.
-        let dim = config.crossbar_dim;
-        let padded_rows = fragments_per_col * m;
-        let xb_rows = padded_rows.div_ceil(dim);
-        let xb_cols = (compact_cols * cpw).div_ceil(dim);
-        let mut crossbars = vec![Crossbar::new(dim, dim, config.cell); xb_rows * xb_cols];
-
-        let mut col_code_sums = vec![0u64; compact_cols];
-        for (ci, &c) in col_index.iter().enumerate() {
-            for (ri, &r) in row_index.iter().enumerate() {
-                let w = matrix.data()[r * cols + c];
-                if w == 0.0 {
-                    continue;
-                }
-                let code = ((w.abs() / step).round() as u32).min(max_code as u32);
-                col_code_sums[ci] += u64::from(code);
-                let slices = slicer.slice(code);
-                let (xr, row_in_xb) = (ri / dim, ri % dim);
-                for (k, &s) in slices.iter().enumerate() {
-                    let cell_col = ci * cpw + k;
-                    let (xc, col_in_xb) = (cell_col / dim, cell_col % dim);
-                    crossbars[xr * xb_cols + xc].program_cell(row_in_xb, col_in_xb, s);
-                }
-            }
-        }
-
-        // Pristine output ceiling: every fragment of a column contributes
-        // with one sign, so |Σ ±frag| ≤ Σ|code|, and inputs are at most the
-        // full-scale code. A clean MVM can never exceed this bound; a
-        // stuck-high or sign-corrupted array can.
-        let max_input = ((1u64 << config.input_bits) - 1) as f64;
-        let ceiling = col_code_sums
-            .iter()
-            .map(|&s| s as f64 * max_input * f64::from(step))
-            .fold(0.0f64, f64::max);
-
-        let adc = Adc::for_fragment(m, &config.cell);
         Ok(Self {
             config,
-            row_index,
-            col_index,
-            orig_rows: rows,
-            orig_cols: cols,
-            step,
+            grid,
             signs,
-            fragments_per_col,
-            i32_sums,
-            crossbars,
-            xb_cols,
-            adc,
-            slicer,
-            ceiling,
-            faulted_cells: 0,
-            drifted_cells: 0,
         })
     }
 
@@ -348,17 +216,12 @@ impl MappedLayer {
 
     /// The weight quantization step.
     pub fn step(&self) -> f32 {
-        self.step
-    }
-
-    /// Number of physical crossbars used.
-    pub fn crossbar_count(&self) -> usize {
-        self.crossbars.len()
+        self.grid.step()
     }
 
     /// Number of fragments per weight column.
     pub fn fragments_per_col(&self) -> usize {
-        self.fragments_per_col
+        self.signs.len() / self.grid.col_index().len()
     }
 
     /// Number of sign-indicator bits (one per fragment per column).
@@ -369,44 +232,31 @@ impl MappedLayer {
     /// Mutable access to the physical crossbars, for variation and fault
     /// injection.
     pub fn crossbars_mut(&mut self) -> &mut [Crossbar] {
-        &mut self.crossbars
+        self.grid.crossbars_mut()
     }
 
     /// Read access to the physical crossbars.
     pub fn crossbars(&self) -> &[Crossbar] {
-        &self.crossbars
+        self.grid.crossbars()
+    }
+
+    /// The sign indicator of fragment `frag` of compact column `ci`.
+    fn positive(&self, frag: usize, ci: usize) -> bool {
+        self.signs[frag * self.grid.col_index().len() + ci]
     }
 
     /// Reconstructs the (quantized) weight matrix this mapping represents,
     /// in original `[rows, cols]` indexing — the digital reference for the
     /// analog path.
     pub fn dequantized_matrix(&self) -> Tensor {
-        let mut out = Tensor::zeros(&[self.orig_rows, self.orig_cols]);
-        let cpw = self.config.cells_per_weight();
-        let dim = self.config.crossbar_dim;
-        for (ci, &c) in self.col_index.iter().enumerate() {
-            for (ri, &r) in self.row_index.iter().enumerate() {
-                let (xr, row_in_xb) = (ri / dim, ri % dim);
-                let mut slices = Vec::with_capacity(cpw);
-                for k in 0..cpw {
-                    let cell_col = ci * cpw + k;
-                    let (xc, col_in_xb) = (cell_col / dim, cell_col % dim);
-                    slices.push(
-                        self.crossbars[xr * self.xb_cols + xc].read_cell(row_in_xb, col_in_xb)
-                            as u64,
-                    );
-                }
-                let code = self.slicer.recombine(&slices);
-                let frag = ri / self.config.fragment_size;
-                let sign = if self.signs[frag * self.col_index.len() + ci] {
-                    1.0
-                } else {
-                    -1.0
-                };
-                out.data_mut()[r * self.orig_cols + c] = sign * code as f32 * self.step;
-            }
-        }
-        out
+        self.grid.dequantized(|ri, ci, code| {
+            let sign = if self.positive(ri / self.config.fragment_size, ci) {
+                1.0
+            } else {
+                -1.0
+            };
+            sign * code as f32
+        })
     }
 
     /// Executes the mixed-signal matrix-vector product on quantized input
@@ -423,7 +273,7 @@ impl MappedLayer {
     /// Panics if `input_codes.len()` differs from the original row count or
     /// any code exceeds `input_bits`.
     pub fn matvec(&self, input_codes: &[u32], input_scale: f32) -> (Vec<f32>, MvmStats) {
-        let mut out = vec![0.0f32; self.orig_cols];
+        let mut out = vec![0.0f32; self.grid.output_len()];
         let stats = self.matmul_into(
             input_codes,
             &[input_scale],
@@ -464,11 +314,11 @@ impl MappedLayer {
     }
 
     /// Whether [`matmul_into`](Self::matmul_into) runs its integer path
-    /// (see [`SweepLayout::integer_path`]): every mapped cell dequantizes to
-    /// an exact integer code and the ADC is lossless over a fragment's
+    /// (see [`CrossbarGrid::integer_path`]): every mapped cell dequantizes
+    /// to an exact integer code and the ADC is lossless over a fragment's
     /// current range.
     pub fn integer_matmul_path(&self) -> bool {
-        self.layout().integer_path(self.config.fragment_size)
+        self.grid.integer_path(self.config.fragment_size)
     }
 
     /// The blocked weight-stationary batch kernel: executes
@@ -490,25 +340,7 @@ impl MappedLayer {
         scratch: &mut SweepScratch,
         outs: &mut [f32],
     ) -> MvmStats {
-        matmul_sweep(self, &self.layout(), batch_codes, scales, scratch, outs)
-    }
-
-    /// The layer as the sweep reads it.
-    fn layout(&self) -> SweepLayout<'_> {
-        SweepLayout {
-            row_index: &self.row_index,
-            col_index: &self.col_index,
-            orig_rows: self.orig_rows,
-            orig_cols: self.orig_cols,
-            crossbars: &self.crossbars,
-            xb_cols: self.xb_cols,
-            crossbar_dim: self.config.crossbar_dim,
-            slicer: self.slicer,
-            adc: &self.adc,
-            input_bits: self.config.input_bits,
-            step: self.step,
-            i32_sums: self.i32_sums,
-        }
+        matmul_sweep(self, &self.grid, batch_codes, scales, scratch, outs)
     }
 
     fn matvec_impl(
@@ -517,22 +349,20 @@ impl MappedLayer {
         input_scale: f32,
         mut perturb: impl FnMut(f64) -> f64,
     ) -> (Vec<f32>, MvmStats) {
-        self.layout().validate_input_codes(input_codes);
+        let grid = &self.grid;
+        grid.validate_input_codes(input_codes);
         let m = self.config.fragment_size;
-        let dim = self.config.crossbar_dim;
         let cpw = self.config.cells_per_weight();
         let cell_bits = self.config.cell.bits();
         let mut stats = MvmStats::default();
-        let mut out = vec![0.0f32; self.orig_cols];
-        let mut accs = vec![0i64; self.col_index.len()];
+        let mut out = vec![0.0f32; grid.output_len()];
+        let mut accs = vec![0i64; grid.col_index().len()];
 
         // Fragment-major order mirrors the hardware: one shift-register
         // bank feeds every column of the sub-array simultaneously, so input
         // cycles are paid once per fragment, not once per column.
-        for frag in 0..self.fragments_per_col {
-            let lo = frag * m;
-            let hi = ((frag + 1) * m).min(self.row_index.len());
-            let codes: Vec<u32> = (lo..hi).map(|i| input_codes[self.row_index[i]]).collect();
+        for (frag, rows) in grid.row_index().chunks(m).enumerate() {
+            let codes: Vec<u32> = rows.iter().map(|&r| input_codes[r]).collect();
             stats.fragments_total += 1;
             stats.cycles_without_skip += u64::from(self.config.input_bits);
 
@@ -553,8 +383,6 @@ impl MappedLayer {
                 .iter()
                 .map(|bits| bits.iter().map(|&b| if b { 1.0 } else { 0.0 }).collect())
                 .collect();
-            let (xr, row_lo) = (lo / dim, lo % dim);
-            let window = row_lo..row_lo + codes.len();
 
             for (ci, acc) in accs.iter_mut().enumerate() {
                 // Per-slice accumulation over bit planes, then shift-&-add
@@ -562,15 +390,8 @@ impl MappedLayer {
                 let mut slice_acc = vec![0u64; cpw];
                 for (cycle, drive) in drives.iter().enumerate() {
                     for (k, acc_k) in slice_acc.iter_mut().enumerate() {
-                        let cell_col = ci * cpw + k;
-                        let (xc, col_in_xb) = (cell_col / dim, cell_col % dim);
-                        let current =
-                            perturb(self.crossbars[xr * self.xb_cols + xc].column_current(
-                                col_in_xb,
-                                drive,
-                                window.clone(),
-                            ));
-                        let code = self.adc.convert(current);
+                        let current = perturb(grid.column_current(frag * m, ci, k, drive));
+                        let code = grid.adc().convert(current);
                         stats.adc_conversions += 1;
                         *acc_k += u64::from(code) << cycle;
                     }
@@ -580,17 +401,14 @@ impl MappedLayer {
                     frag_total = (frag_total << cell_bits) + s;
                 }
                 // The sign indicator steers the accumulator add/subtract.
-                let positive = self.signs[frag * self.col_index.len() + ci];
-                *acc += if positive {
+                *acc += if self.positive(frag, ci) {
                     frag_total as i64
                 } else {
                     -(frag_total as i64)
                 };
             }
         }
-        for (ci, &c) in self.col_index.iter().enumerate() {
-            out[c] = accs[ci] as f32 * self.step * input_scale;
-        }
+        grid.scatter(&accs, input_scale, &mut out);
         (out, stats)
     }
 }
@@ -617,8 +435,7 @@ impl SweepEngine for MappedLayer {
         stats.cycles += u64::from(paid);
         stats.fragments_skipped += u64::from(paid == 0);
         // Every column converts every slice each shift cycle.
-        let cell_cols = self.col_index.len() * self.config.cells_per_weight();
-        stats.adc_conversions += u64::from(paid) * cell_cols as u64;
+        stats.adc_conversions += u64::from(paid) * self.grid.cell_cols() as u64;
         paid
     }
 
@@ -650,7 +467,7 @@ impl CrossbarEngine for MappedLayer {
     }
 
     fn output_len(&self) -> usize {
-        self.orig_cols
+        self.grid.output_len()
     }
 
     fn matmul_into(
@@ -664,7 +481,7 @@ impl CrossbarEngine for MappedLayer {
     }
 
     fn crossbar_count(&self) -> usize {
-        MappedLayer::crossbar_count(self)
+        self.grid.crossbars().len()
     }
 
     fn mean_input_cycles(stats: &MvmStats) -> Option<f64> {
@@ -692,25 +509,17 @@ impl CrossbarEngine for MappedLayer {
     }
 
     fn health(&self) -> EngineHealth {
-        let dim = self.config.crossbar_dim as u64;
-        EngineHealth {
-            faulted_cells: self.faulted_cells,
-            drifted_cells: self.drifted_cells,
-            total_cells: self.crossbars.len() as u64 * dim * dim,
-        }
+        self.grid.health()
     }
 
     fn output_ceiling(&self) -> Option<f64> {
-        Some(self.ceiling)
+        Some(self.grid.ceiling())
     }
 }
 
 impl FaultableEngine for MappedLayer {
     fn inject_faults(&mut self, campaign: &FaultCampaign, salt: u64) -> FaultReport {
-        let total = campaign.apply_all(&mut self.crossbars, salt);
-        self.faulted_cells += total.stuck() as u64;
-        self.drifted_cells += total.drifted as u64;
-        total
+        self.grid.inject_faults(campaign, salt)
     }
 }
 
@@ -1088,9 +897,12 @@ mod tests {
         batch_codes: &[u32],
         scales: &[f32],
     ) -> (Vec<f32>, MvmStats) {
-        let mut outs = Vec::with_capacity(scales.len() * mapped.orig_cols);
+        let mut outs = Vec::with_capacity(scales.len() * mapped.grid.output_len());
         let mut stats = MvmStats::default();
-        for (codes, &scale) in batch_codes.chunks_exact(mapped.orig_rows).zip(scales) {
+        for (codes, &scale) in batch_codes
+            .chunks_exact(mapped.grid.input_len())
+            .zip(scales)
+        {
             let (out, s) = mapped.matvec_reference(codes, scale);
             outs.extend(out);
             stats.merge(s);
@@ -1099,7 +911,7 @@ mod tests {
     }
 
     fn batch_codes_for(mapped: &MappedLayer, samples: usize, seed: u64) -> (Vec<u32>, Vec<f32>) {
-        let rows = mapped.orig_rows;
+        let rows = mapped.grid.input_len();
         let codes: Vec<u32> = (0..samples * rows)
             .map(|i| ((i as u64 * 37 + seed * 101) % 251) as u32)
             .collect();
@@ -1288,7 +1100,7 @@ mod tests {
             let report = faulted.inject_faults(&FaultCampaign::stuck_at(5, 0.05, 0.3), 17);
             assert!(report.stuck_high > 0);
             for layer in [top_codes, faulted] {
-                assert_eq!(layer.i32_sums, narrow, "a{input_bits}");
+                assert_eq!(layer.grid.i32_sums(), narrow, "a{input_bits}");
                 assert!(layer.integer_matmul_path());
                 layers.push(layer);
             }
@@ -1306,6 +1118,34 @@ mod tests {
             let (want, want_stats) = matmul_oracle(layer, &codes, &scales);
             assert_eq!(outs, want, "a{}", layer.config.input_bits);
             assert_eq!(stats, want_stats, "a{}", layer.config.input_bits);
+        }
+    }
+
+    #[test]
+    fn wide_weights_store_their_top_code() {
+        // Above 24 bits the f32 image of 2^wb − 1 rounds up to 2^wb, one
+        // past the widest code the slicer takes; the quantizer clamps in
+        // integers, so the weight at abs_max stores exactly 2^wb − 1.
+        let w = polarized_matrix(16, 4, 4);
+        let top = (0..w.len())
+            .max_by(|&a, &b| w.data()[a].abs().total_cmp(&w.data()[b].abs()))
+            .unwrap();
+        let codes: Vec<u32> = (0..16).map(|i| (i * 37 % 256) as u32).collect();
+        for weight_bits in [25, 28, 31] {
+            let cfg = MappingConfig {
+                weight_bits,
+                ..small_config(4)
+            };
+            let mapped = MappedLayer::map(&w, cfg).unwrap();
+            assert_eq!(
+                mapped.grid.stored_code(top / 4, top % 4),
+                (1 << weight_bits) - 1,
+                "w{weight_bits}"
+            );
+            let (got, stats) = mapped.matvec(&codes, 0.01);
+            let (want, want_stats) = mapped.matvec_reference(&codes, 0.01);
+            assert_eq!(got, want, "w{weight_bits}");
+            assert_eq!(stats, want_stats, "w{weight_bits}");
         }
     }
 

@@ -60,17 +60,11 @@ impl CrossbarEngine for IsaacLayer {
     type Scratch = SweepScratch;
 
     fn map_matrix(matrix: &Tensor, config: &IsaacConfig) -> Result<Self, ExecError> {
-        IsaacLayer::map_with(
-            matrix,
-            config.weight_bits,
-            config.input_bits,
-            config.crossbar_dim,
-            config.cell,
-        )
+        IsaacLayer::map(matrix, *config)
     }
 
     fn output_len(&self) -> usize {
-        IsaacLayer::output_len(self)
+        self.grid.output_len()
     }
 
     fn matmul_into(
@@ -84,7 +78,7 @@ impl CrossbarEngine for IsaacLayer {
     }
 
     fn crossbar_count(&self) -> usize {
-        IsaacLayer::crossbar_count(self)
+        self.grid.crossbars().len()
     }
 
     fn mean_input_cycles(stats: &IsaacStats) -> Option<f64> {
@@ -110,22 +104,17 @@ impl CrossbarEngine for IsaacLayer {
     }
 
     fn health(&self) -> EngineHealth {
-        let (faulted_cells, drifted_cells, total_cells) = self.fault_counts();
-        EngineHealth {
-            faulted_cells,
-            drifted_cells,
-            total_cells,
-        }
+        self.grid.health()
     }
 
     fn output_ceiling(&self) -> Option<f64> {
-        Some(self.nominal_ceiling())
+        Some(self.grid.ceiling())
     }
 }
 
 impl FaultableEngine for IsaacLayer {
     fn inject_faults(&mut self, campaign: &FaultCampaign, salt: u64) -> FaultReport {
-        IsaacLayer::inject_faults(self, campaign, salt)
+        self.grid.inject_faults(campaign, salt)
     }
 }
 

@@ -8,8 +8,10 @@
 //! the result is corrected by counting the `1`s in each input bit plane and
 //! subtracting `count × 2^(b-1)` — the overhead FORMS' polarization
 //! eliminates. [`IsaacLayer`] implements that mechanism functionally on the
-//! same `forms-reram` crossbar substrate the FORMS mapping uses, so the two
-//! designs are compared apples-to-apples.
+//! same `forms_reram::CrossbarGrid` the FORMS mapping stores its weights
+//! on — one compaction, programming, read-back and fault path — so the two
+//! designs are compared apples-to-apples and differ only in their weight
+//! encoding.
 //!
 //! [`SplitLayer`] implements the other prior approach (PRIME-style
 //! positive/negative crossbar pairs), and [`PumaModel`] carries PUMA's
@@ -18,12 +20,16 @@
 //! # Example
 //!
 //! ```
-//! use forms_baselines::IsaacLayer;
+//! use forms_baselines::{IsaacConfig, IsaacLayer};
 //! use forms_tensor::Tensor;
 //!
 //! // Signed weights — no polarization required.
 //! let w = Tensor::from_vec(vec![0.5, -0.25, -1.0, 0.75], &[2, 2]);
-//! let layer = IsaacLayer::map(&w, 8, 8).expect("signed weights map directly");
+//! let config = IsaacConfig {
+//!     input_bits: 8,
+//!     ..IsaacConfig::paper()
+//! };
+//! let layer = IsaacLayer::map(&w, config).expect("signed weights map directly");
 //! let (y, _) = layer.matvec(&[3, 1], 1.0);
 //! let reference = layer.dequantized_matrix().transpose().matvec(&[3.0, 1.0]);
 //! assert!((y[0] - reference[0]).abs() < 1e-4);

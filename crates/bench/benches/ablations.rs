@@ -9,6 +9,7 @@
 
 use forms_arch::{MappedLayer, MappingConfig};
 use forms_bench::timing::Bencher;
+use forms_exec::CrossbarEngine;
 use forms_hwmodel::{McuConfig, ThroughputModel};
 use forms_reram::CellSpec;
 use forms_tensor::Tensor;

@@ -6,7 +6,7 @@
 //! for a quick smoke pass).
 
 use forms_arch::{eic_stats, MappedLayer, MappingConfig, ShiftRegisterBank};
-use forms_baselines::IsaacLayer;
+use forms_baselines::{IsaacConfig, IsaacLayer};
 use forms_bench::timing::Bencher;
 use forms_reram::CellSpec;
 use forms_tensor::Tensor;
@@ -46,7 +46,7 @@ fn main() {
     let codes = input_codes(128);
     b.bench("forms_matvec_128x16_frag8", || mapped.matvec(&codes, 1.0));
 
-    let isaac = IsaacLayer::map(&w, 8, 16).unwrap();
+    let isaac = IsaacLayer::map(&w, IsaacConfig::paper()).unwrap();
     b.bench("isaac_matvec_128x16", || isaac.matvec(&codes, 1.0));
 
     let w_map = polarized_matrix(128, 64, 8);

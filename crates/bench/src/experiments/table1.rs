@@ -4,7 +4,7 @@
 
 use forms_dnn::{evaluate, evaluate_topk};
 
-use crate::report::{pct, times, Experiment};
+use crate::report::{pct, times, yes_no, Experiment};
 use crate::suite::{compress, train_baseline, CompressionRecipe, DatasetKind, ModelKind};
 
 /// One benchmark row spec: model, dataset, pruning keeps, paper reference
@@ -86,6 +86,10 @@ pub fn run_cases(cases: &[Case], id: &str, title: &str) -> Experiment {
             "paper (prune, reduction)",
         ],
     );
+    // Per model: its label and its accuracy drop per fragment size.
+    let mut drops_by_model: Vec<(String, Vec<f32>)> = Vec::new();
+    // Crossbar reduction over prune ratio, per row.
+    let mut ratios = Vec::new();
     for (ci, case) in cases.iter().enumerate() {
         let baseline = train_baseline(case.model, case.dataset, 100 + ci as u64);
         // Top-5 for ImageNet rows, top-1 elsewhere — the paper's metrics.
@@ -98,13 +102,15 @@ pub fn run_cases(cases: &[Case], id: &str, title: &str) -> Experiment {
             }
         };
         let base_acc = metric(&baseline.net);
+        let label = if case.top5 { " (top-5)" } else { "" };
+        let label = format!("{} / {}{label}", case.model.label(), case.dataset.label());
+        let mut drops = Vec::new();
         for (fi, &fragment) in FRAGMENT_SIZES.iter().enumerate() {
             let recipe = CompressionRecipe::full(fragment, case.keeps.0, case.keeps.1);
             let c = compress(&baseline, recipe, 150 + (ci * 3 + fi) as u64);
             let drop = base_acc - metric(&c.net);
-            let label = if case.top5 { " (top-5)" } else { "" };
             e.row(&[
-                format!("{} / {}{label}", case.model.label(), case.dataset.label()),
+                label.clone(),
                 pct(base_acc as f64),
                 fragment.to_string(),
                 pct(drop as f64),
@@ -112,13 +118,41 @@ pub fn run_cases(cases: &[Case], id: &str, title: &str) -> Experiment {
                 times(c.summary.crossbar_reduction() as f64),
                 format!("{}×, {}×", case.paper_prune, case.paper_reduction),
             ]);
+            drops.push(drop);
+            ratios.push(c.summary.crossbar_reduction() / c.summary.prune_ratio());
         }
+        drops_by_model.push((label, drops));
     }
     e.note(
         "scaled stand-in models have far less redundancy than the full-width originals, so \
-         prune ratios are set lower; the structure — fragment 4/8 ≈ lossless, fragment 16 \
-         slightly worse, reduction = prune × 4 (quant 32→8 bit) × 2 (polarization) — is the \
-         reproduced claim",
+         prune ratios are set lower",
     );
+    // FRAGMENT_SIZES is [4, 8, 16]: drops[0] and drops[1] are fragments 4
+    // and 8, drops[2] is fragment 16.
+    let mut claim = |claim: &str, holds: fn(&[f32]) -> bool| {
+        let outcomes = drops_by_model
+            .iter()
+            .map(|(label, d)| (label.as_str(), holds(d)));
+        e.note(&format!(
+            "paper: {claim}; measured, per model: {}",
+            yes_no(outcomes)
+        ));
+    };
+    claim("fragment 4/8 ≈ lossless (drops within 1%)", |d| {
+        d[0] <= 0.01 && d[1] <= 0.01
+    });
+    claim(
+        "fragment 16 slightly worse (drop above fragments 4 and 8)",
+        |d| d[2] > d[0].max(d[1]),
+    );
+    let (lo, hi) = ratios
+        .iter()
+        .fold((f32::MAX, f32::MIN), |(lo, hi), &r| (lo.min(r), hi.max(r)));
+    e.note(&format!(
+        "paper: crossbar reduction = prune ratio × 4 (quant 32→8 bit) × 2 (polarization); \
+         measured reduction / prune ratio: {} to {}",
+        times(lo as f64),
+        times(hi as f64)
+    ));
     e
 }

@@ -328,14 +328,13 @@ pub fn run(spec: &MvmBenchSpec) -> MvmBenchReport {
     // --- single-layer MVM kernels -----------------------------------
     let matrix = polarized_matrix(spec.rows, spec.cols, spec.mapping.fragment_size);
     let forms = MappedLayer::map(&matrix, spec.mapping).expect("bench layer maps");
-    let isaac = IsaacLayer::map_with(
-        &matrix,
-        spec.mapping.weight_bits,
-        spec.mapping.input_bits,
-        spec.mapping.crossbar_dim,
-        spec.mapping.cell,
-    )
-    .expect("bench layer maps on ISAAC");
+    let isaac_config = IsaacConfig {
+        crossbar_dim: spec.mapping.crossbar_dim,
+        cell: spec.mapping.cell,
+        weight_bits: spec.mapping.weight_bits,
+        input_bits: spec.mapping.input_bits,
+    };
+    let isaac = IsaacLayer::map(&matrix, isaac_config).expect("bench layer maps on ISAAC");
     let inputs = random_codes(spec.rows, spec.mapping.input_bits, &mut rng);
     let scale = 1.0 / (1 << spec.mapping.input_bits) as f32;
 

@@ -137,6 +137,21 @@ pub fn pct(v: f64) -> String {
     format!("{:.2}%", v * 100.0)
 }
 
+/// "yes: a, b; no: c" over labelled outcomes ("none" for an empty side),
+/// for notes that state which rows bear out a claim.
+pub fn yes_no<'a>(outcomes: impl Iterator<Item = (&'a str, bool)>) -> String {
+    let (yes, no): (Vec<_>, Vec<_>) = outcomes.partition(|&(_, holds)| holds);
+    let side = |labels: Vec<(&str, bool)>| match labels.len() {
+        0 => "none".to_string(),
+        _ => labels
+            .iter()
+            .map(|(l, _)| *l)
+            .collect::<Vec<_>>()
+            .join(", "),
+    };
+    format!("yes: {}; no: {}", side(yes), side(no))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

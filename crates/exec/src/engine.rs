@@ -3,48 +3,15 @@
 
 use std::fmt;
 
-use forms_reram::{FaultCampaign, FaultReport};
+use forms_reram::{EngineHealth, ExecError, FaultCampaign, FaultReport};
 use forms_tensor::Tensor;
 
-use crate::error::ExecError;
 use crate::precision::LayerPrecision;
 
 /// Accumulation of per-MVM statistics records.
 pub trait Merge {
     /// Folds `other` into `self`.
     fn merge(&mut self, other: Self);
-}
-
-/// Aggregate device-health counters an engine reports about its mapped
-/// crossbars: how many cells are known-faulted or drifted out of how many
-/// total. The serving layer's quarantine policy thresholds on
-/// [`fault_density`](Self::fault_density).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct EngineHealth {
-    /// Cells known stuck at a conductance rail.
-    pub faulted_cells: u64,
-    /// Cells whose conductance drifted off its programmed value.
-    pub drifted_cells: u64,
-    /// Total mapped cells (0 when the engine does not track health).
-    pub total_cells: u64,
-}
-
-impl EngineHealth {
-    /// Fraction of mapped cells known stuck (0 when untracked).
-    pub fn fault_density(&self) -> f64 {
-        if self.total_cells == 0 {
-            0.0
-        } else {
-            self.faulted_cells as f64 / self.total_cells as f64
-        }
-    }
-
-    /// Folds another engine's counters into this one.
-    pub fn merge(&mut self, other: &EngineHealth) {
-        self.faulted_cells += other.faulted_cells;
-        self.drifted_cells += other.drifted_cells;
-        self.total_cells += other.total_cells;
-    }
 }
 
 /// One weight layer mapped onto physical crossbars by some encoding scheme

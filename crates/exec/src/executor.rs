@@ -21,9 +21,9 @@ use forms_dnn::{Layer, Network, WeightLayerMut};
 use forms_reram::{FaultCampaign, FaultReport};
 use forms_tensor::{im2col, Conv2dGeometry, FixedSpec, QuantizedTensor, Tensor};
 
-use crate::engine::{CrossbarEngine, EngineHealth, FaultableEngine, LayerPerf, Merge};
-use crate::error::ExecError;
+use crate::engine::{CrossbarEngine, FaultableEngine, LayerPerf, Merge};
 use crate::precision::PrecisionPlan;
+use crate::{EngineHealth, ExecError};
 
 /// Multiplicative slack on the output-range sentinel bound: the ceiling is
 /// exact in f64 while engine outputs round through f32, so a hair of

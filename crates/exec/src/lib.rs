@@ -104,15 +104,14 @@
 #![forbid(unsafe_code)]
 
 mod engine;
-mod error;
 mod executor;
 mod precision;
 
-pub use engine::{CrossbarEngine, EngineHealth, FaultableEngine, LayerPerf, Merge};
-pub use error::ExecError;
+pub use engine::{CrossbarEngine, FaultableEngine, LayerPerf, Merge};
 pub use executor::{Executor, InferenceSession};
 pub use precision::{LayerPrecision, PrecisionPlan};
-// Fault-campaign types are part of the engine API surface
-// (`FaultableEngine`); re-export them so downstream crates (serve, bench)
-// need not depend on `forms-reram` directly.
-pub use forms_reram::{FaultCampaign, FaultReport};
+// The mapping error, the health counters and the fault-campaign types are
+// part of the engine API surface (`CrossbarEngine`, `FaultableEngine`);
+// re-export them so downstream crates (serve, bench) need not depend on
+// `forms-reram` directly.
+pub use forms_reram::{EngineHealth, ExecError, FaultCampaign, FaultReport};

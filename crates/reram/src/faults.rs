@@ -129,18 +129,6 @@ impl FaultCampaign {
         xbar.commit_writes();
         report
     }
-
-    /// Injects the campaign into every crossbar of one mapped layer, in
-    /// order, and returns the merged report. Array `i` is salted with
-    /// `salt ^ i × 0xD1B5_4A32_D192_ED03`, decorrelating the arrays within
-    /// the layer; the caller's salt decorrelates layers and replicas.
-    pub fn apply_all(&self, xbars: &mut [Crossbar], salt: u64) -> FaultReport {
-        let mut total = FaultReport::default();
-        for (i, xbar) in xbars.iter_mut().enumerate() {
-            total.merge(&self.apply(xbar, salt ^ (i as u64).wrapping_mul(0xD1B5_4A32_D192_ED03)));
-        }
-        total
-    }
 }
 
 /// Tally of one or more campaign applications.

@@ -13,12 +13,18 @@
 //! - [`BitSlicer`] — weight-magnitude bit-slicing across
 //!   `weight_bits / cell_bits` cells,
 //! - [`Adc`] — the column ADC's transfer function with saturation,
+//! - [`CrossbarGrid`] — one compacted, bit-sliced weight matrix on a
+//!   row-major grid of crossbars, shared by both crossbar engines:
+//!   compaction, integer-clamped quantization, programming of each
+//!   design's stored codes, read-back, the output ceiling, fault injection
+//!   with its [`EngineHealth`] counters, and the layout the sweep reads;
+//!   mapping failures are one [`ExecError`],
 //! - [`matmul_sweep`] — the one batched MVM sweep of both crossbar
 //!   engines: tiles of bit-serial input planes over sub-arrays, an integer
 //!   window path (partial sums in `i32` or `i64`, [`PartialSum`]) and an
-//!   f64 fallback, with the per-design sub-array height, planes paid and
-//!   digital step supplied by a [`SweepEngine`] and all working memory in
-//!   one reusable [`SweepScratch`],
+//!   f64 fallback over a [`CrossbarGrid`], with the per-design sub-array
+//!   height, planes paid and digital step supplied by a [`SweepEngine`]
+//!   and all working memory in one reusable [`SweepScratch`],
 //! - [`LogNormalVariation`] / [`StuckAtFault`] — the device non-idealities
 //!   behind the paper's Table VI.
 //!
@@ -46,7 +52,9 @@
 mod bitslice;
 mod converters;
 mod crossbar;
+mod error;
 mod faults;
+mod grid;
 mod irdrop;
 mod noise;
 mod packing;
@@ -57,10 +65,12 @@ mod window;
 pub use bitslice::BitSlicer;
 pub use converters::Adc;
 pub use crossbar::{CellSpec, Crossbar};
+pub use error::ExecError;
 pub use faults::{FaultCampaign, FaultReport};
+pub use grid::{CrossbarGrid, EngineHealth, GridShape};
 pub use irdrop::IrDropModel;
 pub use noise::CurrentNoise;
 pub use packing::{for_each_set_bit, pack_tile_bit_planes, plane_is_zero, plane_ones, plane_words};
-pub use sweep::{matmul_sweep, SweepEngine, SweepLayout, SweepScratch, MATMUL_TILE};
+pub use sweep::{matmul_sweep, SweepEngine, SweepScratch, MATMUL_TILE};
 pub use variation::{LogNormalVariation, StuckAtFault, StuckAtKind};
 pub use window::{partial_sums_fit_i32, PartialSum};

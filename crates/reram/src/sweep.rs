@@ -8,7 +8,7 @@
 
 use crate::packing::{for_each_set_bit, pack_tile_bit_planes};
 use crate::window::{IntWindows, PartialSum};
-use crate::{Adc, BitSlicer, Crossbar};
+use crate::CrossbarGrid;
 
 /// Samples per tile of [`matmul_sweep`].
 ///
@@ -60,78 +60,6 @@ pub trait SweepEngine {
     );
 }
 
-/// The design-independent facts about a mapped layer that the sweep reads.
-#[derive(Clone, Copy, Debug)]
-pub struct SweepLayout<'a> {
-    /// Compact row → original row (all-zero weight rows are dropped).
-    pub row_index: &'a [usize],
-    /// Compact weight column → original column.
-    pub col_index: &'a [usize],
-    /// Original input length (weight rows).
-    pub orig_rows: usize,
-    /// Original output length (weight columns).
-    pub orig_cols: usize,
-    /// The physical crossbar grid, row-major, `xb_cols` arrays per row.
-    pub crossbars: &'a [Crossbar],
-    /// Crossbars per grid row.
-    pub xb_cols: usize,
-    /// Rows (and columns) of one crossbar.
-    pub crossbar_dim: usize,
-    /// The bit slicer the stored weight codes were sliced with.
-    pub slicer: BitSlicer,
-    /// The column ADC of one sub-array.
-    pub adc: &'a Adc,
-    /// Input code width.
-    pub input_bits: u32,
-    /// Weight quantization step (value of stored code 1).
-    pub step: f32,
-    /// Whether one sub-array's worst-case partial sum fits an `i32` (see
-    /// [`partial_sums_fit_i32`](crate::partial_sums_fit_i32)).
-    pub i32_sums: bool,
-}
-
-impl SweepLayout<'_> {
-    /// Checks one input vector in one pass (length + range), so the
-    /// per-sub-array gather loops stay assert-free.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input_codes.len()` differs from the original row count or
-    /// a mapped row's code exceeds `input_bits`.
-    pub fn validate_input_codes(&self, input_codes: &[u32]) {
-        assert_eq!(
-            input_codes.len(),
-            self.orig_rows,
-            "need one input code per original row"
-        );
-        let limit = 1u64 << self.input_bits;
-        assert!(
-            self.row_index
-                .iter()
-                .all(|&r| u64::from(input_codes[r]) < limit),
-            "input code exceeds {} bits",
-            self.input_bits
-        );
-    }
-
-    /// Whether the sweep may run its integer path on sub-arrays of `rows`
-    /// rows: every mapped cell dequantizes to an exact integer code (no
-    /// conductance drift) *and* the ADC is lossless over the sub-array's
-    /// current range (full scale on the top code, range covering `rows ×
-    /// max_cell_code`). ADC conversion is then the identity on every
-    /// current the array can produce, so integer accumulation is bitwise
-    /// identical to the f64 path.
-    pub fn integer_path(&self, rows: usize) -> bool {
-        let max_window = rows as u64 * u64::from(self.crossbars[0].spec().max_code());
-        self.adc.full_scale() == f64::from(self.adc.levels() - 1)
-            && max_window as f64 <= self.adc.full_scale()
-            && self
-                .crossbars
-                .iter()
-                .all(|x| x.integral_dequant_codes().is_some())
-    }
-}
-
 /// Reusable working memory of [`matmul_sweep`], for layers of either
 /// design and either partial-sum width.
 ///
@@ -164,8 +92,8 @@ pub struct SweepScratch {
     sums: Vec<i64>,
 }
 
-/// Executes `scales.len()` matrix-vector products of one mapped layer in
-/// one blocked weight-stationary sweep.
+/// Executes `scales.len()` matrix-vector products of one mapped layer's
+/// crossbar grid in one blocked weight-stationary sweep.
 ///
 /// `batch_codes` holds the samples' input codes sample-major
 /// (`scales.len() × orig_rows`); `outs` receives the concatenated outputs
@@ -176,7 +104,7 @@ pub struct SweepScratch {
 /// Samples are processed in tiles of [`MATMUL_TILE`]; per sub-array the
 /// tile's input codes are packed into bit planes and the weight window is
 /// built once, then swept over every sample. Arrays that pass
-/// [`SweepLayout::integer_path`] sum `code << plane` per set input bit in
+/// [`CrossbarGrid::integer_path`] sum `code << plane` per set input bit in
 /// `i32` or `i64` (per `i32_sums`); others take an f64 path that converts
 /// every slice of every plane as the reference kernels do. Both hand one
 /// row of partial sums per (sub-array, sample) to the engine's
@@ -188,23 +116,23 @@ pub struct SweepScratch {
 /// any input code exceeds `input_bits`.
 pub fn matmul_sweep<E: SweepEngine>(
     engine: &E,
-    layout: &SweepLayout<'_>,
+    grid: &CrossbarGrid,
     batch_codes: &[u32],
     scales: &[f32],
     scratch: &mut SweepScratch,
     outs: &mut [f32],
 ) -> E::Stats {
-    if layout.i32_sums {
-        sweep_tiles::<E, i32>(engine, layout, batch_codes, scales, scratch, outs)
+    if grid.i32_sums {
+        sweep_tiles::<E, i32>(engine, grid, batch_codes, scales, scratch, outs)
     } else {
-        sweep_tiles::<E, i64>(engine, layout, batch_codes, scales, scratch, outs)
+        sweep_tiles::<E, i64>(engine, grid, batch_codes, scales, scratch, outs)
     }
 }
 
 /// [`matmul_sweep`] with integer partial sums of type `T`.
 fn sweep_tiles<E: SweepEngine, T: PartialSum>(
     engine: &E,
-    layout: &SweepLayout<'_>,
+    grid: &CrossbarGrid,
     batch_codes: &[u32],
     scales: &[f32],
     scratch: &mut SweepScratch,
@@ -217,7 +145,7 @@ fn sweep_tiles<E: SweepEngine, T: PartialSum>(
         return stats;
     }
     let nsamples = scales.len();
-    let (orig_rows, orig_cols) = (layout.orig_rows, layout.orig_cols);
+    let (orig_rows, orig_cols) = (grid.orig_rows, grid.orig_cols);
     assert_eq!(
         batch_codes.len(),
         nsamples * orig_rows,
@@ -229,15 +157,15 @@ fn sweep_tiles<E: SweepEngine, T: PartialSum>(
         "need one whole output vector per batched sample"
     );
     for sample in batch_codes.chunks_exact(orig_rows) {
-        layout.validate_input_codes(sample);
+        grid.validate_input_codes(sample);
     }
     let height = engine.subarray_rows();
-    let dim = layout.crossbar_dim;
-    let ncols = layout.col_index.len();
-    let cpw = layout.slicer.cells_per_weight();
-    let cell_bits = layout.slicer.cell_bits();
+    let dim = grid.crossbar_dim;
+    let ncols = grid.col_index.len();
+    let cpw = grid.slicer.cells_per_weight();
+    let cell_bits = grid.slicer.cell_bits();
     let cell_cols = ncols * cpw;
-    let fast = layout.integer_path(height);
+    let fast = grid.integer_path(height);
     outs.fill(0.0);
 
     for tile_lo in (0..nsamples).step_by(MATMUL_TILE) {
@@ -246,7 +174,7 @@ fn sweep_tiles<E: SweepEngine, T: PartialSum>(
         scratch.accs.clear();
         scratch.accs.resize(t * ncols, 0);
 
-        for (sub, rows) in layout.row_index.chunks(height).enumerate() {
+        for (sub, rows) in grid.row_index.chunks(height).enumerate() {
             // Gather the tile's sub-array codes (sample-major) and the
             // planes each sample pays.
             scratch.tile_codes.clear();
@@ -268,7 +196,7 @@ fn sweep_tiles<E: SweepEngine, T: PartialSum>(
             let stride = max_planes as usize * words;
             let lo = sub * height;
             let (xr, row_lo) = (lo / dim, lo % dim);
-            let grid_row = &layout.crossbars[xr * layout.xb_cols..][..layout.xb_cols];
+            let grid_row = &grid.crossbars[xr * grid.xb_cols..][..grid.xb_cols];
             let SweepScratch {
                 tile_planes_paid,
                 tile_planes,
@@ -330,8 +258,7 @@ fn sweep_tiles<E: SweepEngine, T: PartialSum>(
                             let slice = currents.chunks_exact(cell_cols).enumerate().fold(
                                 0u64,
                                 |acc, (plane, cur)| {
-                                    acc + (u64::from(layout.adc.convert(cur[ci * cpw + k]))
-                                        << plane)
+                                    acc + (u64::from(grid.adc.convert(cur[ci * cpw + k])) << plane)
                                 },
                             );
                             (total << cell_bits) + slice
@@ -346,9 +273,7 @@ fn sweep_tiles<E: SweepEngine, T: PartialSum>(
 
         for (si, s) in tile.enumerate() {
             let out = &mut outs[s * orig_cols..][..orig_cols];
-            for (&c, &acc) in layout.col_index.iter().zip(&scratch.accs[si * ncols..]) {
-                out[c] = acc as f32 * layout.step * scales[s];
-            }
+            grid.scatter(&scratch.accs[si * ncols..][..ncols], scales[s], out);
         }
     }
     stats

@@ -4,7 +4,7 @@
 //! paper describes.
 
 use forms::arch::{MappedLayer, MappingConfig, MATMUL_TILE};
-use forms::baselines::{IsaacLayer, SplitLayer};
+use forms::baselines::{IsaacConfig, IsaacLayer, SplitLayer};
 use forms::exec::{CrossbarEngine, Merge};
 use forms::reram::{CellSpec, SweepScratch};
 use forms::tensor::{QuantizedTensor, Tensor};
@@ -42,7 +42,16 @@ fn all_three_mappings_agree_on_polarized_weights() {
     let forms = MappedLayer::map(&w, mapping_config(4)).expect("polarized");
     let (forms_out, _) = forms.matvec(q.codes(), q.spec().scale());
 
-    let isaac = IsaacLayer::map_with(&w, 8, 8, 16, CellSpec::paper_2bit()).expect("map");
+    let isaac = IsaacLayer::map(
+        &w,
+        IsaacConfig {
+            crossbar_dim: 16,
+            cell: CellSpec::paper_2bit(),
+            weight_bits: 8,
+            input_bits: 8,
+        },
+    )
+    .expect("map");
     let (isaac_out, _) = isaac.matvec(q.codes(), q.spec().scale());
 
     let split = SplitLayer::map_with(&w, 8, 8, 16, CellSpec::paper_2bit());
@@ -79,7 +88,16 @@ fn isaac_handles_arbitrary_signs_that_forms_rejects() {
     // Row-alternating signs violate every fragment of 4.
     let w = Tensor::from_fn(&[8, 2], |i| if (i / 2) % 2 == 0 { 0.5 } else { -0.5 });
     assert!(MappedLayer::map(&w, mapping_config(4)).is_err());
-    let isaac = IsaacLayer::map_with(&w, 8, 8, 8, CellSpec::paper_2bit()).expect("map");
+    let isaac = IsaacLayer::map(
+        &w,
+        IsaacConfig {
+            crossbar_dim: 8,
+            cell: CellSpec::paper_2bit(),
+            weight_bits: 8,
+            input_bits: 8,
+        },
+    )
+    .expect("map");
     let (out, _) = isaac.matvec(&[1; 8], 1.0);
     let reference = w.transpose().matvec(&[1.0; 8]);
     for c in 0..2 {
@@ -99,7 +117,16 @@ fn cost_ordering_matches_the_paper() {
     let w = polarized_matrix(16, 4, 4);
     let forms = MappedLayer::map(&w, mapping_config(4)).expect("polarized");
     let split = SplitLayer::map_with(&w, 8, 8, 16, CellSpec::paper_2bit());
-    let isaac = IsaacLayer::map_with(&w, 8, 8, 16, CellSpec::paper_2bit()).expect("map");
+    let isaac = IsaacLayer::map(
+        &w,
+        IsaacConfig {
+            crossbar_dim: 16,
+            cell: CellSpec::paper_2bit(),
+            weight_bits: 8,
+            input_bits: 8,
+        },
+    )
+    .expect("map");
 
     assert_eq!(
         split.crossbar_count(),
@@ -126,7 +153,16 @@ fn zero_skipping_advantage_is_unique_to_forms() {
     let codes: Vec<u32> = (0..16).map(|i| (i % 2) as u32).collect();
     let forms = MappedLayer::map(&w, mapping_config(4)).expect("polarized");
     let (_, fs) = forms.matvec(&codes, 1.0);
-    let isaac = IsaacLayer::map_with(&w, 8, 8, 16, CellSpec::paper_2bit()).expect("map");
+    let isaac = IsaacLayer::map(
+        &w,
+        IsaacConfig {
+            crossbar_dim: 16,
+            cell: CellSpec::paper_2bit(),
+            weight_bits: 8,
+            input_bits: 8,
+        },
+    )
+    .expect("map");
     let (_, is) = isaac.matvec(&codes, 1.0);
     assert!(fs.cycles < fs.cycles_without_skip, "FORMS saved nothing");
     assert_eq!(is.cycles, 8, "ISAAC always pays the full bit width");
@@ -198,8 +234,16 @@ fn one_scratch_serves_both_engines_at_both_partial_sum_widths() {
     };
     let isaac = |input_bits: u32, drift: bool| {
         let w = Tensor::from_fn(&[rows, 9], |i| ((i * 37 % 17) as f32 - 8.0) / 8.0 + 0.05);
-        let mut layer =
-            IsaacLayer::map_with(&w, 8, input_bits, 16, CellSpec::paper_2bit()).expect("map");
+        let mut layer = IsaacLayer::map(
+            &w,
+            IsaacConfig {
+                crossbar_dim: 16,
+                cell: CellSpec::paper_2bit(),
+                weight_bits: 8,
+                input_bits,
+            },
+        )
+        .expect("map");
         if drift {
             layer.crossbars_mut()[2].conductances_mut()[3] += 2.25;
             layer.crossbars_mut()[2].commit_writes();

@@ -9,10 +9,10 @@
 //! layer's health checks read outputs produced by the packed kernel.
 
 use forms::arch::{MappedLayer, MappingConfig};
-use forms::baselines::IsaacLayer;
+use forms::baselines::{IsaacConfig, IsaacLayer};
 use forms::dnn::{Layer, Network, WeightLayerMut};
-use forms::exec::{Executor, FaultCampaign};
-use forms::reram::CellSpec;
+use forms::exec::{CrossbarEngine, Executor, FaultCampaign, FaultableEngine};
+use forms::reram::{CellSpec, Crossbar};
 use forms::rng::StdRng;
 use forms::tensor::Tensor;
 
@@ -40,6 +40,54 @@ fn input_codes() -> Vec<u32> {
 }
 
 #[test]
+fn forms_and_isaac_fault_the_same_cells() {
+    // One polarized matrix on a 3×2 grid of 16×16 crossbars in both
+    // designs: the same campaign and salt must stick the same cells, since
+    // the per-cell draws depend on the grid shape only, not on the codes.
+    let w = Tensor::from_fn(&[40, 6], |i| {
+        let (r, c) = (i / 6, i % 6);
+        let sign = if ((r / 4) + c) % 2 == 0 { 1.0 } else { -1.0 };
+        sign * (0.1 + (i % 5) as f32 * 0.1)
+    });
+    let isaac_config = IsaacConfig {
+        crossbar_dim: 16,
+        cell: CellSpec::paper_2bit(),
+        weight_bits: 8,
+        input_bits: 8,
+    };
+    let mut forms = MappedLayer::map(&w, config()).unwrap();
+    let mut isaac = IsaacLayer::map(&w, isaac_config).unwrap();
+    assert_eq!(forms.crossbar_count(), 6);
+    assert_eq!(isaac.crossbar_count(), 6);
+    // Drift moves every cell that does not stick (g_min is 1 µS, not 0),
+    // so after the campaign the stuck cells are exactly those on a rail.
+    let campaign = FaultCampaign::mixed(21, 0.05, 0.05, 0.1);
+    let forms_report = forms.inject_faults(&campaign, 3);
+    let isaac_report = isaac.inject_faults(&campaign, 3);
+    assert_eq!(forms_report, isaac_report);
+    assert!(forms_report.stuck_low > 0 && forms_report.stuck_high > 0);
+    assert_eq!(forms.health(), isaac.health());
+    assert_eq!(forms.health().faulted_cells, forms_report.stuck() as u64);
+    let stuck_cells = |xbars: &[Crossbar]| -> Vec<(usize, usize)> {
+        let spec = xbars[0].spec();
+        let rail = |g: f64| g == spec.g_min() || g == spec.g_max();
+        xbars
+            .iter()
+            .enumerate()
+            .flat_map(|(x, xb)| {
+                let gs = xb.conductances();
+                (0..gs.len())
+                    .filter(move |&i| rail(gs[i]))
+                    .map(move |i| (x, i))
+            })
+            .collect()
+    };
+    let stuck = stuck_cells(forms.crossbars_mut());
+    assert_eq!(stuck.len(), forms_report.stuck());
+    assert_eq!(stuck, stuck_cells(isaac.crossbars_mut()));
+}
+
+#[test]
 fn forms_post_map_writes_flow_through_packed_path() {
     let mut mapped = MappedLayer::map(&polarized_matrix(), config()).unwrap();
     let (clean, _) = mapped.matvec(&input_codes(), 1.0);
@@ -62,8 +110,16 @@ fn forms_post_map_writes_flow_through_packed_path() {
 
 #[test]
 fn isaac_post_map_writes_flow_through_packed_path() {
-    let mut mapped =
-        IsaacLayer::map_with(&polarized_matrix(), 8, 8, 16, CellSpec::paper_2bit()).unwrap();
+    let mut mapped = IsaacLayer::map(
+        &polarized_matrix(),
+        IsaacConfig {
+            crossbar_dim: 16,
+            cell: CellSpec::paper_2bit(),
+            weight_bits: 8,
+            input_bits: 8,
+        },
+    )
+    .unwrap();
     let (clean, _) = mapped.matvec(&input_codes(), 1.0);
     for xb in mapped.crossbars_mut() {
         let g_max = xb.spec().g_max();
