@@ -6,6 +6,9 @@ cd "$(dirname "$0")"
 
 echo "== format (rustfmt --check) =="
 cargo fmt --all -- --check
+# perfbench is a workspace of its own, which `--all` does not reach. Only
+# its formatting is gated here; its own tests run further down.
+cargo fmt --manifest-path perfbench/Cargo.toml -- --check
 
 echo "== build (release, offline) =="
 cargo build --release --offline
@@ -38,7 +41,9 @@ git diff --exit-code --stat -- results/ || {
 echo "ok: regenerated results/ match the committed files"
 
 echo "== MVM hot-path bench (smoke) =="
-# Runs the matmul_into-vs-reference throughput suite on tiny shapes with a
+# Runs the matmul_into-vs-reference throughput suite on a smoke layer
+# (16x16 crossbars; its cached code matrix outgrows a core's L2, so
+# batching has weight reads to amortize) with a
 # fixed batch sweep (batch 1 is the one-column kernel call) and
 # re-validates the BENCH_mvm.json it writes through forms_bench::json; the
 # binary exits non-zero if the file is malformed or, per design and per

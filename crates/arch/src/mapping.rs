@@ -235,6 +235,11 @@ impl MappedLayer {
         self.grid.crossbars_mut()
     }
 
+    /// The crossbar grid the weight magnitudes are programmed on.
+    pub fn grid(&self) -> &CrossbarGrid {
+        &self.grid
+    }
+
     /// Read access to the physical crossbars.
     pub fn crossbars(&self) -> &[Crossbar] {
         self.grid.crossbars()
@@ -318,7 +323,7 @@ impl MappedLayer {
     /// to an exact integer code and the ADC is lossless over a fragment's
     /// current range.
     pub fn integer_matmul_path(&self) -> bool {
-        self.grid.integer_path(self.config.fragment_size)
+        self.grid.integer_path()
     }
 
     /// The blocked weight-stationary batch kernel: executes
@@ -967,19 +972,25 @@ mod tests {
             ..small_config(8)
         };
         let mut mapped = MappedLayer::map(&w, cfg).unwrap();
-        mapped.crossbars_mut()[0].conductances_mut()[3] += 7.31;
+        // Warm the integer path first, so a read image that survived the
+        // drift would serve the old cells.
+        let mut scratch = SweepScratch::default();
+        let (codes, scales) = batch_codes_for(&mapped, MATMUL_TILE + 3, 11);
+        let mut clean = vec![0.0f32; scales.len() * 5];
+        mapped.matmul_into(&codes, &scales, &mut scratch, &mut clean);
+        assert!(mapped.integer_matmul_path());
+        mapped.crossbars_mut()[0].conductances_mut()[3] += 27.31;
         mapped.crossbars_mut()[0].commit_writes();
         assert!(
             !mapped.integer_matmul_path(),
             "drift must disable fast path"
         );
-        let mut scratch = SweepScratch::default();
-        let (codes, scales) = batch_codes_for(&mapped, MATMUL_TILE + 3, 11);
         let mut outs = vec![0.0f32; scales.len() * 5];
         let stats = mapped.matmul_into(&codes, &scales, &mut scratch, &mut outs);
         let (want, want_stats) = matmul_oracle(&mapped, &codes, &scales);
         assert_eq!(outs, want);
         assert_eq!(stats, want_stats);
+        assert_ne!(outs, clean, "the drift must move the outputs");
     }
 
     #[test]
@@ -989,15 +1000,19 @@ mod tests {
         // reference kernel on the same mutated layer.
         let w = polarized_matrix(16, 4, 4);
         let mut mapped = MappedLayer::map(&w, small_config(4)).unwrap();
-        let report = mapped.inject_faults(&FaultCampaign::stuck_at(7, 0.2, 0.1), 99);
-        assert!(report.stuck() > 0);
+        // Warm the read image first: the campaign must reset it.
         let mut scratch = SweepScratch::default();
         let (codes, scales) = batch_codes_for(&mapped, 9, 3);
+        let mut clean = vec![0.0f32; 9 * 4];
+        mapped.matmul_into(&codes, &scales, &mut scratch, &mut clean);
+        let report = mapped.inject_faults(&FaultCampaign::stuck_at(7, 0.2, 0.1), 99);
+        assert!(report.stuck() > 0);
         let mut outs = vec![0.0f32; 9 * 4];
         let stats = mapped.matmul_into(&codes, &scales, &mut scratch, &mut outs);
         let (want, want_stats) = matmul_oracle(&mapped, &codes, &scales);
         assert_eq!(outs, want);
         assert_eq!(stats, want_stats);
+        assert_ne!(outs, clean, "the faults must move the outputs");
     }
 
     /// A fragment-polarized matrix whose fragment signs mix along each

@@ -86,6 +86,11 @@ impl IsaacLayer {
         self.grid.step()
     }
 
+    /// The crossbar grid the encoded weights are programmed on.
+    pub fn grid(&self) -> &CrossbarGrid {
+        &self.grid
+    }
+
     /// Mutable access to the crossbars (variation injection).
     pub fn crossbars_mut(&mut self) -> &mut [Crossbar] {
         self.grid.crossbars_mut()
@@ -124,7 +129,7 @@ impl IsaacLayer {
     /// to an exact integer code and the ADC is lossless over a full block's
     /// current range.
     pub fn integer_matmul_path(&self) -> bool {
-        self.grid.integer_path(self.grid.crossbar_dim())
+        self.grid.integer_path()
     }
 
     /// The blocked weight-stationary batch kernel: executes
@@ -479,31 +484,41 @@ mod tests {
     fn batched_matmul_on_drifted_array_falls_back_bitwise() {
         let w = signed_matrix(40, 5);
         let mut layer = IsaacLayer::map(&w, config(8, 8, 16)).expect("map");
-        layer.crossbars_mut()[0].conductances_mut()[5] += 3.77;
-        layer.crossbars_mut()[0].commit_writes();
-        assert!(!layer.integer_matmul_path(), "drift must disable fast path");
+        // Warm the integer path first, so a read image that survived the
+        // drift would serve the old cells.
         let mut scratch = SweepScratch::default();
         let (codes, scales) = batch_codes_for(&layer, MATMUL_TILE + 2, 9);
+        let mut clean = vec![0.0f32; scales.len() * 5];
+        layer.matmul_into(&codes, &scales, &mut scratch, &mut clean);
+        assert!(layer.integer_matmul_path());
+        layer.crossbars_mut()[0].conductances_mut()[5] += 23.77;
+        layer.crossbars_mut()[0].commit_writes();
+        assert!(!layer.integer_matmul_path(), "drift must disable fast path");
         let mut outs = vec![0.0f32; scales.len() * 5];
         let stats = layer.matmul_into(&codes, &scales, &mut scratch, &mut outs);
         let (want, want_stats) = matmul_oracle(&layer, &codes, &scales);
         assert_eq!(outs, want);
         assert_eq!(stats, want_stats);
+        assert_ne!(outs, clean, "the drift must move the outputs");
     }
 
     #[test]
     fn batched_matmul_survives_post_map_fault_injection() {
         let w = signed_matrix(16, 4);
         let mut layer = IsaacLayer::map(&w, config(8, 8, 16)).expect("map");
-        let report = layer.inject_faults(&FaultCampaign::stuck_at(3, 0.15, 0.1), 7);
-        assert!(report.stuck() > 0);
+        // Warm the read image first: the campaign must reset it.
         let mut scratch = SweepScratch::default();
         let (codes, scales) = batch_codes_for(&layer, 11, 2);
+        let mut clean = vec![0.0f32; 11 * 4];
+        layer.matmul_into(&codes, &scales, &mut scratch, &mut clean);
+        let report = layer.inject_faults(&FaultCampaign::stuck_at(3, 0.15, 0.1), 7);
+        assert!(report.stuck() > 0);
         let mut outs = vec![0.0f32; 11 * 4];
         let stats = layer.matmul_into(&codes, &scales, &mut scratch, &mut outs);
         let (want, want_stats) = matmul_oracle(&layer, &codes, &scales);
         assert_eq!(outs, want);
         assert_eq!(stats, want_stats);
+        assert_ne!(outs, clean, "the faults must move the outputs");
     }
 
     #[test]

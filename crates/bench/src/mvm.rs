@@ -70,14 +70,24 @@ impl MvmBenchSpec {
         }
     }
 
-    /// A seconds-scale variant for CI: tiny shapes, fast timing batches,
-    /// same code paths and JSON schema as [`full`](Self::full).
+    /// A seconds-scale variant for CI: small crossbars, fast timing
+    /// batches, same code paths and JSON schema as [`full`](Self::full).
+    ///
+    /// The batching gate needs a layer on which batching has weight-side
+    /// work to amortize. The kernels read each sub-array's rows of the
+    /// layer's cached code matrix once per tile, so a batch-1 call fetches
+    /// the whole matrix per sample and a larger batch once per tile; that
+    /// shows only when the matrix does not stay in a core's private caches
+    /// between calls. This layer's matrix is 2.25 MiB of `i32` codes
+    /// (a 72x8 layer's 2.25 KiB sits in L1, and there the ratio is noise
+    /// around 1.0). Fifteen round-robin timing batches keep the median
+    /// steady enough for the gate's margin.
     pub fn smoke() -> Self {
         Self {
             mode: "smoke",
-            layer_label: "smoke conv 3x3x8->8 (72x8 lowered)",
-            rows: 72,
-            cols: 8,
+            layer_label: "smoke conv 3x3x512->128 (4608x128 lowered)",
+            rows: 4608,
+            cols: 128,
             mapping: MappingConfig {
                 crossbar_dim: 16,
                 fragment_size: 4,
@@ -89,7 +99,10 @@ impl MvmBenchSpec {
             batch: 4,
             batch_sweep: vec![1, 2, 4],
             workers: 2,
-            timing: BenchConfig::fast(),
+            timing: BenchConfig {
+                batches: 15,
+                ..BenchConfig::fast()
+            },
         }
     }
 }
@@ -204,6 +217,9 @@ pub struct MvmBenchReport {
     pub kernels: Vec<KernelResult>,
     /// End-to-end images/s results.
     pub images: Vec<ImageResult>,
+    /// Bytes of folded weight codes each design's kernel layer caches
+    /// (`CrossbarGrid::code_cache_bytes` after the kernel runs), per design.
+    pub code_cache_bytes: Vec<(&'static str, usize)>,
 }
 
 impl MvmBenchReport {
@@ -296,6 +312,15 @@ impl MvmBenchReport {
                     ("label", JsonValue::String(self.spec.layer_label.into())),
                     ("rows", JsonValue::Number(self.spec.rows as f64)),
                     ("cols", JsonValue::Number(self.spec.cols as f64)),
+                    (
+                        "code_cache_bytes",
+                        JsonValue::object(
+                            self.code_cache_bytes
+                                .iter()
+                                .map(|&(design, b)| (design, JsonValue::Number(b as f64)))
+                                .collect(),
+                        ),
+                    ),
                 ]),
             ),
             ("mvm", JsonValue::Array(kernels)),
@@ -410,6 +435,10 @@ pub fn run(spec: &MvmBenchSpec) -> MvmBenchReport {
         kernels.push(kernel_result("FORMS", "batched", b, &pair[0]));
         kernels.push(kernel_result("ISAAC", "batched", b, &pair[1]));
     }
+    let code_cache_bytes = vec![
+        ("FORMS", forms.grid().code_cache_bytes()),
+        ("ISAAC", isaac.grid().code_cache_bytes()),
+    ];
 
     // --- end-to-end images/s ----------------------------------------
     let (mut net, x) = bench_network(spec, &mut rng);
@@ -472,6 +501,7 @@ pub fn run(spec: &MvmBenchSpec) -> MvmBenchReport {
         spec: spec.clone(),
         kernels,
         images,
+        code_cache_bytes,
     }
 }
 
@@ -539,6 +569,18 @@ pub fn validate(doc: &JsonValue) -> Result<(), String> {
             .ok_or_else(|| format!("missing numeric `layer.{key}`"))?;
         if !(v.is_finite() && v >= 1.0) {
             return Err(format!("`layer.{key}` must be a positive count"));
+        }
+    }
+    for design in ["FORMS", "ISAAC"] {
+        let bytes = layer
+            .get("code_cache_bytes")
+            .and_then(|b| b.get(design))
+            .and_then(JsonValue::as_f64)
+            .ok_or_else(|| format!("missing numeric `layer.code_cache_bytes.{design}`"))?;
+        if !(bytes.is_finite() && bytes >= 0.0 && bytes.fract() == 0.0) {
+            return Err(format!(
+                "`layer.code_cache_bytes.{design}` must be a byte count"
+            ));
         }
     }
     let kernels = doc
@@ -681,6 +723,7 @@ mod tests {
                 image("ISAAC", "batched", 1, 1400.0),
                 image("ISAAC", "parallel", 2, 1500.0),
             ],
+            code_cache_bytes: vec![("FORMS", 4608 * 128 * 4), ("ISAAC", 4608 * 128 * 4)],
         }
     }
 

@@ -105,8 +105,7 @@ impl CellSpec {
 /// # Write visibility
 ///
 /// The packed read paths ([`dequant_row_into`](Self::dequant_row_into),
-/// [`integral_dequant_codes`](Self::integral_dequant_codes),
-/// [`integral_row_into`](Self::integral_row_into)) serve from a hoisted
+/// [`integral_dequant_codes`](Self::integral_dequant_codes)) serve from a hoisted
 /// dequantized-cell table. Programming through [`program_codes`](Self::program_codes)
 /// / [`program_cell`](Self::program_cell) keeps that table in sync, but
 /// *direct* conductance mutation via
@@ -367,27 +366,6 @@ impl Crossbar {
         self.integral.then_some(self.dequant_codes.as_slice())
     }
 
-    /// Copies the integer dequantized codes of one row's leading
-    /// `out.len()` columns into `out` — the u16 mirror of
-    /// [`dequant_row_into`](Self::dequant_row_into) for integral arrays.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the array is not integral (see
-    /// [`integral_dequant_codes`](Self::integral_dequant_codes)), the row
-    /// is out of bounds, `out.len()` exceeds the column count, or writes
-    /// are pending a [`commit_writes`](Self::commit_writes).
-    pub fn integral_row_into(&self, row: usize, out: &mut [u16]) {
-        assert!(row < self.rows, "row out of bounds");
-        assert!(out.len() <= self.cols, "output wider than the crossbar");
-        assert!(
-            !self.dirty,
-            "stale packed read: commit_writes() after conductances_mut()"
-        );
-        assert!(self.integral, "integral read from a non-integral array");
-        out.copy_from_slice(&self.dequant_codes[row * self.cols..row * self.cols + out.len()]);
-    }
-
     /// Current of a single column over a row window, in code units — the
     /// per-fragment read the FORMS mapping performs.
     ///
@@ -550,12 +528,11 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "stale packed read")]
-    fn uncommitted_mutation_panics_on_integral_row_read() {
+    fn uncommitted_mutation_panics_on_integral_codes_read() {
         let mut xb = Crossbar::new(2, 2, CellSpec::paper_2bit());
         xb.program_codes(&[1; 4]);
         xb.conductances_mut()[3] = xb.spec().g_max();
-        let mut out = [0u16; 2];
-        xb.integral_row_into(1, &mut out);
+        let _ = xb.integral_dequant_codes();
     }
 
     #[test]
@@ -589,9 +566,6 @@ mod tests {
         for (i, &c) in codes.iter().enumerate() {
             assert_eq!(f64::from(c), xb.dequant[i]);
         }
-        let mut row = [0u16; 3];
-        xb.integral_row_into(1, &mut row);
-        assert_eq!(row, [0, 1, 3]);
     }
 
     #[test]

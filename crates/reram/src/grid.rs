@@ -11,10 +11,14 @@
 //! compaction, the accumulator bounds, programming, read-back, the output
 //! ceiling and the fault counters — and the layout that
 //! [`matmul_sweep`](crate::matmul_sweep) reads.
+//! Like the conductances, the sweep's read image of the grid is weight
+//! stationary: built on first use and kept until a `&mut` path resets it.
+
+use std::sync::OnceLock;
 
 use forms_tensor::Tensor;
 
-use crate::window::partial_sums_fit_i32;
+use crate::window::{partial_sums_fit_i32, PartialSum};
 use crate::{Adc, BitSlicer, CellSpec, Crossbar, ExecError, FaultCampaign, FaultReport};
 
 /// Aggregate device-health counters an engine reports about its mapped
@@ -98,6 +102,12 @@ pub struct CrossbarGrid {
     /// Whether one sub-array's worst-case partial sum fits an `i32` (see
     /// [`partial_sums_fit_i32`]).
     pub(crate) i32_sums: bool,
+    /// Whether the ADC's range covers a sub-array's largest integral
+    /// current, `subarray_rows × max_cell_code` (its full scale sits on
+    /// the top code, so conversion is then the identity).
+    lossless_adc: bool,
+    /// The sweep's read image, built on first use.
+    read_image: OnceLock<ReadImage>,
     /// Pristine nominal output ceiling: `max_col Σ|level| × max_input ×
     /// step` — what no clean MVM output can exceed (per unit input scale).
     ceiling: f64,
@@ -105,6 +115,18 @@ pub struct CrossbarGrid {
     faulted_cells: u64,
     /// Cumulative drifted cells injected likewise.
     drifted_cells: u64,
+}
+
+/// What [`matmul_sweep`](crate::matmul_sweep) reads of a grid.
+#[derive(Clone, Debug)]
+pub(crate) enum ReadImage {
+    /// Integer path, `i32` partial sums: every weight's folded code,
+    /// `rows × cols` row-major over the compact matrix.
+    Narrow(Vec<i32>),
+    /// Integer path, `i64` partial sums: the same matrix.
+    Wide(Vec<i64>),
+    /// f64 path: a drifted cell or a lossy ADC.
+    Analog,
 }
 
 /// The `(rows, cols)` of a rank-2 matrix.
@@ -206,6 +228,8 @@ impl CrossbarGrid {
         };
         let xb_rows = row_index.len().div_ceil(dim);
         let xb_cols = (col_index.len() * cpw).div_ceil(dim);
+        let adc = Adc::for_fragment(shape.subarray_rows, &shape.cell);
+        let max_current = shape.subarray_rows as u64 * u64::from(shape.cell.max_code());
         let mut grid = Self {
             orig_rows,
             orig_cols,
@@ -213,10 +237,12 @@ impl CrossbarGrid {
             xb_cols,
             crossbar_dim: dim,
             slicer,
-            adc: Adc::for_fragment(shape.subarray_rows, &shape.cell),
+            lossless_adc: max_current as f64 <= adc.full_scale(),
+            adc,
             input_bits: shape.input_bits,
             step,
             i32_sums: partial_sums_fit_i32(shape.subarray_rows, max_cell_code, max_input_code),
+            read_image: OnceLock::new(),
             ceiling: 0.0,
             faulted_cells: 0,
             drifted_cells: 0,
@@ -331,21 +357,63 @@ impl CrossbarGrid {
         );
     }
 
-    /// Whether the sweep may run its integer path on sub-arrays of `rows`
-    /// rows: every mapped cell dequantizes to an exact integer code (no
-    /// conductance drift) *and* the ADC is lossless over the sub-array's
-    /// current range (full scale on the top code, range covering `rows ×
-    /// max_cell_code`). ADC conversion is then the identity on every
-    /// current the array can produce, so integer accumulation is bitwise
-    /// identical to the f64 path.
-    pub fn integer_path(&self, rows: usize) -> bool {
-        let max_window = rows as u64 * u64::from(self.crossbars[0].spec().max_code());
-        self.adc.full_scale() == f64::from(self.adc.levels() - 1)
-            && max_window as f64 <= self.adc.full_scale()
-            && self
-                .crossbars
-                .iter()
-                .all(|x| x.integral_dequant_codes().is_some())
+    /// Whether the sweep runs its integer path: every mapped cell
+    /// dequantizes to an exact integer code (no conductance drift) *and*
+    /// the ADC is lossless over a sub-array's current range. ADC conversion
+    /// is then the identity on every current the array can produce, so
+    /// integer accumulation is bitwise identical to the f64 path.
+    ///
+    /// # Panics
+    ///
+    /// Panics if it builds the read image while direct conductance writes
+    /// are pending a [`Crossbar::commit_writes`].
+    pub fn integer_path(&self) -> bool {
+        !matches!(self.read_image(), ReadImage::Analog)
+    }
+
+    /// The sweep's read image, built on first use: on the integer path,
+    /// every weight's folded code at the `i32_sums` width.
+    ///
+    /// # Panics
+    ///
+    /// Panics if it is built while direct conductance writes are pending a
+    /// [`Crossbar::commit_writes`].
+    pub(crate) fn read_image(&self) -> &ReadImage {
+        self.read_image.get_or_init(|| {
+            let tables = self.crossbars.iter().map(Crossbar::integral_dequant_codes);
+            let tables: Option<Vec<_>> = tables.collect();
+            match tables.filter(|_| self.lossless_adc) {
+                Some(tables) if self.i32_sums => ReadImage::Narrow(self.folded_codes(&tables)),
+                Some(tables) => ReadImage::Wide(self.folded_codes(&tables)),
+                None => ReadImage::Analog,
+            }
+        })
+    }
+
+    /// Every weight's code, `rows × cols` row-major over the compact
+    /// matrix: its cell slices, most significant first, read from the
+    /// crossbars' integral `tables` and folded into `Σ slice_k << (cell_bits
+    /// × (cpw − 1 − k))`.
+    fn folded_codes<T: PartialSum>(&self, tables: &[&[u16]]) -> Vec<T> {
+        let cols = self.col_index.len();
+        let fold = |i: usize| {
+            (0..self.slicer.cells_per_weight()).fold(T::default(), |code, slice| {
+                let (x, row, col) = self.locate(i / cols, i % cols, slice);
+                let cell = tables[x][row * self.crossbar_dim + col];
+                (code << self.slicer.cell_bits()) + T::from(cell)
+            })
+        };
+        (0..self.row_index.len() * cols).map(fold).collect()
+    }
+
+    /// Bytes of folded weight codes the read image holds: 4 (`i32` sums)
+    /// or 8 per weight once the integer path has run, else 0.
+    pub fn code_cache_bytes(&self) -> usize {
+        match self.read_image.get() {
+            Some(ReadImage::Narrow(codes)) => size_of_val(codes.as_slice()),
+            Some(ReadImage::Wide(codes)) => size_of_val(codes.as_slice()),
+            Some(ReadImage::Analog) | None => 0,
+        }
     }
 
     /// Injects a fault campaign into every crossbar, in order, and returns
@@ -354,6 +422,7 @@ impl CrossbarGrid {
     /// the caller's salt decorrelates layers and replicas. Grids of equal
     /// shape therefore fault the same cells, whatever they store.
     pub fn inject_faults(&mut self, campaign: &FaultCampaign, salt: u64) -> FaultReport {
+        self.read_image.take();
         let mut total = FaultReport::default();
         for (i, xbar) in self.crossbars.iter_mut().enumerate() {
             total.merge(
@@ -442,8 +511,9 @@ impl CrossbarGrid {
     }
 
     /// Mutable access to the physical crossbars, for variation injection.
-    /// Writes made here bypass the fault counters.
+    /// Writes made here bypass the fault counters. Resets the read image.
     pub fn crossbars_mut(&mut self) -> &mut [Crossbar] {
+        self.read_image.take();
         &mut self.crossbars
     }
 }

@@ -17,12 +17,13 @@
 //!   row-major grid of crossbars, shared by both crossbar engines:
 //!   compaction, integer-clamped quantization, programming of each
 //!   design's stored codes, read-back, the output ceiling, fault injection
-//!   with its [`EngineHealth`] counters, and the layout the sweep reads;
-//!   mapping failures are one [`ExecError`],
+//!   with its [`EngineHealth`] counters, and the weight-stationary code
+//!   matrix the sweep reads (folded once, on first use); mapping failures
+//!   are one [`ExecError`],
 //! - [`matmul_sweep`] — the one batched MVM sweep of both crossbar
 //!   engines: tiles of bit-serial input planes over sub-arrays, an integer
-//!   window path (partial sums in `i32` or `i64`, [`PartialSum`]) and an
-//!   f64 fallback over a [`CrossbarGrid`], with the per-design sub-array
+//!   path over the cached codes (partial sums in `i32` or `i64`,
+//!   [`PartialSum`]) and an f64 fallback, with the per-design sub-array
 //!   height, planes paid and digital step supplied by a [`SweepEngine`]
 //!   and all working memory in one reusable [`SweepScratch`],
 //! - [`LogNormalVariation`] / [`StuckAtFault`] — the device non-idealities

@@ -6,23 +6,21 @@
 //! once; a [`SweepEngine`] supplies the three things the designs differ
 //! in.
 
+use crate::grid::ReadImage;
 use crate::packing::{for_each_set_bit, pack_tile_bit_planes};
-use crate::window::{IntWindows, PartialSum};
+use crate::window::{sum_planes, IntWindows, PartialSum};
 use crate::CrossbarGrid;
 
 /// Samples per tile of [`matmul_sweep`].
 ///
-/// Each sub-array's weight window is rebuilt once per tile and swept over
-/// all of the tile's samples, so the tile size trades window-build
-/// amortization against working-set residency. At the paper's full shape
-/// (FORMS fragment 8, 128 weight columns, 16-bit inputs) the integer path
-/// holds an 8×128 window of `i32` weight codes (4 KiB: each weight's four
-/// 2-bit cell slices folded back into its code), one sample's 128 `i32`
-/// partial sums (512 B), 32 packed plane sets (4 KiB at 16 planes) and
-/// 32×128 `i64` accumulators (32 KiB) — around 41 KiB, inside L2 — while
-/// paying each window build only once per 32 samples. Both engines share
-/// it, so FORMS-vs-ISAAC batch throughput comparisons use the same
-/// blocking.
+/// The integer path reads each sub-array's rows of the grid's cached code
+/// matrix, so the tile bounds only the working set each sub-array is swept
+/// over: one packed plane set and one row of `i64` accumulators per
+/// sample. At the paper's full shape (FORMS fragment 8, 128 weight
+/// columns, 16-bit inputs) that is 32 plane sets (4 KiB) and 32×128
+/// accumulators (32 KiB), beside the sub-array's 8×128 `i32` codes
+/// (4 KiB) — inside L2. Both engines share it, so FORMS-vs-ISAAC batch
+/// throughput comparisons use the same blocking.
 pub const MATMUL_TILE: usize = 32;
 
 /// The per-design part of the sweep: how tall a sub-array is (a FORMS
@@ -77,8 +75,8 @@ pub struct SweepScratch {
     /// Signed digital accumulators, one per (tile sample, compact weight
     /// column).
     accs: Vec<i64>,
-    /// Integer path: the sub-array's folded weight codes and one sample's
-    /// partial sums, at the layer's partial-sum width.
+    /// Integer path: one sample's partial sums, at the layer's partial-sum
+    /// width.
     windows: IntWindows,
     /// f64 path: dequantized cell values of the current sub-array, row-major
     /// over all mapped cell columns — the division by the conductance step
@@ -102,12 +100,13 @@ pub struct SweepScratch {
 /// column.
 ///
 /// Samples are processed in tiles of [`MATMUL_TILE`]; per sub-array the
-/// tile's input codes are packed into bit planes and the weight window is
-/// built once, then swept over every sample. Arrays that pass
-/// [`CrossbarGrid::integer_path`] sum `code << plane` per set input bit in
-/// `i32` or `i64` (per `i32_sums`); others take an f64 path that converts
-/// every slice of every plane as the reference kernels do. Both hand one
-/// row of partial sums per (sub-array, sample) to the engine's
+/// tile's input codes are packed into bit planes and swept over every
+/// sample. Arrays that pass [`CrossbarGrid::integer_path`] sum `code <<
+/// plane` per set input bit over the sub-array's rows of the grid's cached
+/// code matrix, in `i32` or `i64` (per `i32_sums`); others take an f64 path
+/// that dequantizes the sub-array's cells once per tile and converts every
+/// slice of every plane as the reference kernels do. Both hand one row of
+/// partial sums per (sub-array, sample) to the engine's
 /// [`digital_step`](SweepEngine::digital_step).
 ///
 /// # Panics
@@ -122,50 +121,62 @@ pub fn matmul_sweep<E: SweepEngine>(
     scratch: &mut SweepScratch,
     outs: &mut [f32],
 ) -> E::Stats {
-    if grid.i32_sums {
-        sweep_tiles::<E, i32>(engine, grid, batch_codes, scales, scratch, outs)
-    } else {
-        sweep_tiles::<E, i64>(engine, grid, batch_codes, scales, scratch, outs)
+    if scales.is_empty() {
+        assert!(batch_codes.is_empty(), "codes without scales");
+        assert!(outs.is_empty(), "outputs without scales");
+        return E::Stats::default();
+    }
+    let nsamples = scales.len();
+    assert_eq!(
+        batch_codes.len(),
+        nsamples * grid.orig_rows,
+        "need one whole input vector per batched sample"
+    );
+    assert_eq!(
+        outs.len(),
+        nsamples * grid.orig_cols,
+        "need one whole output vector per batched sample"
+    );
+    for sample in batch_codes.chunks_exact(grid.orig_rows) {
+        grid.validate_input_codes(sample);
+    }
+    // The integer path's partial-sum width follows the cached codes; the
+    // f64 path ignores it.
+    match grid.read_image() {
+        ReadImage::Narrow(w) => {
+            sweep_tiles(engine, grid, Some(w), batch_codes, scales, scratch, outs)
+        }
+        ReadImage::Wide(w) => {
+            sweep_tiles(engine, grid, Some(w), batch_codes, scales, scratch, outs)
+        }
+        ReadImage::Analog => {
+            sweep_tiles::<E, i64>(engine, grid, None, batch_codes, scales, scratch, outs)
+        }
     }
 }
 
-/// [`matmul_sweep`] with integer partial sums of type `T`.
+/// [`matmul_sweep`] on checked buffers: the integer path over the grid's
+/// folded `weights` (partial sums of type `T`) when given, else the f64
+/// path.
 fn sweep_tiles<E: SweepEngine, T: PartialSum>(
     engine: &E,
     grid: &CrossbarGrid,
+    weights: Option<&[T]>,
     batch_codes: &[u32],
     scales: &[f32],
     scratch: &mut SweepScratch,
     outs: &mut [f32],
 ) -> E::Stats {
     let mut stats = E::Stats::default();
-    if scales.is_empty() {
-        assert!(batch_codes.is_empty(), "codes without scales");
-        assert!(outs.is_empty(), "outputs without scales");
-        return stats;
-    }
     let nsamples = scales.len();
     let (orig_rows, orig_cols) = (grid.orig_rows, grid.orig_cols);
-    assert_eq!(
-        batch_codes.len(),
-        nsamples * orig_rows,
-        "need one whole input vector per batched sample"
-    );
-    assert_eq!(
-        outs.len(),
-        nsamples * orig_cols,
-        "need one whole output vector per batched sample"
-    );
-    for sample in batch_codes.chunks_exact(orig_rows) {
-        grid.validate_input_codes(sample);
-    }
     let height = engine.subarray_rows();
     let dim = grid.crossbar_dim;
     let ncols = grid.col_index.len();
     let cpw = grid.slicer.cells_per_weight();
     let cell_bits = grid.slicer.cell_bits();
     let cell_cols = ncols * cpw;
-    let fast = grid.integer_path(height);
+    T::sums(&mut scratch.windows).resize(ncols, T::default());
     outs.fill(0.0);
 
     for tile_lo in (0..nsamples).step_by(MATMUL_TILE) {
@@ -195,8 +206,6 @@ fn sweep_tiles<E: SweepEngine, T: PartialSum>(
                 pack_tile_bit_planes(&scratch.tile_codes, t, max_planes, &mut scratch.tile_planes);
             let stride = max_planes as usize * words;
             let lo = sub * height;
-            let (xr, row_lo) = (lo / dim, lo % dim);
-            let grid_row = &grid.crossbars[xr * grid.xb_cols..][..grid.xb_cols];
             let SweepScratch {
                 tile_planes_paid,
                 tile_planes,
@@ -213,20 +222,21 @@ fn sweep_tiles<E: SweepEngine, T: PartialSum>(
                 .filter(|&(_, &paid)| paid > 0)
                 .map(|(si, &paid)| (si, &tile_planes[si * stride..][..paid as usize * words]));
 
-            if fast {
-                // Weight-code window, once per (sub-array, tile). Lossless
-                // conversion is the identity and shift-&-add is linear, so
-                // each weight's cell slices fold back into its code and a
-                // sub-array's result is its row of `Σ code × input` sums.
-                let window = T::window(windows);
-                window.load(grid_row, row_lo, rows.len(), ncols, cpw, cell_bits);
+            if let Some(weights) = weights {
+                // Lossless conversion is the identity and shift-&-add is
+                // linear, so a sub-array's result is its row of `Σ code ×
+                // input` sums over its rows of the folded code matrix.
+                let window = &weights[lo * ncols..][..rows.len() * ncols];
+                let row = T::sums(windows);
                 for (si, planes) in samples {
-                    let row = window.sum_planes(planes, words);
+                    sum_planes(window, planes, words, row);
                     let sample_accs = &mut accs[si * ncols..][..ncols];
                     engine.digital_step(sub, planes, words, row, sample_accs, &mut stats);
                 }
             } else {
                 // f64 window, once per (sub-array, tile).
+                let (xr, row_lo) = (lo / dim, lo % dim);
+                let grid_row = &grid.crossbars[xr * grid.xb_cols..][..grid.xb_cols];
                 cell_vals.clear();
                 cell_vals.resize(rows.len() * cell_cols, 0.0);
                 for (r, vals) in cell_vals.chunks_exact_mut(cell_cols).enumerate() {

@@ -138,9 +138,10 @@ fn isaac_post_map_writes_flow_through_packed_path() {
 #[should_panic(expected = "stale packed read")]
 fn uncommitted_writes_poison_the_packed_path() {
     let mut mapped = MappedLayer::map(&polarized_matrix(), config()).unwrap();
-    // Mutate without commit_writes(): the hoisted dequant table is stale,
-    // so the kernel's integral-path audit must refuse rather than silently
-    // serve old cells.
+    // Warm the kernel's read image, then mutate without commit_writes():
+    // the hoisted dequant table is stale, so the kernel's integral-path
+    // audit must refuse rather than silently serve old cells.
+    let _ = mapped.matvec(&input_codes(), 1.0);
     mapped.crossbars_mut()[0].conductances_mut()[0] = 0.0;
     let _ = mapped.matvec(&input_codes(), 1.0);
 }
