@@ -26,14 +26,13 @@ echo "== docs (rustdoc must build warning-free) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --offline --no-deps
 
 echo "== paper results (byte-identical regeneration) =="
-# README's determinism contract: every experiment binary is seeded, so
-# rerunning it rewrites its committed results/*.json byte for byte. Run
-# all but table2 and table6 (2-4 min each on a 2-core host) and fail if
-# any committed file changed. table1 and fig6 train their models and take
+# README's determinism contract: every experiment is seeded, so rerunning
+# it rewrites its committed results/*.json byte for byte. Run all but
+# table2 and table6 (2-4 min each on a 2-core host) and fail if any
+# committed file changed. table1 and fig6 train their models and take
 # about 1 and 2 min; the other nine finish in seconds.
-for bin in table1 fig6 table3 table4 table5 fig7 fig8 fig13 fig14 energy noise; do
-    cargo run --release --offline --quiet -p forms-bench --bin "$bin" > /dev/null
-done
+cargo run --release --offline --quiet -p forms-bench --bin repro -- \
+    table1 fig6 table3 table4 table5 fig7 fig8 fig13 fig14 energy noise > /dev/null
 git diff --exit-code --stat -- results/ || {
     echo "regenerated results/ differ from the committed files" >&2
     exit 1
@@ -109,19 +108,22 @@ echo "== network serving example =="
 # exits non-zero if any step fails.
 cargo run --release --offline --quiet --example net_serve
 
-echo "== design-space example =="
-# Pure cost-model arithmetic (ADC scaling, fragment ladder, cell bits,
-# ADC sharing); runs in well under a second.
-cargo run --release --offline --quiet --example design_space > /dev/null
-
-echo "== training and mapping examples =="
-# The remaining README-facing walk-throughs: train, ADMM-polarize, map
-# through the executor and run the analog path (~3.5 s together in
-# release on a 2-core host). Each exits non-zero on a panic, e.g. a
-# finalized model that no longer satisfies its constraints.
-for example in quickstart accelerator_sim isaac_vs_forms fault_tolerance polarized_training; do
-    cargo run --release --offline --quiet --example "$example" > /dev/null
+echo "== examples (byte-identical stdout) =="
+# The remaining README-facing walk-throughs: design_space is pure
+# cost-model arithmetic; the others train, ADMM-polarize, map through the
+# executor and run the analog path (~3.5 s together in release on a
+# 2-core host). Each exits non-zero on a panic, e.g. a finalized model
+# that no longer satisfies its constraints, and each is seeded, so its
+# stdout must match the committed examples/expected/<name>.txt byte for
+# byte. (net_serve above prints its ephemeral port, so it is not diffed.)
+for example in design_space quickstart accelerator_sim isaac_vs_forms fault_tolerance polarized_training; do
+    cargo run --release --offline --quiet --example "$example" |
+        diff -u "examples/expected/$example.txt" - || {
+        echo "example $example failed or its stdout differs from examples/expected/$example.txt" >&2
+        exit 1
+    }
 done
+echo "ok: example stdout matches examples/expected/"
 
 echo "== end-to-end loopback benchmark (self-tests + short runs) =="
 # perfbench is a workspace of its own (path deps on the repo crates), so

@@ -87,11 +87,6 @@ pub struct LayerConstraints {
 }
 
 impl LayerConstraints {
-    /// No constraints (plain training).
-    pub fn unconstrained() -> Self {
-        Self::default()
-    }
-
     /// The paper's full optimization stack with uniform hyperparameters.
     pub fn full(
         shape_keep: f32,

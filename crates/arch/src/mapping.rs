@@ -219,11 +219,6 @@ impl MappedLayer {
         self.grid.step()
     }
 
-    /// Number of fragments per weight column.
-    pub fn fragments_per_col(&self) -> usize {
-        self.signs.len() / self.grid.col_index().len()
-    }
-
     /// Number of sign-indicator bits (one per fragment per column).
     pub fn sign_bits(&self) -> usize {
         self.signs.len()
@@ -694,8 +689,8 @@ mod tests {
     fn sign_bits_count_matches_fragments() {
         let w = polarized_matrix(16, 4, 4);
         let mapped = MappedLayer::map(&w, small_config(4)).unwrap();
-        assert_eq!(mapped.fragments_per_col(), 4);
-        assert_eq!(mapped.sign_bits(), 16);
+        // 16 rows in fragments of 4, for each of 4 columns.
+        assert_eq!(mapped.sign_bits(), (16 / 4) * 4);
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! encoding.
 //!
 //! [`SplitLayer`] implements the other prior approach (PRIME-style
-//! positive/negative crossbar pairs), and [`PumaModel`] carries PUMA's
-//! published relative efficiency.
+//! positive/negative crossbar pairs). PUMA and the other published
+//! comparators are constants in `forms_hwmodel::published_comparators`.
 //!
 //! # Example
 //!
@@ -40,11 +40,9 @@
 
 mod accelerator;
 mod isaac;
-mod puma;
 mod split;
 
 pub use accelerator::{IsaacActivity, IsaacConfig};
 pub use forms_exec::ExecError;
 pub use isaac::{IsaacLayer, IsaacStats};
-pub use puma::PumaModel;
 pub use split::SplitLayer;

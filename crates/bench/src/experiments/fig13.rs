@@ -8,15 +8,18 @@
 
 use forms_admm::crossbar_aware_keep;
 use forms_arch::{FpsModel, LayerPerf};
-use forms_baselines::PumaModel;
 use forms_hwmodel::McuConfig;
-use forms_rng::StdRng;
-use forms_workloads::{resnet18_cifar, vgg16_cifar, ActivationModel, LayerShape};
+use forms_workloads::{resnet18_cifar, vgg16_cifar, LayerShape};
 
 use crate::report::{times, Experiment};
 use crate::suite::{
     compress, measured_eic, train_baseline, CompressionRecipe, DatasetKind, ModelKind,
 };
+
+/// PUMA's frame rate relative to ISAAC on the same model. The paper's
+/// Figs. 13–14 show PUMA tracking ISAAC with ~0.7× bars: its pruning
+/// speedups of 5.3–142× against ISAAC's 7.5–200.8× are both ≈ 0.707.
+const PUMA_FPS_FACTOR: f64 = 0.707;
 
 /// How a configuration maps layers onto crossbars and feeds inputs.
 #[derive(Clone, Copy, Debug)]
@@ -96,7 +99,7 @@ pub fn configurations(keeps: (f32, f32), eic8: f64, eic16: f64) -> Vec<FpsConfig
             keeps,
             polarization: 1,
             input_cycles: 16.0,
-            fps_factor: PumaModel::default().fps_factor,
+            fps_factor: PUMA_FPS_FACTOR,
         },
         FpsConfig {
             label: "FORMS model-opt (frag 8)",
@@ -135,13 +138,6 @@ pub fn configurations(keeps: (f32, f32), eic8: f64, eic16: f64) -> Vec<FpsConfig
             fps_factor: 1.0,
         },
     ]
-}
-
-/// Measured mean EIC of synthetic post-ReLU activations at a fragment size.
-pub fn synthetic_eic(fragment: usize, seed: u64) -> f64 {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let codes = ActivationModel::sparse_half_normal(1.0, 0.5).sample_codes(&mut rng, 1 << 15, 16);
-    forms_arch::eic_stats(&codes, fragment, 16).mean
 }
 
 /// Mean EIC of a quickly-trained *and compressed* LeNet's real activations
@@ -207,4 +203,16 @@ pub fn run() -> Experiment {
          5.8–155.8× (frag 16); with zero-skip 10.7–377.9× (frag 8) / 11.2–336.9× (frag 16); \
          FORMS+zero-skip beats optimized ISAAC by 1.12–2.4×",
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn puma_factor_matches_the_published_speedup_endpoints() {
+        // 5.3/7.5 ≈ 0.707 and 142/200.8 ≈ 0.707 — the paper's endpoints.
+        assert!((5.3 / 7.5 - PUMA_FPS_FACTOR).abs() < 0.01);
+        assert!((142.0 / 200.8 - PUMA_FPS_FACTOR).abs() < 0.01);
+    }
 }

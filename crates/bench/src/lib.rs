@@ -1,10 +1,11 @@
 //! # forms-bench
 //!
 //! The experiment-regeneration harness for the FORMS (ISCA 2021)
-//! reproduction: one binary per table and figure of the paper's evaluation
-//! (see `DESIGN.md` §4 for the index), plus std-only timing benches over
-//! the simulator kernels and the paper's design-choice ablations (run them
-//! with `cargo bench -p forms-bench --features bench`).
+//! reproduction: one module per table and figure of the paper's evaluation
+//! (see `DESIGN.md` §4 for the index) and one `repro` binary that runs
+//! them, plus std-only timing benches over the simulator kernels and the
+//! paper's design-choice ablations (run them with `cargo bench -p
+//! forms-bench --features bench`).
 //!
 //! Run everything with:
 //!
@@ -12,9 +13,10 @@
 //! cargo run --release -p forms-bench --bin repro
 //! ```
 //!
-//! or a single experiment, e.g. `cargo run --release -p forms-bench --bin
-//! table5`. Each experiment prints the paper's rows next to the measured
-//! values and appends machine-readable results to `results/`.
+//! or a subset by name, e.g. `cargo run --release -p forms-bench --bin repro
+//! -- table5 fig13` (the names are the modules of [`experiments`]). Each
+//! experiment prints the paper's rows next to the measured values and
+//! writes machine-readable results to `results/`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -185,17 +185,6 @@ impl CompressionRecipe {
             epochs: 8,
         }
     }
-
-    /// Pruning + quantization only (the "Pruned/Quantized-ISAAC" stack).
-    pub fn prune_quant_only(shape_keep: f32, filter_keep: f32) -> Self {
-        Self {
-            prune_keep: Some((shape_keep, filter_keep)),
-            fragment: None,
-            policy: PolarizationPolicy::WMajor,
-            quant_bits: Some(8),
-            epochs: 10,
-        }
-    }
 }
 
 /// A compressed model with its reports.

@@ -100,11 +100,6 @@ impl Conv2d {
         &self.bias
     }
 
-    /// Mutable access to the bias parameter.
-    pub fn bias_mut(&mut self) -> &mut Param {
-        &mut self.bias
-    }
-
     /// The lowered 2-D weight matrix `[patch_len, filters]` of paper Fig. 2:
     /// column `f` holds filter `f` flattened channel-major.
     pub fn weight_matrix(&self) -> Tensor {
@@ -278,11 +273,6 @@ impl Linear {
     /// The bias parameter (`[out]`).
     pub fn bias(&self) -> &Param {
         &self.bias
-    }
-
-    /// Mutable access to the bias parameter.
-    pub fn bias_mut(&mut self) -> &mut Param {
-        &mut self.bias
     }
 
     /// The lowered 2-D weight matrix `[in, out]`: column `o` is output
@@ -802,76 +792,6 @@ pub enum Layer {
     Flatten(Option<Vec<usize>>),
     /// ResNet basic block.
     Residual(ResidualBlock),
-    /// Logistic sigmoid; caches its output for backward.
-    Sigmoid(Option<Tensor>),
-    /// Hyperbolic tangent; caches its output for backward.
-    Tanh(Option<Tensor>),
-    /// Inverted dropout (train-time scaling); identity in evaluation.
-    Dropout(Dropout),
-}
-
-/// Inverted dropout: zeroes each activation with probability `rate` during
-/// training and scales survivors by `1/(1-rate)` so evaluation needs no
-/// rescaling.
-#[derive(Clone, Debug)]
-pub struct Dropout {
-    rate: f32,
-    rng: forms_rng::StdRng,
-    mask: Option<Vec<f32>>,
-}
-
-impl Dropout {
-    /// Creates a dropout layer with its own seeded generator.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rate` is outside `[0, 1)`.
-    pub fn new(rate: f32, seed: u64) -> Self {
-        assert!((0.0..1.0).contains(&rate), "rate must be in [0, 1)");
-        Self {
-            rate,
-            rng: forms_rng::StdRng::seed_from_u64(seed),
-            mask: None,
-        }
-    }
-
-    /// The drop probability.
-    pub fn rate(&self) -> f32 {
-        self.rate
-    }
-
-    fn forward(&mut self, x: &Tensor, training: bool) -> Tensor {
-        if !training || self.rate == 0.0 {
-            self.mask = None;
-            return x.clone();
-        }
-        use forms_rng::Rng as _;
-        let keep = 1.0 - self.rate;
-        let mask: Vec<f32> = (0..x.len())
-            .map(|_| {
-                if self.rng.gen::<f32>() < self.rate {
-                    0.0
-                } else {
-                    1.0 / keep
-                }
-            })
-            .collect();
-        let mut out = x.clone();
-        for (v, &m) in out.data_mut().iter_mut().zip(&mask) {
-            *v *= m;
-        }
-        self.mask = Some(mask);
-        out
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mask = self.mask.take().expect("Dropout::backward without forward");
-        let mut g = grad_out.clone();
-        for (v, &m) in g.data_mut().iter_mut().zip(&mask) {
-            *v *= m;
-        }
-        g
-    }
 }
 
 impl Layer {
@@ -924,21 +844,6 @@ impl Layer {
         Layer::Flatten(None)
     }
 
-    /// Convenience constructor for a sigmoid.
-    pub fn sigmoid() -> Self {
-        Layer::Sigmoid(None)
-    }
-
-    /// Convenience constructor for a tanh.
-    pub fn tanh() -> Self {
-        Layer::Tanh(None)
-    }
-
-    /// Convenience constructor for dropout.
-    pub fn dropout(rate: f32, seed: u64) -> Self {
-        Layer::Dropout(Dropout::new(rate, seed))
-    }
-
     /// Forward pass.
     pub fn forward(&mut self, x: &Tensor, training: bool) -> Tensor {
         match self {
@@ -959,17 +864,6 @@ impl Layer {
                 x.reshape(&[n, features])
             }
             Layer::Residual(l) => l.forward(x, training),
-            Layer::Sigmoid(cache) => {
-                let out = x.map(|v| 1.0 / (1.0 + (-v).exp()));
-                *cache = training.then(|| out.clone());
-                out
-            }
-            Layer::Tanh(cache) => {
-                let out = x.map(f32::tanh);
-                *cache = training.then(|| out.clone());
-                out
-            }
-            Layer::Dropout(l) => l.forward(x, training),
         }
     }
 
@@ -1000,15 +894,6 @@ impl Layer {
                 grad_out.reshape(&dims)
             }
             Layer::Residual(l) => l.backward(grad_out),
-            Layer::Sigmoid(cache) => {
-                let y = cache.take().expect("Sigmoid::backward without forward");
-                grad_out.zip(&y, |g, s| g * s * (1.0 - s))
-            }
-            Layer::Tanh(cache) => {
-                let y = cache.take().expect("Tanh::backward without forward");
-                grad_out.zip(&y, |g, t| g * (1.0 - t * t))
-            }
-            Layer::Dropout(l) => l.backward(grad_out),
         }
     }
 
@@ -1265,49 +1150,6 @@ mod tests {
         let orig = l.weight().value.clone();
         l.set_weight_matrix(&m);
         assert_eq!(l.weight().value, orig);
-    }
-
-    #[test]
-    fn sigmoid_grad_check() {
-        let mut l = Layer::sigmoid();
-        let x = Tensor::from_vec(vec![-2.0, -0.5, 0.0, 0.5, 2.0], &[1, 5]);
-        grad_check(&mut l, &x, 1e-3);
-    }
-
-    #[test]
-    fn tanh_grad_check() {
-        let mut l = Layer::tanh();
-        let x = Tensor::from_vec(vec![-1.5, -0.25, 0.0, 0.25, 1.5], &[1, 5]);
-        grad_check(&mut l, &x, 1e-3);
-    }
-
-    #[test]
-    fn dropout_eval_is_identity() {
-        let mut l = Layer::dropout(0.5, 7);
-        let x = Tensor::from_fn(&[1, 32], |i| i as f32);
-        assert_eq!(l.forward(&x, false), x);
-    }
-
-    #[test]
-    fn dropout_training_preserves_expectation() {
-        let mut l = Layer::dropout(0.5, 7);
-        let x = Tensor::ones(&[1, 10_000]);
-        let y = l.forward(&x, true);
-        let mean = y.mean();
-        assert!((mean - 1.0).abs() < 0.05, "mean {mean}");
-        // Dropped entries are exactly zero, survivors exactly 2.0.
-        assert!(y.data().iter().all(|&v| v == 0.0 || (v - 2.0).abs() < 1e-6));
-    }
-
-    #[test]
-    fn dropout_backward_routes_through_mask() {
-        let mut l = Layer::dropout(0.5, 3);
-        let x = Tensor::ones(&[1, 64]);
-        let y = l.forward(&x, true);
-        let g = l.backward(&Tensor::ones(&[1, 64]));
-        for (gy, gv) in y.data().iter().zip(g.data()) {
-            assert_eq!(gy, gv, "gradient mask must match forward mask");
-        }
     }
 
     #[test]

@@ -52,8 +52,7 @@ mod param;
 mod train;
 
 pub use layer::{
-    AvgPool2d, BatchNorm2d, Conv2d, Dropout, Layer, Linear, MaxPool2d, ResidualBlock,
-    WeightLayerMut,
+    AvgPool2d, BatchNorm2d, Conv2d, Layer, Linear, MaxPool2d, ResidualBlock, WeightLayerMut,
 };
 pub use loss::{accuracy, softmax, softmax_cross_entropy, top_k_accuracy, LossOutput};
 pub use network::Network;

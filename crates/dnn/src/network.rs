@@ -43,11 +43,6 @@ impl Network {
         &self.layers
     }
 
-    /// Mutable access to the layer stack.
-    pub fn layers_mut(&mut self) -> &mut [Layer] {
-        &mut self.layers
-    }
-
     /// Consumes the network, returning its layer stack.
     pub fn into_layers(self) -> Vec<Layer> {
         self.layers

@@ -24,8 +24,7 @@
 //!
 //! Rejections are *statuses, not disconnects*: a shed, expired, or
 //! degraded request comes back as an Error frame with a typed
-//! [`WireStatus`] on the same live
-//! connection. Only protocol violations (bad magic, oversized lengths,
+//! [`WireStatus`](crate::WireStatus) on the same live connection. Only protocol violations (bad magic, oversized lengths,
 //! truncated frames) drop the connection.
 //!
 //! Shutdown is a drop guard mirroring the serving core's: when the client
@@ -47,9 +46,7 @@ use forms_serve::{
     FaultInjector, ServeError, ServerBuilder, ServiceHandle, TelemetrySnapshot, Ticket,
 };
 
-use crate::protocol::{
-    latency_to_us, read_frame, status_of, write_frame, Frame, WireError, WireStatus,
-};
+use crate::protocol::{latency_to_us, read_frame, status_of, write_frame, Frame, WireError};
 
 /// Front-end sizing and timeout policy. Purely transport-level: the
 /// wrapped serving core is sized by the builder's
@@ -545,13 +542,4 @@ fn error_frame(id: u64, err: ServeError) -> Frame {
         expected,
         got,
     }
-}
-
-/// Wire statuses that indicate load-management behaviour (used by benches
-/// to classify outcomes without string matching).
-pub fn is_load_status(status: WireStatus) -> bool {
-    matches!(
-        status,
-        WireStatus::Shed | WireStatus::DeadlineExceeded | WireStatus::Degraded
-    )
 }

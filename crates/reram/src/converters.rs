@@ -62,11 +62,6 @@ impl Adc {
         let code = (current / self.full_scale * max_code).round();
         code.clamp(0.0, max_code) as u32
     }
-
-    /// The value (in code units) an output code represents.
-    pub fn reconstruct(&self, code: u32) -> f64 {
-        code as f64 * self.full_scale / (self.levels() - 1) as f64
-    }
 }
 
 #[cfg(test)]
@@ -81,7 +76,6 @@ mod tests {
         assert_eq!(adc.bits(), 5);
         for v in 0..=24u32 {
             assert_eq!(adc.convert(v as f64), v);
-            assert!((adc.reconstruct(adc.convert(v as f64)) - v as f64).abs() < 1e-9);
         }
     }
 

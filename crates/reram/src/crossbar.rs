@@ -396,23 +396,6 @@ impl Crossbar {
             })
             .sum()
     }
-
-    /// Integer dot product of one column's codes against binary inputs over
-    /// a row window — the digital reference the analog path is checked
-    /// against.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the window or column is out of bounds, or input length
-    /// mismatches.
-    pub fn reference_dot(&self, col: usize, inputs: &[u8], rows: Range<usize>) -> u64 {
-        assert!(col < self.cols, "column out of bounds");
-        assert!(rows.end <= self.rows, "row window out of bounds");
-        assert_eq!(inputs.len(), rows.len(), "input length mismatch");
-        rows.enumerate()
-            .map(|(i, r)| self.read_cell(r, col) as u64 * inputs[i] as u64)
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -455,9 +438,9 @@ mod tests {
         xb.program_codes(&[3, 1, 2, 0, 1, 3, 0, 2]);
         let inputs = [1.0, 0.0, 1.0, 1.0];
         let currents = xb.column_currents(&inputs, 0..4);
-        let bits = [1u8, 0, 1, 1];
+        let bits = [1u32, 0, 1, 1];
         for (c, got) in currents.iter().enumerate() {
-            let want = xb.reference_dot(c, &bits, 0..4) as f64;
+            let want = (0..4).map(|r| xb.read_cell(r, c) * bits[r]).sum::<u32>() as f64;
             assert!((got - want).abs() < 1e-9, "col {c}: {got} vs {want}");
         }
     }

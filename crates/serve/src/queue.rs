@@ -83,11 +83,6 @@ impl<T> BoundedQueue<T> {
         self.lock().items.is_empty()
     }
 
-    /// Whether [`close`](Self::close) has been called.
-    pub fn is_closed(&self) -> bool {
-        self.lock().closed
-    }
-
     /// Enqueues without blocking.
     ///
     /// # Errors
@@ -370,7 +365,7 @@ mod tests {
             1,
             "exactly one close call wins"
         );
-        assert!(q.is_closed());
+        assert_eq!(q.try_push(9), Err(PushError::Closed(9)));
     }
 
     /// The ticket-conservation contract under a shutdown race: producers

@@ -175,11 +175,6 @@ impl FixedPoint {
         self.spec
     }
 
-    /// The real value the code represents.
-    pub fn to_f32(self) -> f32 {
-        self.spec.dequantize(self.code)
-    }
-
     /// Number of *effective bits* (paper §IV-B): the code's bit-length after
     /// stripping leading zeros. A zero code has 0 effective bits.
     pub fn effective_bits(&self) -> u32 {
@@ -280,14 +275,6 @@ impl QuantizedTensor {
     pub fn effective_bits(&self) -> Vec<u32> {
         self.codes.iter().map(|c| 32 - c.leading_zeros()).collect()
     }
-
-    /// Extracts bit `plane` of every code as 0/1 values (plane 0 = LSB).
-    pub fn bit_plane(&self, plane: u32) -> Vec<u8> {
-        self.codes
-            .iter()
-            .map(|&c| ((c >> plane) & 1) as u8)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -383,19 +370,6 @@ mod tests {
             err <= q.spec().scale() / 2.0 + 1e-6,
             "error {err} too large"
         );
-    }
-
-    #[test]
-    fn bit_planes_reassemble_codes() {
-        let t = Tensor::from_vec(vec![0.0, 1.0, 2.0, 3.0, 4.0, 7.0], &[6]);
-        let q = QuantizedTensor::quantize_with(&t, FixedSpec::new(3, 1.0));
-        let mut rebuilt = vec![0u32; q.len()];
-        for plane in 0..3 {
-            for (r, &b) in rebuilt.iter_mut().zip(&q.bit_plane(plane)) {
-                *r |= (b as u32) << plane;
-            }
-        }
-        assert_eq!(rebuilt, q.codes());
     }
 
     #[test]

@@ -73,11 +73,6 @@ impl Tensor {
         t
     }
 
-    /// Creates a rank-1 tensor from a slice.
-    pub fn from_slice(data: &[f32]) -> Self {
-        Self::from_vec(data.to_vec(), &[data.len()])
-    }
-
     /// Builds a tensor by calling `f` for every linear offset.
     pub fn from_fn(shape: &[usize], mut f: impl FnMut(usize) -> f32) -> Self {
         let shape = Shape::new(shape);
