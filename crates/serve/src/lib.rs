@@ -17,8 +17,9 @@
 //! The pieces, each its own module:
 //!
 //! - [`queue`]: bounded MPMC admission queue — producers shed instead of
-//!   blocking, consumers pop dynamic batches (flush on `max_batch` or
-//!   `max_delay`), close-and-drain shutdown.
+//!   blocking, consumers pop dynamic batches (flush on `max_batch`,
+//!   `max_delay`, or a peer consumer going idle), close-and-drain
+//!   shutdown.
 //! - [`server`]: [`Server::builder`], the one entry point — sizing,
 //!   health and tracing configuration with a typed
 //!   [`validate`](ServerBuilder::validate), launched by

@@ -5,13 +5,21 @@
 //! immediately so the caller can shed the request instead of letting the
 //! backlog (and memory) grow without bound. Consumers pop *batches*: the
 //! first item blocks (condvar), then up to `max_batch - 1` stragglers are
-//! gathered for at most `max_delay`, which is the dynamic-batching policy
-//! of the service.
+//! gathered, which is the dynamic-batching policy of the service.
+//!
+//! Straggler gathering is work-conserving. A consumer holding a batch
+//! head takes whatever is queued at once, and waits for more only while
+//! the queue is empty, `max_delay` has not passed since the head was
+//! popped, and no other consumer is parked waiting for a head. A parked
+//! peer would start a straggler at once, so waiting for it would only
+//! delay the head; a consumer that parks therefore wakes any gatherer. A
+//! lone consumer still waits up to `max_delay`, and busy consumers fill
+//! their batches from the backlog.
 //!
 //! Shutdown is cooperative: [`BoundedQueue::close`] rejects new pushes and
 //! wakes every consumer (`notify_all`, so no consumer is lost waiting),
 //! but already-admitted items continue to drain — `pop_batch` only returns
-//! `false` once the queue is both closed and empty.
+//! `None` once the queue is both closed and empty.
 //!
 //! Every lock acquisition is poison-tolerant: a panicking thread must
 //! never turn a recoverable replica failure into a service-wide hang or a
@@ -36,6 +44,10 @@ pub enum PushError<T> {
 struct State<T> {
     items: VecDeque<T>,
     closed: bool,
+    /// Consumers parked on `not_empty`, waiting for a batch head.
+    parked: usize,
+    /// Consumers parked on `stragglers`, holding a batch head.
+    gathering: usize,
 }
 
 /// A bounded multi-producer / multi-consumer FIFO queue.
@@ -43,6 +55,7 @@ struct State<T> {
 pub struct BoundedQueue<T> {
     state: Mutex<State<T>>,
     not_empty: Condvar,
+    stragglers: Condvar,
     capacity: usize,
 }
 
@@ -58,8 +71,11 @@ impl<T> BoundedQueue<T> {
             state: Mutex::new(State {
                 items: VecDeque::with_capacity(capacity),
                 closed: false,
+                parked: 0,
+                gathering: 0,
             }),
             not_empty: Condvar::new(),
+            stragglers: Condvar::new(),
             capacity,
         }
     }
@@ -99,8 +115,14 @@ impl<T> BoundedQueue<T> {
             return Err(PushError::Full(item));
         }
         state.items.push_back(item);
+        let (parked, gathering) = (state.parked > 0, state.gathering > 0);
         drop(state);
-        self.not_empty.notify_one();
+        if parked {
+            self.not_empty.notify_one();
+        }
+        if gathering {
+            self.stragglers.notify_one();
+        }
         Ok(())
     }
 
@@ -120,40 +142,32 @@ impl<T> BoundedQueue<T> {
         state.closed = true;
         drop(state);
         self.not_empty.notify_all();
+        self.stragglers.notify_all();
         first
     }
 
     /// Pops the next batch into `out` (cleared first): blocks until at
-    /// least one item is available, then gathers up to `max_batch` items,
-    /// waiting at most `max_delay` for stragglers after the first.
+    /// least one item is available, then gathers up to `max_batch` items.
+    /// It waits for stragglers only while the queue is empty and no other
+    /// consumer is parked for a head, and never past `max_delay` after
+    /// the head (see the [module docs](self)).
     ///
-    /// Returns `false` — with `out` empty — only when the queue is closed
-    /// *and* fully drained.
+    /// Returns the instant the batch head was popped, or `None` — with
+    /// `out` empty — only when the queue is closed *and* fully drained.
     ///
     /// # Panics
     ///
     /// Panics if `max_batch` is zero.
-    pub fn pop_batch(&self, max_batch: usize, max_delay: Duration, out: &mut Vec<T>) -> bool {
-        assert!(max_batch > 0, "batch size must be positive");
-        out.clear();
-        let mut state = self.lock();
-        // Wait for the batch head. Loop on the predicate so spurious
-        // wakeups and handoffs to faster consumers are harmless.
-        loop {
-            if let Some(item) = state.items.pop_front() {
-                out.push(item);
-                break;
-            }
-            if state.closed {
-                return false;
-            }
-            state = self
-                .not_empty
-                .wait(state)
-                .unwrap_or_else(|e| e.into_inner());
+    pub fn pop_batch(
+        &self,
+        max_batch: usize,
+        max_delay: Duration,
+        out: &mut Vec<T>,
+    ) -> Option<Instant> {
+        match self.pop(max_batch, max_delay, None, out) {
+            PopWait::Batch(head_popped) => Some(head_popped),
+            PopWait::Idle | PopWait::Closed => None,
         }
-        self.gather_stragglers(state, max_batch, max_delay, out);
-        true
     }
 
     /// [`pop_batch`](Self::pop_batch) with a bounded wait for the batch
@@ -173,68 +187,89 @@ impl<T> BoundedQueue<T> {
         wait: Duration,
         out: &mut Vec<T>,
     ) -> PopWait {
+        self.pop(max_batch, max_delay, Some(Instant::now() + wait), out)
+    }
+
+    /// The one pop behind both entry points: waits for a batch head (until
+    /// `wait_until`, if set), then gathers stragglers behind it until the
+    /// batch is full, the queue is empty while a peer is parked, the flush
+    /// timer expires, or shutdown flushes immediately.
+    fn pop(
+        &self,
+        max_batch: usize,
+        max_delay: Duration,
+        wait_until: Option<Instant>,
+        out: &mut Vec<T>,
+    ) -> PopWait {
         assert!(max_batch > 0, "batch size must be positive");
         out.clear();
         let mut state = self.lock();
-        let wait_until = Instant::now() + wait;
-        loop {
+        // Wait for the batch head. Loop on the predicate so spurious
+        // wakeups and handoffs to faster consumers are harmless.
+        let head = loop {
             if let Some(item) = state.items.pop_front() {
-                out.push(item);
-                break;
+                break item;
             }
             if state.closed {
                 return PopWait::Closed;
             }
-            let now = Instant::now();
-            if now >= wait_until {
+            let timeout = wait_until.map(|until| until.saturating_duration_since(Instant::now()));
+            if timeout == Some(Duration::ZERO) {
                 return PopWait::Idle;
             }
-            let (guard, _timeout) = self
-                .not_empty
-                .wait_timeout(state, wait_until - now)
-                .unwrap_or_else(|e| e.into_inner());
-            state = guard;
-        }
-        self.gather_stragglers(state, max_batch, max_delay, out);
-        PopWait::Batch
-    }
-
-    /// Gathers stragglers behind a popped batch head until the batch is
-    /// full, the flush timer expires, or shutdown flushes immediately.
-    fn gather_stragglers(
-        &self,
-        mut state: MutexGuard<'_, State<T>>,
-        max_batch: usize,
-        max_delay: Duration,
-        out: &mut Vec<T>,
-    ) {
-        let flush_at = Instant::now() + max_delay;
+            // Parking makes this consumer idle: a gatherer would now only
+            // delay its head by waiting, so wake it.
+            state.parked += 1;
+            if state.gathering > 0 {
+                self.stragglers.notify_all();
+            }
+            state = match timeout {
+                None => self
+                    .not_empty
+                    .wait(state)
+                    .unwrap_or_else(|e| e.into_inner()),
+                Some(left) => {
+                    self.not_empty
+                        .wait_timeout(state, left)
+                        .unwrap_or_else(|e| e.into_inner())
+                        .0
+                }
+            };
+            state.parked -= 1;
+        };
+        let head_popped = Instant::now();
+        out.push(head);
+        let flush_at = head_popped + max_delay;
         while out.len() < max_batch {
             if let Some(item) = state.items.pop_front() {
                 out.push(item);
                 continue;
             }
-            if state.closed {
+            if state.closed || state.parked > 0 {
                 break;
             }
             let now = Instant::now();
             if now >= flush_at {
                 break;
             }
-            let (guard, _timeout) = self
-                .not_empty
+            state.gathering += 1;
+            state = self
+                .stragglers
                 .wait_timeout(state, flush_at - now)
-                .unwrap_or_else(|e| e.into_inner());
-            state = guard;
+                .unwrap_or_else(|e| e.into_inner())
+                .0;
+            state.gathering -= 1;
         }
+        PopWait::Batch(head_popped)
     }
 }
 
 /// Outcome of a bounded-wait [`BoundedQueue::pop_batch_for`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PopWait {
-    /// At least one item was popped into the output buffer.
-    Batch,
+    /// At least one item was popped into the output buffer; carries the
+    /// instant the batch head was popped.
+    Batch(Instant),
     /// Nothing arrived within the wait window; the queue is still open.
     Idle,
     /// The queue is closed and fully drained.
@@ -254,7 +289,7 @@ mod tests {
         assert_eq!(q.try_push(3), Err(PushError::Full(3)));
         assert_eq!(q.len(), 2);
         let mut batch = Vec::new();
-        assert!(q.pop_batch(8, Duration::ZERO, &mut batch));
+        assert!(q.pop_batch(8, Duration::ZERO, &mut batch).is_some());
         assert_eq!(batch, vec![1, 2]);
     }
 
@@ -265,9 +300,9 @@ mod tests {
         q.close();
         assert_eq!(q.try_push(8), Err(PushError::Closed(8)));
         let mut batch = Vec::new();
-        assert!(q.pop_batch(4, Duration::from_secs(1), &mut batch));
+        assert!(q.pop_batch(4, Duration::from_secs(1), &mut batch).is_some());
         assert_eq!(batch, vec![7]);
-        assert!(!q.pop_batch(4, Duration::from_secs(1), &mut batch));
+        assert!(q.pop_batch(4, Duration::from_secs(1), &mut batch).is_none());
         assert!(batch.is_empty());
     }
 
@@ -278,9 +313,9 @@ mod tests {
             q.try_push(i).unwrap();
         }
         let mut batch = Vec::new();
-        assert!(q.pop_batch(3, Duration::ZERO, &mut batch));
+        assert!(q.pop_batch(3, Duration::ZERO, &mut batch).is_some());
         assert_eq!(batch, vec![0, 1, 2]);
-        assert!(q.pop_batch(3, Duration::ZERO, &mut batch));
+        assert!(q.pop_batch(3, Duration::ZERO, &mut batch).is_some());
         assert_eq!(batch, vec![3, 4]);
     }
 
@@ -295,9 +330,114 @@ mod tests {
                 qref.try_push(2).unwrap();
             });
             let mut batch = Vec::new();
-            assert!(q.pop_batch(2, Duration::from_millis(500), &mut batch));
+            assert!(q
+                .pop_batch(2, Duration::from_millis(500), &mut batch)
+                .is_some());
             assert_eq!(batch, vec![1, 2], "straggler joined the batch");
         });
+    }
+
+    /// Spins until the queue's consumer counters satisfy `ready`.
+    fn wait_until_state(q: &BoundedQueue<u32>, ready: impl Fn(&State<u32>) -> bool) {
+        while !ready(&q.lock()) {
+            std::thread::yield_now();
+        }
+    }
+
+    const LONG_DELAY: Duration = Duration::from_secs(10);
+    const WELL_UNDER: Duration = Duration::from_secs(1);
+
+    #[test]
+    fn gatherer_does_not_wait_while_a_peer_is_parked() {
+        let q = BoundedQueue::new(8);
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                let (qref, tx) = (&q, tx.clone());
+                scope.spawn(move || {
+                    let mut batch = Vec::new();
+                    while qref.pop_batch(8, LONG_DELAY, &mut batch).is_some() {
+                        tx.send((batch.clone(), Instant::now())).unwrap();
+                    }
+                });
+            }
+            wait_until_state(&q, |s| s.parked == 2);
+            let pushed = Instant::now();
+            q.try_push(1).unwrap();
+            let (batch, popped) = rx.recv().unwrap();
+            q.close();
+            assert_eq!(batch, vec![1]);
+            assert!(
+                popped - pushed < WELL_UNDER,
+                "a parked peer makes waiting for stragglers pointless"
+            );
+        });
+    }
+
+    #[test]
+    fn a_peer_that_parks_wakes_a_waiting_gatherer() {
+        let q = BoundedQueue::new(8);
+        q.try_push(1).unwrap();
+        std::thread::scope(|scope| {
+            let qref = &q;
+            let gatherer = scope.spawn(move || {
+                let mut batch = Vec::new();
+                let head_popped = qref.pop_batch(8, LONG_DELAY, &mut batch).unwrap();
+                (batch, head_popped.elapsed())
+            });
+            wait_until_state(&q, |s| s.gathering == 1);
+            let peer = scope.spawn(move || {
+                let mut batch = Vec::new();
+                qref.pop_batch(8, LONG_DELAY, &mut batch)
+            });
+            let (batch, gathered_for) = gatherer.join().unwrap();
+            q.close();
+            assert_eq!(peer.join().unwrap(), None);
+            assert_eq!(batch, vec![1]);
+            assert!(gathered_for < WELL_UNDER, "woken when the peer parked");
+        });
+    }
+
+    #[test]
+    fn a_lone_gatherer_still_batches_a_straggler() {
+        let q = BoundedQueue::new(8);
+        q.try_push(1).unwrap();
+        std::thread::scope(|scope| {
+            let qref = &q;
+            let gatherer = scope.spawn(move || {
+                let mut batch = Vec::new();
+                let head_popped = qref.pop_batch(2, LONG_DELAY, &mut batch).unwrap();
+                (batch, head_popped)
+            });
+            wait_until_state(&q, |s| s.gathering == 1);
+            let pushed = Instant::now();
+            q.try_push(2).unwrap();
+            let (batch, head_popped) = gatherer.join().unwrap();
+            assert_eq!(batch, vec![1, 2], "the straggler joined the batch");
+            assert!(head_popped < pushed, "the head was popped before it");
+        });
+    }
+
+    #[test]
+    fn queued_items_fill_a_batch_without_waiting() {
+        let q = BoundedQueue::new(8);
+        for i in 0..5 {
+            q.try_push(i).unwrap();
+        }
+        let mut batch = Vec::new();
+        let start = Instant::now();
+        assert!(q.pop_batch(4, LONG_DELAY, &mut batch).is_some());
+        assert_eq!(batch, vec![0, 1, 2, 3]);
+        // A parked peer stops the wait for stragglers, not the take of
+        // what is already queued. (Counted directly: a real parked
+        // thread would race this consumer for the items.)
+        q.lock().parked += 1;
+        for i in 5..8 {
+            q.try_push(i).unwrap();
+        }
+        assert!(q.pop_batch(8, LONG_DELAY, &mut batch).is_some());
+        assert_eq!(batch, vec![4, 5, 6, 7]);
+        assert!(start.elapsed() < WELL_UNDER);
     }
 
     #[test]
@@ -312,10 +452,10 @@ mod tests {
         assert!(start.elapsed() >= Duration::from_millis(5));
         assert!(batch.is_empty());
         q.try_push(9).unwrap();
-        assert_eq!(
+        assert!(matches!(
             q.pop_batch_for(4, Duration::ZERO, Duration::from_secs(1), &mut batch),
-            PopWait::Batch
-        );
+            PopWait::Batch(_)
+        ));
         assert_eq!(batch, vec![9]);
         q.close();
         assert_eq!(
@@ -334,7 +474,9 @@ mod tests {
                 scope.spawn(move || {
                     let mut batch = Vec::new();
                     // Blocks until close; must return rather than hang.
-                    assert!(!qref.pop_batch(4, Duration::from_secs(5), &mut batch));
+                    assert!(qref
+                        .pop_batch(4, Duration::from_secs(5), &mut batch)
+                        .is_none());
                     wref.fetch_add(1, Ordering::SeqCst);
                 });
             }
@@ -417,7 +559,10 @@ mod tests {
                     scope.spawn(move || {
                         let mut batch = Vec::new();
                         let mut mine = Vec::new();
-                        while qref.pop_batch(4, Duration::from_micros(200), &mut batch) {
+                        while qref
+                            .pop_batch(4, Duration::from_micros(200), &mut batch)
+                            .is_some()
+                        {
                             mine.append(&mut batch);
                         }
                         dref.lock().unwrap().append(&mut mine);
@@ -465,7 +610,10 @@ mod tests {
                 let (qref, cref) = (&q, &consumed);
                 scope.spawn(move || {
                     let mut batch = Vec::new();
-                    while qref.pop_batch(4, Duration::from_millis(1), &mut batch) {
+                    while qref
+                        .pop_batch(4, Duration::from_millis(1), &mut batch)
+                        .is_some()
+                    {
                         cref.fetch_add(batch.len(), Ordering::SeqCst);
                     }
                 });

@@ -110,8 +110,9 @@ pub enum ConfigError {
         max_rebuilds: u32,
     },
     /// The default deadline is not longer than the batching straggler
-    /// window, so every request submitted under the default would expire
-    /// while its batch was still forming.
+    /// window, so a request submitted under the default would expire
+    /// whenever its batch waits out the window (a lone replica, or no
+    /// replica idle).
     DeadlineWithinBatchWindow {
         /// The configured default deadline, in nanoseconds.
         deadline_ns: u128,

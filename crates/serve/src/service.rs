@@ -15,7 +15,8 @@
 //! Every entry point runs the same core: one setup path and one replica
 //! loop, policed or not. Each replica owns one warm
 //! [`InferenceSession`](forms_exec::InferenceSession) and loops: pop a
-//! batch (blocking, with the dynamic-batching straggler window), drop
+//! batch (blocking, with the dynamic-batching straggler window, which
+//! stays shut while another replica is idle), drop
 //! requests that were cancelled or whose deadline already passed — a
 //! request past its latency budget is *rejected, not executed*, because
 //! its client has given up — then run the survivors as one batched
@@ -58,7 +59,10 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Largest batch one replica executes at once.
     pub max_batch: usize,
-    /// How long a replica waits for stragglers after the batch head.
+    /// The longest a replica waits for stragglers after popping a batch
+    /// head. It waits only while the queue is empty and no other replica
+    /// is idle: an idle peer would start a straggler at once, so a lone
+    /// or fully busy service batches and an underloaded one does not.
     pub max_delay: Duration,
     /// Deadline applied to every request submitted without an explicit
     /// one; `None` means no deadline.
@@ -129,8 +133,9 @@ pub struct Response {
     /// End-to-end latency: submission to completion. Always exactly
     /// [`StageDurations::total`] of `stages`.
     pub latency: Duration,
-    /// Time spent queued before the executing batch formed. Always
-    /// exactly the `queue_wait` stage of `stages`.
+    /// Time spent queued before a replica popped this request's batch
+    /// head (zero for a straggler that arrived after it). Always exactly
+    /// the `queue_wait` stage of `stages`.
     pub queue_wait: Duration,
     /// Per-stage breakdown of `latency`: queue wait, batch formation,
     /// execution, and response delivery.
@@ -512,18 +517,17 @@ fn replica_loop<E: CrossbarEngine>(
                     MAILBOX_POLL,
                     &mut batch,
                 ) {
-                    PopWait::Batch => true,
-                    PopWait::Closed => false,
+                    PopWait::Batch(head_popped) => Some(head_popped),
+                    PopWait::Closed => None,
                     PopWait::Idle if h.has_mail() => continue 'serve,
                     PopWait::Idle => continue,
                 },
             };
-            if !popped {
+            let Some(head_popped) = popped else {
                 return;
-            }
-            let dequeued = Instant::now();
+            };
             for pending in &mut batch {
-                pending.span.dequeued = Some(dequeued);
+                pending.span.stamp_dequeued(head_popped);
             }
             filter_live(&mut batch, &mut live, telemetry);
             if !live.is_empty() {
@@ -606,12 +610,13 @@ fn replica_loop<E: CrossbarEngine>(
     // last active replica, drain the queue failing every request so no
     // admitted ticket can hang on an abandoned queue.
     if health.is_some_and(ReplicaHealth::retire) {
-        while queue.pop_batch(config.max_batch, config.max_delay, &mut batch) {
-            let dequeued = Instant::now();
+        while let Some(head_popped) =
+            queue.pop_batch(config.max_batch, config.max_delay, &mut batch)
+        {
             for pending in &mut batch {
-                pending.span.dequeued = Some(dequeued);
+                pending.span.stamp_dequeued(head_popped);
             }
-            fail_batch(&mut batch, ServeError::Degraded, telemetry, dequeued);
+            fail_batch(&mut batch, ServeError::Degraded, telemetry, Instant::now());
         }
     }
 }

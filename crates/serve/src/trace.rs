@@ -7,10 +7,14 @@
 //!
 //! ```text
 //!  enqueued ──► dequeued ──► batch_formed ──► executed ──► responded
-//!  (submit)     (popped       (staged, about   (forward     (slot filled)
-//!               from queue)    to execute)      returned)
+//!  (submit)     (batch head   (staged, about   (forward     (slot filled)
+//!               popped)        to execute)      returned)
 //!     │ queue_wait │ batch_form │   execute      │  respond  │
 //! ```
+//!
+//! `dequeued` is the instant the replica popped the batch head, or a
+//! straggler's own arrival if it came later, so the straggler window is
+//! booked under `batch_form` and never under `queue_wait`.
 //!
 //! The four stage durations telescope *exactly*: their integer-nanosecond
 //! sum equals the end-to-end latency, because each stage is the difference
@@ -70,7 +74,8 @@ impl Default for TraceConfig {
 pub struct SpanRecord {
     /// Admission: the submitter stamped this before pushing to the queue.
     pub enqueued: Instant,
-    /// A replica popped the request out of the admission queue.
+    /// A replica popped the request's batch head out of the admission
+    /// queue, or the request arrived after that, as a straggler.
     pub dequeued: Option<Instant>,
     /// The executing batch finished forming (liveness filtered, inputs
     /// staged) and is about to run.
@@ -91,6 +96,14 @@ impl SpanRecord {
             executed: None,
             responded: None,
         }
+    }
+
+    /// Stamps `dequeued` for a member of a batch whose head was popped
+    /// at `head_popped`: a straggler enqueued later is dequeued on
+    /// arrival, so the time its batch spent gathering it counts as
+    /// `batch_form`, and the stages still telescope.
+    pub(crate) fn stamp_dequeued(&mut self, head_popped: Instant) {
+        self.dequeued = Some(head_popped.max(self.enqueued));
     }
 
     /// The per-stage durations of a *completed* span.
@@ -445,6 +458,33 @@ mod tests {
         assert_eq!(stages.total(), total, "stages must telescope exactly");
         assert!(stages.queue_wait >= Duration::from_micros(200));
         assert!(stages.execute >= Duration::from_micros(100));
+    }
+
+    #[test]
+    fn straggler_window_is_booked_under_batch_form() {
+        let t0 = Instant::now();
+        let at = |us| t0 + Duration::from_micros(us);
+        // The head waited 10 µs in the queue; the straggler arrived 30 µs
+        // after the head was popped and flushed the batch.
+        let mut head = SpanRecord::new(t0);
+        let mut straggler = SpanRecord::new(at(40));
+        for span in [&mut head, &mut straggler] {
+            span.stamp_dequeued(at(10));
+            span.batch_formed = Some(at(45));
+            span.executed = Some(at(95));
+            span.responded = Some(at(100));
+        }
+        let (h, s) = (head.stages(), straggler.stages());
+        assert_eq!(h.queue_wait, Duration::from_micros(10));
+        assert_eq!(
+            h.batch_form,
+            Duration::from_micros(35),
+            "window is batch_form"
+        );
+        assert_eq!(s.queue_wait, Duration::ZERO, "a straggler never queued");
+        assert_eq!(s.batch_form, Duration::from_micros(5));
+        assert_eq!(h.total(), at(100).duration_since(t0));
+        assert_eq!(s.total(), at(100).duration_since(at(40)));
     }
 
     #[test]

@@ -428,6 +428,34 @@ fn panicking_engine_fails_its_batch_and_service_drains() {
     }
 }
 
+/// Work-conserving batching: with a second replica idle, a lone request
+/// runs at once as a batch of one instead of waiting out `max_delay` for
+/// stragglers the idle replica would serve anyway.
+#[test]
+fn an_idle_peer_replica_lets_a_lone_request_skip_the_straggler_wait() {
+    let net = linear_net(16, 4, 9);
+    let exec = Executor::<DigitalEngine>::map_network(&net, &OK).unwrap();
+    let max_delay = Duration::from_secs(10);
+    let config = ServeConfig {
+        replicas: 2,
+        max_batch: 8,
+        max_delay,
+        ..ServeConfig::default()
+    };
+    let (response, telemetry) = Server::builder()
+        .config(config)
+        .run(&exec, &[16], |handle| {
+            handle.submit(payload(16, 9)).unwrap().wait().unwrap()
+        });
+    assert_eq!(telemetry.completed, 1);
+    assert_eq!(response.batch_size, 1);
+    assert!(
+        response.latency < max_delay / 10,
+        "served in {:?}, long before max_delay",
+        response.latency
+    );
+}
+
 #[test]
 fn open_loop_load_generator_accounts_every_request() {
     let net = linear_net(16, 4, 7);

@@ -181,6 +181,46 @@ fn stage_durations_telescope_exactly_for_every_completed_request() {
     }
 }
 
+/// A lone replica still batches a straggler within `max_delay`, and the
+/// straggler window keeps the stages telescoping: the head books it as
+/// batch formation, and the straggler, dequeued on arrival, never books
+/// more queue wait than the head.
+#[test]
+fn a_lone_replica_batches_a_straggler_and_stages_still_telescope() {
+    let net = linear_net(24, 5, 13);
+    let exec = Executor::<DigitalEngine>::map_network(&net, &OK).unwrap();
+    let max_delay = Duration::from_secs(10);
+    let gap = Duration::from_millis(20);
+    let config = ServeConfig {
+        replicas: 1,
+        queue_capacity: 8,
+        max_batch: 2,
+        max_delay,
+        default_deadline: None,
+    };
+    let (responses, telemetry) =
+        Server::builder()
+            .config(config)
+            .run(&exec, &[1, 4, 6], |handle| {
+                let head = handle.submit(payload(24, 1)).unwrap();
+                std::thread::sleep(gap);
+                let straggler = handle.submit(payload(24, 2)).unwrap();
+                [head.wait().unwrap(), straggler.wait().unwrap()]
+            });
+    assert_eq!(telemetry.completed, 2);
+    let [head, straggler] = &responses;
+    for r in &responses {
+        assert_eq!(r.batch_size, 2, "the straggler joined the head's batch");
+        assert!(r.latency < max_delay / 10, "the full batch flushed at once");
+        assert_eq!(r.stages.total(), r.latency);
+        assert_eq!(r.stages.queue_wait, r.queue_wait);
+    }
+    assert!(head.stages.queue_wait + head.stages.batch_form >= gap);
+    assert!(straggler.stages.queue_wait <= head.stages.queue_wait);
+    let stage_sum: u64 = telemetry.stages.in_order().iter().map(|h| h.sum_ns).sum();
+    assert_eq!(stage_sum, telemetry.latency.sum_ns);
+}
+
 /// Requests that die before execution (shed at the door, expired in the
 /// queue, cancelled) must carry no execute stage in their terminal events.
 #[test]
