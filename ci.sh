@@ -18,9 +18,6 @@ cargo test -q --offline --workspace
 
 echo "== lint (clippy, warnings are errors) =="
 cargo clippy --workspace --offline --all-targets -- -D warnings
-# The feature-gated `kernels` and `ablations` benches only compile with
-# `--features bench`, so lint them separately.
-cargo clippy --offline -p forms-bench --features bench --all-targets -- -D warnings
 
 echo "== docs (rustdoc must build warning-free) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --offline --no-deps
@@ -70,7 +67,7 @@ cargo run --release --offline -p forms-bench --bin faults -- --smoke
 echo "== serving bench over loopback TCP (smoke) =="
 # The one serving benchmark: drives the open-loop generator through real
 # loopback TCP sockets against the paced multi-replica serving layer
-# (FORMS and ISAAC), pairing every point with an in-process baseline,
+# (FORMS), pairing every point with an in-process baseline,
 # then runs a poisoned-replica storm over one socket. The binary
 # re-validates the BENCH_net.json it writes — schema; the in-process
 # 1->max-replica scaling floor; per point the mode's loopback/in-process

@@ -142,7 +142,7 @@ impl forms_hwmodel::DynamicActivity for FormsActivity {
 /// A weight matrix mapped onto polarized physical crossbars.
 ///
 /// Constructed from a *fragment-polarized* `[rows, cols]` matrix (rows in
-/// policy order); [`matvec`](Self::matvec) then executes the full
+/// policy order); [`CrossbarEngine::matmul_into`] then executes the full
 /// mixed-signal path — shift registers, 1-bit DACs, fragment-windowed
 /// column currents, per-slice ADC conversion, shift-&-add recombination and
 /// sign-indicator-controlled digital accumulation.
@@ -259,38 +259,15 @@ impl MappedLayer {
         })
     }
 
-    /// Executes the mixed-signal matrix-vector product on quantized input
-    /// codes (length = original rows; codes of pruned rows are ignored):
-    /// a one-column [`matmul_into`](Self::matmul_into) on a fresh
-    /// [`SweepScratch`].
-    ///
-    /// `input_scale` is the value of input code 1; the result is in real
-    /// units (`scale × step × integer dot product`), length = original
-    /// columns.
+    /// Like [`CrossbarEngine::matvec`] but with additive read noise on
+    /// every column current before ADC conversion (paper refs. \[31, 32\];
+    /// the fine-vs-coarse susceptibility argument of §II-C). Runs the
+    /// reference kernel, which draws the noise fragment → column → cycle →
+    /// slice.
     ///
     /// # Panics
     ///
-    /// Panics if `input_codes.len()` differs from the original row count or
-    /// any code exceeds `input_bits`.
-    pub fn matvec(&self, input_codes: &[u32], input_scale: f32) -> (Vec<f32>, MvmStats) {
-        let mut out = vec![0.0f32; self.grid.output_len()];
-        let stats = self.matmul_into(
-            input_codes,
-            &[input_scale],
-            &mut SweepScratch::default(),
-            &mut out,
-        );
-        (out, stats)
-    }
-
-    /// Like [`matvec`](Self::matvec) but with additive read noise on every
-    /// column current before ADC conversion (paper refs. \[31, 32\]; the
-    /// fine-vs-coarse susceptibility argument of §II-C). Runs the
-    /// reference kernel, which draws the noise column → cycle → slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics as [`matvec`](Self::matvec) does.
+    /// Panics as [`CrossbarEngine::matvec`] does.
     pub fn matvec_noisy<R: Rng + ?Sized>(
         &self,
         input_codes: &[u32],
@@ -301,46 +278,19 @@ impl MappedLayer {
         self.matvec_impl(input_codes, input_scale, |c| noise.perturb(c, rng))
     }
 
-    /// The legacy allocating kernel, kept as the bitwise oracle for
-    /// [`matmul_into`](Self::matmul_into) and as the pre-optimization
-    /// baseline for the MVM benchmark. Results are bitwise identical to
-    /// [`matvec`](Self::matvec).
+    /// The reference kernel, kept as the bitwise oracle for
+    /// [`CrossbarEngine::matmul_into`] and as the in-binary control of the
+    /// MVM benchmark: each fragment drives its planes (its shift-register
+    /// bank's drain, or every input bit with zero-skipping off) through
+    /// [`CrossbarGrid::reference_read`], and the sign indicator adds or
+    /// subtracts the result. Results are bitwise identical to
+    /// [`CrossbarEngine::matvec`].
     ///
     /// # Panics
     ///
-    /// Panics as [`matvec`](Self::matvec) does.
+    /// Panics as [`CrossbarEngine::matvec`] does.
     pub fn matvec_reference(&self, input_codes: &[u32], input_scale: f32) -> (Vec<f32>, MvmStats) {
         self.matvec_impl(input_codes, input_scale, |c| c)
-    }
-
-    /// Whether [`matmul_into`](Self::matmul_into) runs its integer path
-    /// (see [`CrossbarGrid::integer_path`]): every mapped cell dequantizes
-    /// to an exact integer code and the ADC is lossless over a fragment's
-    /// current range.
-    pub fn integer_matmul_path(&self) -> bool {
-        self.grid.integer_path()
-    }
-
-    /// The blocked weight-stationary batch kernel: executes
-    /// `scales.len()` matrix-vector products in one [`matmul_sweep`] over
-    /// the fragments, bitwise identical to calling
-    /// [`matvec_reference`](Self::matvec_reference) once per sample
-    /// (outputs *and* merged stats). `batch_codes` holds the samples' input
-    /// codes sample-major; `outs` receives the concatenated outputs
-    /// (overwritten).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the buffer lengths are inconsistent with `scales.len()`
-    /// or any input code exceeds `input_bits`.
-    pub fn matmul_into(
-        &self,
-        batch_codes: &[u32],
-        scales: &[f32],
-        scratch: &mut SweepScratch,
-        outs: &mut [f32],
-    ) -> MvmStats {
-        matmul_sweep(self, &self.grid, batch_codes, scales, scratch, outs)
     }
 
     fn matvec_impl(
@@ -352,10 +302,7 @@ impl MappedLayer {
         let grid = &self.grid;
         grid.validate_input_codes(input_codes);
         let m = self.config.fragment_size;
-        let cpw = self.config.cells_per_weight();
-        let cell_bits = self.config.cell.bits();
         let mut stats = MvmStats::default();
-        let mut out = vec![0.0f32; grid.output_len()];
         let mut accs = vec![0i64; grid.col_index().len()];
 
         // Fragment-major order mirrors the hardware: one shift-register
@@ -367,47 +314,25 @@ impl MappedLayer {
             stats.cycles_without_skip += u64::from(self.config.input_bits);
 
             // Bit planes driven this fragment (LSB first).
-            let planes: Vec<Vec<bool>> = if self.config.zero_skipping {
+            let planes = if self.config.zero_skipping {
                 ShiftRegisterBank::load(&codes).drain()
             } else {
-                (0..self.config.input_bits)
-                    .map(|cycle| codes.iter().map(|&c| (c >> cycle) & 1 == 1).collect())
-                    .collect()
+                grid.bit_planes(&codes)
             };
             stats.cycles += planes.len() as u64;
-            if planes.is_empty() {
-                stats.fragments_skipped += 1;
-                continue;
-            }
-            let drives: Vec<Vec<f64>> = planes
-                .iter()
-                .map(|bits| bits.iter().map(|&b| if b { 1.0 } else { 0.0 }).collect())
-                .collect();
-
-            for (ci, acc) in accs.iter_mut().enumerate() {
-                // Per-slice accumulation over bit planes, then shift-&-add
-                // across slices (MSB slice first).
-                let mut slice_acc = vec![0u64; cpw];
-                for (cycle, drive) in drives.iter().enumerate() {
-                    for (k, acc_k) in slice_acc.iter_mut().enumerate() {
-                        let current = perturb(grid.column_current(frag * m, ci, k, drive));
-                        let code = grid.adc().convert(current);
-                        stats.adc_conversions += 1;
-                        *acc_k += u64::from(code) << cycle;
-                    }
-                }
-                let mut frag_total = 0u64;
-                for &s in &slice_acc {
-                    frag_total = (frag_total << cell_bits) + s;
-                }
+            stats.fragments_skipped += u64::from(planes.is_empty());
+            stats.adc_conversions += planes.len() as u64 * grid.cell_cols() as u64;
+            let totals = grid.reference_read(frag * m, &planes, &mut perturb);
+            for (ci, (acc, total)) in accs.iter_mut().zip(totals).enumerate() {
                 // The sign indicator steers the accumulator add/subtract.
                 *acc += if self.positive(frag, ci) {
-                    frag_total as i64
+                    total as i64
                 } else {
-                    -(frag_total as i64)
+                    -(total as i64)
                 };
             }
         }
+        let mut out = vec![0.0f32; grid.output_len()];
         grid.scatter(&accs, input_scale, &mut out);
         (out, stats)
     }
@@ -477,7 +402,7 @@ impl CrossbarEngine for MappedLayer {
         scratch: &mut SweepScratch,
         outs: &mut [f32],
     ) -> MvmStats {
-        MappedLayer::matmul_into(self, batch_codes, scales, scratch, outs)
+        matmul_sweep(self, &self.grid, batch_codes, scales, scratch, outs)
     }
 
     fn crossbar_count(&self) -> usize {
@@ -942,7 +867,7 @@ mod tests {
                     ..small_config(m)
                 };
                 let mapped = MappedLayer::map(&w, cfg).unwrap();
-                assert!(mapped.integer_matmul_path(), "pristine map must be fast");
+                assert!(mapped.grid().integer_path(), "pristine map must be fast");
                 let mut scratch = SweepScratch::default();
                 for samples in [0usize, 1, 5, MATMUL_TILE + 1] {
                     let (codes, scales) = batch_codes_for(&mapped, samples, 7);
@@ -973,11 +898,11 @@ mod tests {
         let (codes, scales) = batch_codes_for(&mapped, MATMUL_TILE + 3, 11);
         let mut clean = vec![0.0f32; scales.len() * 5];
         mapped.matmul_into(&codes, &scales, &mut scratch, &mut clean);
-        assert!(mapped.integer_matmul_path());
+        assert!(mapped.grid().integer_path());
         mapped.crossbars_mut()[0].conductances_mut()[3] += 27.31;
         mapped.crossbars_mut()[0].commit_writes();
         assert!(
-            !mapped.integer_matmul_path(),
+            !mapped.grid().integer_path(),
             "drift must disable fast path"
         );
         let mut outs = vec![0.0f32; scales.len() * 5];
@@ -1061,7 +986,7 @@ mod tests {
                     ..MappingConfig::paper(8)
                 };
                 let mapped = MappedLayer::map(&w, cfg).unwrap();
-                assert!(mapped.integer_matmul_path(), "pristine map must be fast");
+                assert!(mapped.grid().integer_path(), "pristine map must be fast");
                 assert!(mapped.crossbar_count() >= 6, "window must span crossbars");
                 let mut scratch = SweepScratch::default();
                 for samples in [1usize, 16, MATMUL_TILE + 1] {
@@ -1111,7 +1036,7 @@ mod tests {
             assert!(report.stuck_high > 0);
             for layer in [top_codes, faulted] {
                 assert_eq!(layer.grid.i32_sums(), narrow, "a{input_bits}");
-                assert!(layer.integer_matmul_path());
+                assert!(layer.grid().integer_path());
                 layers.push(layer);
             }
         }

@@ -18,7 +18,7 @@ use forms_exec::{
     CrossbarEngine, EngineHealth, ExecError, FaultCampaign, FaultReport, FaultableEngine,
 };
 use forms_hwmodel::{Activity, DynamicActivity};
-use forms_reram::SweepScratch;
+use forms_reram::{matmul_sweep, SweepScratch};
 use forms_tensor::Tensor;
 
 use crate::isaac::{IsaacLayer, IsaacStats};
@@ -74,7 +74,7 @@ impl CrossbarEngine for IsaacLayer {
         scratch: &mut SweepScratch,
         outs: &mut [f32],
     ) -> IsaacStats {
-        IsaacLayer::matmul_into(self, batch_codes, scales, scratch, outs)
+        matmul_sweep(self, &self.grid, batch_codes, scales, scratch, outs)
     }
 
     fn crossbar_count(&self) -> usize {

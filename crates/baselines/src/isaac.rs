@@ -1,10 +1,7 @@
 //! The ISAAC offset-encoding crossbar model (paper §II-B and ref. \[18\]).
 
 use forms_exec::{ExecError, Merge};
-use forms_reram::{
-    matmul_sweep, plane_ones, Crossbar, CrossbarGrid, GridShape, PartialSum, SweepEngine,
-    SweepScratch,
-};
+use forms_reram::{plane_ones, Crossbar, CrossbarGrid, GridShape, PartialSum, SweepEngine};
 use forms_tensor::Tensor;
 
 use crate::IsaacConfig;
@@ -103,63 +100,18 @@ impl IsaacLayer {
             .dequantized(|_, _, code| (code as i64 - self.bias as i64) as f32)
     }
 
-    /// Executes the coarse-grained offset-encoded MVM: all rows of each
-    /// crossbar block activate together, every input bit plane is fed (no
-    /// zero-skipping), and the counted-ones offset is subtracted digitally.
-    /// A one-column [`matmul_into`](Self::matmul_into) on a fresh
-    /// [`SweepScratch`].
+    /// The reference kernel, kept as the bitwise oracle for
+    /// [`matmul_into`](forms_exec::CrossbarEngine::matmul_into) and as the
+    /// in-binary control of the MVM benchmark: all rows of each crossbar
+    /// block activate together, every input bit plane is driven through
+    /// [`CrossbarGrid::reference_read`] (no zero-skipping), and the
+    /// counted-ones offset is subtracted digitally. Results are bitwise
+    /// identical to [`matvec`](forms_exec::CrossbarEngine::matvec).
     ///
     /// # Panics
     ///
     /// Panics if `input_codes.len()` differs from the original row count or
     /// any code exceeds `input_bits`.
-    pub fn matvec(&self, input_codes: &[u32], input_scale: f32) -> (Vec<f32>, IsaacStats) {
-        let mut out = vec![0.0f32; self.grid.output_len()];
-        let stats = self.matmul_into(
-            input_codes,
-            &[input_scale],
-            &mut SweepScratch::default(),
-            &mut out,
-        );
-        (out, stats)
-    }
-
-    /// Whether [`matmul_into`](Self::matmul_into) runs its integer path
-    /// (see [`CrossbarGrid::integer_path`]): every mapped cell dequantizes
-    /// to an exact integer code and the ADC is lossless over a full block's
-    /// current range.
-    pub fn integer_matmul_path(&self) -> bool {
-        self.grid.integer_path()
-    }
-
-    /// The blocked weight-stationary batch kernel: executes
-    /// `scales.len()` offset-encoded matrix-vector products in one
-    /// [`matmul_sweep`] over the row blocks, bitwise identical to calling
-    /// [`matvec_reference`](Self::matvec_reference) once per sample
-    /// (outputs *and* merged stats).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the buffer lengths are inconsistent with `scales.len()`
-    /// or any input code exceeds `input_bits`.
-    pub fn matmul_into(
-        &self,
-        batch_codes: &[u32],
-        scales: &[f32],
-        scratch: &mut SweepScratch,
-        outs: &mut [f32],
-    ) -> IsaacStats {
-        matmul_sweep(self, &self.grid, batch_codes, scales, scratch, outs)
-    }
-
-    /// The legacy allocating kernel, kept as the bitwise oracle for
-    /// [`matmul_into`](Self::matmul_into) and as the pre-optimization
-    /// baseline for the MVM benchmark. Results are bitwise identical to
-    /// [`matvec`](Self::matvec).
-    ///
-    /// # Panics
-    ///
-    /// Panics as [`matvec`](Self::matvec) does.
     pub fn matvec_reference(
         &self,
         input_codes: &[u32],
@@ -168,46 +120,29 @@ impl IsaacLayer {
         let grid = &self.grid;
         grid.validate_input_codes(input_codes);
         let dim = grid.crossbar_dim();
-        let input_bits = grid.input_bits();
-        let cpw = grid.slicer().cells_per_weight();
-        let cell_bits = grid.slicer().cell_bits();
         let mut stats = IsaacStats::default();
         let mut accs = vec![0i64; grid.col_index().len()];
 
         for (block, rows) in grid.row_index().chunks(dim).enumerate() {
             let codes: Vec<u32> = rows.iter().map(|&r| input_codes[r]).collect();
-            stats.cycles += u64::from(input_bits);
+            let planes = grid.bit_planes(&codes);
+            stats.cycles += planes.len() as u64;
             stats.row_blocks += 1;
+            stats.adc_conversions += planes.len() as u64 * grid.cell_cols() as u64;
 
             // Offset term shared by every column of the block:
             // bias × Σ_planes ones(plane) << plane.
             let mut offset = 0u64;
-            for plane in 0..input_bits {
-                let ones = codes.iter().filter(|&&c| (c >> plane) & 1 == 1).count() as u64;
+            for (plane, bits) in planes.iter().enumerate() {
+                let ones = bits.iter().filter(|&&b| b).count() as u64;
                 stats.ones_counted += ones;
                 stats.offset_subtractions += ones;
                 offset += (self.bias * ones) << plane;
             }
 
-            for (ci, acc) in accs.iter_mut().enumerate() {
-                let mut slice_acc = vec![0u64; cpw];
-                for plane in 0..input_bits {
-                    let drives: Vec<f64> = codes
-                        .iter()
-                        .map(|&c| if (c >> plane) & 1 == 1 { 1.0 } else { 0.0 })
-                        .collect();
-                    for (k, acc_k) in slice_acc.iter_mut().enumerate() {
-                        let current = grid.column_current(block * dim, ci, k, &drives);
-                        let code = grid.adc().convert(current);
-                        stats.adc_conversions += 1;
-                        *acc_k += u64::from(code) << plane;
-                    }
-                }
-                let mut encoded_total = 0u64;
-                for &s in &slice_acc {
-                    encoded_total = (encoded_total << cell_bits) + s;
-                }
-                *acc += encoded_total as i64 - offset as i64;
+            let totals = grid.reference_read(block * dim, &planes, |c| c);
+            for (acc, total) in accs.iter_mut().zip(totals) {
+                *acc += total as i64 - offset as i64;
             }
         }
 
@@ -264,7 +199,7 @@ impl SweepEngine for IsaacLayer {
 mod tests {
     use super::*;
     use forms_exec::{CrossbarEngine, EngineHealth, FaultCampaign, FaultableEngine};
-    use forms_reram::{CellSpec, MATMUL_TILE};
+    use forms_reram::{CellSpec, SweepScratch, MATMUL_TILE};
     use forms_tensor::QuantizedTensor;
 
     fn config(weight_bits: u32, input_bits: u32, crossbar_dim: usize) -> IsaacConfig {
@@ -467,7 +402,7 @@ mod tests {
                 w.data_mut()[r * cols + 1] = 0.0; // prune a column
             }
             let layer = IsaacLayer::map(&w, config(8, 8, 16)).expect("map");
-            assert!(layer.integer_matmul_path(), "pristine map must be fast");
+            assert!(layer.grid().integer_path(), "pristine map must be fast");
             let mut scratch = SweepScratch::default();
             for samples in [0usize, 1, 5, MATMUL_TILE + 1] {
                 let (codes, scales) = batch_codes_for(&layer, samples, 5);
@@ -490,10 +425,10 @@ mod tests {
         let (codes, scales) = batch_codes_for(&layer, MATMUL_TILE + 2, 9);
         let mut clean = vec![0.0f32; scales.len() * 5];
         layer.matmul_into(&codes, &scales, &mut scratch, &mut clean);
-        assert!(layer.integer_matmul_path());
+        assert!(layer.grid().integer_path());
         layer.crossbars_mut()[0].conductances_mut()[5] += 23.77;
         layer.crossbars_mut()[0].commit_writes();
-        assert!(!layer.integer_matmul_path(), "drift must disable fast path");
+        assert!(!layer.grid().integer_path(), "drift must disable fast path");
         let mut outs = vec![0.0f32; scales.len() * 5];
         let stats = layer.matmul_into(&codes, &scales, &mut scratch, &mut outs);
         let (want, want_stats) = matmul_oracle(&layer, &codes, &scales);
@@ -538,7 +473,7 @@ mod tests {
             assert!(report.stuck_high > 0);
             for layer in [top_codes, faulted] {
                 assert_eq!(layer.grid.i32_sums(), narrow, "a{input_bits}");
-                assert!(layer.integer_matmul_path());
+                assert!(layer.grid().integer_path());
                 layers.push(layer);
             }
         }

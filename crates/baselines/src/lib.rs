@@ -20,7 +20,7 @@
 //! # Example
 //!
 //! ```
-//! use forms_baselines::{IsaacConfig, IsaacLayer};
+//! use forms_baselines::{CrossbarEngine, IsaacConfig, IsaacLayer};
 //! use forms_tensor::Tensor;
 //!
 //! // Signed weights — no polarization required.
@@ -43,6 +43,6 @@ mod isaac;
 mod split;
 
 pub use accelerator::{IsaacActivity, IsaacConfig};
-pub use forms_exec::ExecError;
+pub use forms_exec::{CrossbarEngine, ExecError};
 pub use isaac::{IsaacLayer, IsaacStats};
 pub use split::SplitLayer;

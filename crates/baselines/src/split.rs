@@ -89,26 +89,10 @@ impl SplitLayer {
 /// every input bit plane.
 fn half_matvec(grid: &CrossbarGrid, input_codes: &[u32]) -> Vec<i64> {
     let dim = grid.crossbar_dim();
-    let cpw = grid.slicer().cells_per_weight();
-    let cell_bits = grid.slicer().cell_bits();
     let mut accs = vec![0i64; grid.output_len()];
     for (block, codes) in input_codes.chunks(dim).enumerate() {
-        for (c, acc) in accs.iter_mut().enumerate() {
-            let mut slice_acc = vec![0u64; cpw];
-            for plane in 0..grid.input_bits() {
-                let drives: Vec<f64> = codes
-                    .iter()
-                    .map(|&v| if (v >> plane) & 1 == 1 { 1.0 } else { 0.0 })
-                    .collect();
-                for (k, acc_k) in slice_acc.iter_mut().enumerate() {
-                    let current = grid.column_current(block * dim, c, k, &drives);
-                    *acc_k += u64::from(grid.adc().convert(current)) << plane;
-                }
-            }
-            let mut total = 0u64;
-            for &s in &slice_acc {
-                total = (total << cell_bits) + s;
-            }
+        let totals = grid.reference_read(block * dim, &grid.bit_planes(codes), |c| c);
+        for (acc, total) in accs.iter_mut().zip(totals) {
             *acc += total as i64;
         }
     }
@@ -132,6 +116,37 @@ mod tests {
         let reference = wq.transpose().matvec(q.dequantize().data());
         for (g, r) in got.iter().zip(&reference) {
             assert!((g - r).abs() < 2e-3, "{g} vs {r}");
+        }
+    }
+
+    #[test]
+    fn split_matvec_is_the_integer_product_of_its_stored_codes() {
+        // On a lossless grid every conversion is exact, so the reference
+        // read must give Σ (pos − neg) code × input, times step and scale,
+        // bit for bit — over three row blocks (a partial tail) and weights
+        // straddling two crossbar columns.
+        let (rows, cols) = (40, 5);
+        let w = Tensor::from_fn(&[rows, cols], |i| ((i * 29 % 13) as f32 / 6.0) - 1.0);
+        let layer = SplitLayer::map_with(&w, 8, 8, 16, CellSpec::paper_2bit());
+        assert!(layer.positive.integer_path() && layer.negative.integer_path());
+        for seed in 0..4u64 {
+            let codes: Vec<u32> = (0..rows)
+                .map(|i| ((i as u64 * 37 + seed * 101) % 256) as u32)
+                .collect();
+            let scale = 0.013;
+            let want: Vec<f32> = (0..cols)
+                .map(|c| {
+                    let acc: i64 = (0..rows)
+                        .map(|r| {
+                            let code = layer.positive.stored_code(r, c) as i64
+                                - layer.negative.stored_code(r, c) as i64;
+                            code * i64::from(codes[r])
+                        })
+                        .sum();
+                    acc as f32 * layer.step() * scale
+                })
+                .collect();
+            assert_eq!(layer.matvec(&codes, scale), want, "seed {seed}");
         }
     }
 

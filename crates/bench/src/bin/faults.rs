@@ -8,11 +8,10 @@
 //! `forms_bench::faults::validate` — including the FORMS-vs-ISAAC
 //! degradation comparison — exiting non-zero on any mismatch.
 
-use std::path::Path;
 use std::process::ExitCode;
 
 use forms_bench::faults::{run, validate, FaultsBenchSpec};
-use forms_bench::json::parse;
+use forms_bench::report::write_validated;
 
 fn main() -> ExitCode {
     let smoke = std::env::args().any(|a| a == "--smoke");
@@ -31,37 +30,5 @@ fn main() -> ExitCode {
         println!("mean top-1 agreement across the sweep: FORMS {forms:.3} vs ISAAC {isaac:.3}");
     }
 
-    let path = Path::new(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../BENCH_faults.json"
-    ));
-    let doc = report.to_json();
-    if let Err(err) = std::fs::write(path, doc.pretty() + "\n") {
-        eprintln!("could not write {}: {err}", path.display());
-        return ExitCode::FAILURE;
-    }
-
-    // Self-check: read the file back through the parser and validate the
-    // schema and the degradation comparison, so a
-    // malformed or regressed BENCH_faults.json fails the run (and CI).
-    let written = match std::fs::read_to_string(path) {
-        Ok(s) => s,
-        Err(err) => {
-            eprintln!("could not re-read {}: {err}", path.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    let reparsed = match parse(&written) {
-        Ok(v) => v,
-        Err(err) => {
-            eprintln!("BENCH_faults.json is not valid JSON: {err}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Err(err) = validate(&reparsed) {
-        eprintln!("BENCH_faults.json is malformed: {err}");
-        return ExitCode::FAILURE;
-    }
-    println!("wrote {} (validated)", path.display());
-    ExitCode::SUCCESS
+    write_validated("BENCH_faults.json", &report.to_json(), validate)
 }

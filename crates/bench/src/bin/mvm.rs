@@ -11,11 +11,10 @@
 //! `forms_bench::json::parse` + `forms_bench::mvm::validate`, exiting
 //! non-zero on any mismatch or performance-gate violation.
 
-use std::path::Path;
 use std::process::ExitCode;
 
-use forms_bench::json::parse;
 use forms_bench::mvm::{run, validate, MvmBenchSpec};
+use forms_bench::report::write_validated;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -85,33 +84,5 @@ fn main() -> ExitCode {
         );
     }
 
-    let path = Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_mvm.json"));
-    let doc = report.to_json();
-    if let Err(err) = std::fs::write(path, doc.pretty() + "\n") {
-        eprintln!("could not write {}: {err}", path.display());
-        return ExitCode::FAILURE;
-    }
-
-    // Self-check: read the file back through the parser and validate its
-    // schema, so a malformed BENCH_mvm.json fails the run (and CI).
-    let written = match std::fs::read_to_string(path) {
-        Ok(s) => s,
-        Err(err) => {
-            eprintln!("could not re-read {}: {err}", path.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    let reparsed = match parse(&written) {
-        Ok(v) => v,
-        Err(err) => {
-            eprintln!("BENCH_mvm.json is not valid JSON: {err}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Err(err) = validate(&reparsed) {
-        eprintln!("BENCH_mvm.json is malformed: {err}");
-        return ExitCode::FAILURE;
-    }
-    println!("wrote {} (validated)", path.display());
-    ExitCode::SUCCESS
+    write_validated("BENCH_mvm.json", &report.to_json(), validate)
 }

@@ -10,11 +10,10 @@
 //! zero-corruption, rebuild and quarantine gates — exiting non-zero on
 //! any mismatch.
 
-use std::path::Path;
 use std::process::ExitCode;
 
-use forms_bench::json::parse;
 use forms_bench::net::{loopback_floor, run, scaling_floor, validate, NetBenchSpec};
+use forms_bench::report::write_validated;
 
 fn main() -> ExitCode {
     let smoke = std::env::args().any(|a| a == "--smoke");
@@ -30,14 +29,12 @@ fn main() -> ExitCode {
     );
     let report = run(&spec);
 
-    for design in ["FORMS", "ISAAC"] {
-        if let Some(s) = report.scaling(design) {
-            println!(
-                "{design} in-process throughput scaling 1 -> {} replicas: {s:.2}x (floor {})",
-                spec.replicas.iter().max().unwrap_or(&1),
-                scaling_floor(spec.mode)
-            );
-        }
+    if let Some(s) = report.scaling() {
+        println!(
+            "in-process throughput scaling 1 -> {} replicas: {s:.2}x (floor {})",
+            spec.replicas.iter().max().unwrap_or(&1),
+            scaling_floor(spec.mode)
+        );
     }
     println!(
         "worst loopback/in-process goodput ratio across the sweep: {:.2}x (floor {})",
@@ -45,34 +42,5 @@ fn main() -> ExitCode {
         loopback_floor(spec.mode)
     );
 
-    let path = Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_net.json"));
-    let doc = report.to_json();
-    if let Err(err) = std::fs::write(path, doc.pretty() + "\n") {
-        eprintln!("could not write {}: {err}", path.display());
-        return ExitCode::FAILURE;
-    }
-
-    // Self-check: read the file back through the parser and validate its
-    // schema, throughput floors, and storm integrity gates, so a malformed
-    // or regressed BENCH_net.json fails the run (and CI).
-    let written = match std::fs::read_to_string(path) {
-        Ok(s) => s,
-        Err(err) => {
-            eprintln!("could not re-read {}: {err}", path.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    let reparsed = match parse(&written) {
-        Ok(v) => v,
-        Err(err) => {
-            eprintln!("BENCH_net.json is not valid JSON: {err}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Err(err) = validate(&reparsed) {
-        eprintln!("BENCH_net.json is malformed: {err}");
-        return ExitCode::FAILURE;
-    }
-    println!("wrote {} (validated)", path.display());
-    ExitCode::SUCCESS
+    write_validated("BENCH_net.json", &report.to_json(), validate)
 }

@@ -8,7 +8,7 @@
 //! under (a) additive read noise and (b) wire IR drop, and the output error
 //! is compared.
 
-use forms_arch::{MappedLayer, MappingConfig};
+use forms_arch::{CrossbarEngine, MappedLayer, MappingConfig};
 use forms_reram::{CellSpec, CurrentNoise, IrDropModel};
 use forms_rng::StdRng;
 use forms_tensor::Tensor;

@@ -3,9 +3,8 @@
 //! The experiment-regeneration harness for the FORMS (ISCA 2021)
 //! reproduction: one module per table and figure of the paper's evaluation
 //! (see `DESIGN.md` §4 for the index) and one `repro` binary that runs
-//! them, plus std-only timing benches over the simulator kernels and the
-//! paper's design-choice ablations (run them with `cargo bench -p
-//! forms-bench --features bench`).
+//! them, plus the throughput suites (`mvm`, `quant`, `faults`, `net`) that
+//! write and validate the `BENCH_*.json` files at the repository root.
 //!
 //! Run everything with:
 //!

@@ -14,7 +14,7 @@
 
 use std::hint::black_box;
 
-use forms_arch::{Executor, MappedLayer, MappingConfig};
+use forms_arch::{CrossbarEngine, Executor, MappedLayer, MappingConfig};
 use forms_baselines::{IsaacConfig, IsaacLayer};
 use forms_dnn::{Layer, Network, WeightLayerMut};
 use forms_reram::{CellSpec, SweepScratch};

@@ -3,8 +3,9 @@
 use std::fmt::Write as _;
 use std::fs;
 use std::path::Path;
+use std::process::ExitCode;
 
-use crate::json::JsonValue;
+use crate::json::{parse, JsonValue};
 
 /// One regenerated table or figure.
 #[derive(Clone, Debug)]
@@ -119,6 +120,38 @@ impl Experiment {
             .replace("__", "_");
         let path = dir.join(format!("{name}.json"));
         fs::write(path, self.to_json().pretty())
+    }
+}
+
+/// Writes a suite's document to `file` at the repository root, then reads
+/// the file back, parses it and checks it with the suite's `validate`, so
+/// a malformed or regressed file fails the run (and CI). Reports the
+/// outcome on the console and returns the binary's exit code.
+pub fn write_validated(
+    file: &str,
+    doc: &JsonValue,
+    validate: impl Fn(&JsonValue) -> Result<(), String>,
+) -> ExitCode {
+    let path = Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../..")).join(file);
+    if let Err(err) = fs::write(&path, doc.pretty() + "\n") {
+        eprintln!("could not write {}: {err}", path.display());
+        return ExitCode::FAILURE;
+    }
+    let checked = fs::read_to_string(&path)
+        .map_err(|err| format!("could not re-read {}: {err}", path.display()))
+        .and_then(|text| parse(&text).map_err(|err| format!("{file} is not valid JSON: {err}")))
+        .and_then(|reparsed| {
+            validate(&reparsed).map_err(|err| format!("{file} is malformed: {err}"))
+        });
+    match checked {
+        Ok(()) => {
+            println!("wrote {} (validated)", path.display());
+            ExitCode::SUCCESS
+        }
+        Err(err) => {
+            eprintln!("{err}");
+            ExitCode::FAILURE
+        }
     }
 }
 

@@ -73,6 +73,27 @@ pub trait CrossbarEngine: Clone + Send + Sync + fmt::Debug + Sized {
         outs: &mut [f32],
     ) -> Self::Stats;
 
+    /// One matrix-vector product on quantized input codes (one per
+    /// original weight row): a one-column [`matmul_into`](Self::matmul_into)
+    /// on a fresh scratch. `input_scale` is the value of input code 1;
+    /// returns the output (one per original weight column) and the MVM's
+    /// statistics.
+    ///
+    /// # Panics
+    ///
+    /// Panics as [`matmul_into`](Self::matmul_into) does, e.g. on a wrong
+    /// input length or a code wider than the layer's input bits.
+    fn matvec(&self, input_codes: &[u32], input_scale: f32) -> (Vec<f32>, Self::Stats) {
+        let mut out = vec![0.0f32; self.output_len()];
+        let stats = self.matmul_into(
+            input_codes,
+            &[input_scale],
+            &mut Self::Scratch::default(),
+            &mut out,
+        );
+        (out, stats)
+    }
+
     /// Physical crossbars this layer occupies.
     fn crossbar_count(&self) -> usize;
 

@@ -7,8 +7,9 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use forms_arch::{MappedLayer, MappingConfig};
+use forms_baselines::{IsaacConfig, IsaacLayer};
 use forms_dnn::{Layer, Network, WeightLayerMut};
-use forms_exec::{Executor, FaultCampaign};
+use forms_exec::{CrossbarEngine, Executor, FaultCampaign};
 use forms_net::protocol::{read_frame, write_frame, Frame};
 use forms_net::{ClientConfig, NetClient, NetConfig, NetServerExt, WireStatus};
 use forms_rng::StdRng;
@@ -62,16 +63,20 @@ fn sample(scale: f32) -> Vec<f32> {
         .collect()
 }
 
-#[test]
-fn socket_call_is_bitwise_identical_to_in_process_submission() {
-    let exec = executor();
+/// One socket call against `exec` returns, bit for bit, what an
+/// in-process submission of the same request returned.
+fn assert_socket_call_matches_in_process<E>(exec: &Executor<E>)
+where
+    E: CrossbarEngine,
+    E::Stats: Sync,
+{
     let serve = ServeConfig {
         replicas: 2,
         ..ServeConfig::default()
     };
     let ((), telemetry) = Server::builder()
         .config(serve)
-        .run_net(&exec, &[ROWS], &NetConfig::default(), |net| {
+        .run_net(exec, &[ROWS], &NetConfig::default(), |net| {
             let in_process = net
                 .service()
                 .submit(sample(1.0))
@@ -92,6 +97,18 @@ fn socket_call_is_bitwise_identical_to_in_process_submission() {
         .unwrap();
     assert_eq!(telemetry.completed, 2);
     assert_eq!(telemetry.submitted, 2);
+}
+
+#[test]
+fn socket_call_is_bitwise_identical_to_in_process_submission() {
+    assert_socket_call_matches_in_process(&executor());
+    let isaac = IsaacConfig {
+        crossbar_dim: 16,
+        input_bits: 8,
+        ..IsaacConfig::paper()
+    };
+    let exec = Executor::<IsaacLayer>::map_network(&polarized_network(), &isaac).unwrap();
+    assert_socket_call_matches_in_process(&exec);
 }
 
 #[test]

@@ -9,8 +9,9 @@
 //! keeps the sign in the 1R indicator of its fragment, ISAAC stores the
 //! level plus a bias of `2^(b−1)`. [`CrossbarGrid`] is everything else —
 //! compaction, the accumulator bounds, programming, read-back, the output
-//! ceiling and the fault counters — and the layout that
-//! [`matmul_sweep`](crate::matmul_sweep) reads.
+//! ceiling and the fault counters — plus the bit-serial analog read every
+//! reference kernel shares ([`CrossbarGrid::reference_read`]) and the
+//! layout that [`matmul_sweep`](crate::matmul_sweep) reads.
 //! Like the conductances, the sweep's read image of the grid is weight
 //! stationary: built on first use and kept until a `&mut` path resets it.
 
@@ -316,12 +317,51 @@ impl CrossbarGrid {
         out
     }
 
-    /// The column current of cell slice `slice` of compact column `ci` when
-    /// `drive` (one read voltage per row) drives compact rows `lo..lo +
-    /// drive.len()`, which must lie on one crossbar row.
-    pub fn column_current(&self, lo: usize, ci: usize, slice: usize, drive: &[f64]) -> f64 {
-        let (x, row, col) = self.locate(lo, ci, slice);
-        self.crossbars[x].column_current(col, drive, row..row + drive.len())
+    /// Every input bit plane of `codes`, LSB first: the `input_bits`
+    /// planes a design without zero-skipping drives.
+    pub fn bit_planes(&self, codes: &[u32]) -> Vec<Vec<bool>> {
+        (0..self.input_bits)
+            .map(|plane| codes.iter().map(|&c| (c >> plane) & 1 == 1).collect())
+            .collect()
+    }
+
+    /// The reference read of one sub-array, the bit-serial f64 path every
+    /// design's reference kernel runs: `planes` (LSB first, one bit per
+    /// row) drive compact rows `lo..lo + rows`, which must lie on one
+    /// crossbar row. Each plane reads every cell slice's column current,
+    /// passes it through `perturb` and converts it through the grid's ADC;
+    /// the codes are shift-added over the planes and the slices folded MSB
+    /// first. Returns one total per compact column, in stored-code units.
+    ///
+    /// `perturb` sees the currents column → plane → slice, the order its
+    /// random draws must keep. The read makes `planes.len() ×`
+    /// [`cell_cols`](Self::cell_cols) ADC conversions.
+    pub fn reference_read(
+        &self,
+        lo: usize,
+        planes: &[Vec<bool>],
+        mut perturb: impl FnMut(f64) -> f64,
+    ) -> Vec<u64> {
+        let drives: Vec<Vec<f64>> = planes
+            .iter()
+            .map(|bits| bits.iter().map(|&b| if b { 1.0 } else { 0.0 }).collect())
+            .collect();
+        (0..self.col_index.len())
+            .map(|ci| {
+                let mut slices = vec![0u64; self.slicer.cells_per_weight()];
+                for (plane, drive) in drives.iter().enumerate() {
+                    for (k, acc) in slices.iter_mut().enumerate() {
+                        let (x, row, col) = self.locate(lo, ci, k);
+                        let current =
+                            self.crossbars[x].column_current(col, drive, row..row + drive.len());
+                        *acc += u64::from(self.adc.convert(perturb(current))) << plane;
+                    }
+                }
+                slices
+                    .iter()
+                    .fold(0, |total, &s| (total << self.slicer.cell_bits()) + s)
+            })
+            .collect()
     }
 
     /// Scatters compact column accumulators into an output vector of

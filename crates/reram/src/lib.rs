@@ -16,7 +16,8 @@
 //! - [`CrossbarGrid`] — one compacted, bit-sliced weight matrix on a
 //!   row-major grid of crossbars, shared by both crossbar engines:
 //!   compaction, integer-clamped quantization, programming of each
-//!   design's stored codes, read-back, the output ceiling, fault injection
+//!   design's stored codes, read-back, the reference kernels' one
+//!   bit-serial analog read, the output ceiling, fault injection
 //!   with its [`EngineHealth`] counters, and the weight-stationary code
 //!   matrix the sweep reads (folded once, on first use); mapping failures
 //!   are one [`ExecError`],

@@ -229,7 +229,7 @@ fn one_scratch_serves_both_engines_at_both_partial_sum_widths() {
             layer.crossbars_mut()[1].conductances_mut()[7] += 5.5;
             layer.crossbars_mut()[1].commit_writes();
         }
-        assert_eq!(layer.integer_matmul_path(), !drift);
+        assert_eq!(layer.grid().integer_path(), !drift);
         layer
     };
     let isaac = |input_bits: u32, drift: bool| {
@@ -248,7 +248,7 @@ fn one_scratch_serves_both_engines_at_both_partial_sum_widths() {
             layer.crossbars_mut()[2].conductances_mut()[3] += 2.25;
             layer.crossbars_mut()[2].commit_writes();
         }
-        assert_eq!(layer.integer_matmul_path(), !drift);
+        assert_eq!(layer.grid().integer_path(), !drift);
         layer
     };
     let forms_layers = [

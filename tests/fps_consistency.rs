@@ -1,7 +1,9 @@
 //! Integration: the FPS model, pipeline model and MVM statistics must tell
 //! one consistent timing story.
 
-use forms::arch::{FpsModel, LayerPerf, MappedLayer, MappingConfig, Pipeline, PipelineOp};
+use forms::arch::{
+    CrossbarEngine, FpsModel, LayerPerf, MappedLayer, MappingConfig, Pipeline, PipelineOp,
+};
 use forms::hwmodel::{McuConfig, ThroughputModel};
 use forms::reram::CellSpec;
 use forms::tensor::Tensor;

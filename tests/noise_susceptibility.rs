@@ -2,7 +2,7 @@
 //! less susceptible to analog noise than coarse-grained columns — pinned as
 //! a test over the full mapping + converter stack.
 
-use forms::arch::{MappedLayer, MappingConfig};
+use forms::arch::{CrossbarEngine, MappedLayer, MappingConfig};
 use forms::reram::{CellSpec, CurrentNoise, IrDropModel};
 use forms::rng::StdRng;
 use forms::tensor::Tensor;

@@ -9,7 +9,7 @@ use forms::admm::{
     project_structured_pruning, quantization_step,
 };
 use forms::arch::{
-    effective_bits, fragment_eic, MappedLayer, MappingConfig, Pipeline, PipelineOp,
+    effective_bits, fragment_eic, CrossbarEngine, MappedLayer, MappingConfig, Pipeline, PipelineOp,
     ShiftRegisterBank,
 };
 use forms::hwmodel::{Activity, EnergyModel, McuConfig};

@@ -1,7 +1,7 @@
 //! Integration: device-variation and fault injection through the full
 //! mixed-signal path (paper §V-E at the crossbar level).
 
-use forms::arch::{MappedLayer, MappingConfig};
+use forms::arch::{CrossbarEngine, MappedLayer, MappingConfig};
 use forms::reram::{CellSpec, LogNormalVariation, StuckAtFault, StuckAtKind};
 use forms::rng::StdRng;
 use forms::tensor::Tensor;
