@@ -9,7 +9,9 @@
 //! always measured, because both kernel gates compare against it. The binary
 //! re-reads the file it wrote and validates it with
 //! `forms_bench::json::parse` + `forms_bench::mvm::validate`, exiting
-//! non-zero on any mismatch or performance-gate violation.
+//! non-zero on any mismatch or performance-gate violation. It prints, and
+//! the file records as `sweep_avx2`, which copy of the sweep (AVX2 or
+//! portable) the batched kernels ran on this host.
 
 use std::process::ExitCode;
 
@@ -55,6 +57,13 @@ fn main() -> ExitCode {
         spec.mode, spec.layer_label
     );
     let report = run(&spec);
+
+    let copy = if report.sweep_avx2 {
+        "AVX2"
+    } else {
+        "portable"
+    };
+    println!("batched kernels ran the sweep's {copy} copy");
 
     for k in &report.kernels {
         println!(

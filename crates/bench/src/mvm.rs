@@ -17,7 +17,7 @@ use std::hint::black_box;
 use forms_arch::{CrossbarEngine, Executor, MappedLayer, MappingConfig};
 use forms_baselines::{IsaacConfig, IsaacLayer};
 use forms_dnn::{Layer, Network, WeightLayerMut};
-use forms_reram::{CellSpec, SweepScratch};
+use forms_reram::{sweep_uses_avx2, CellSpec, SweepScratch};
 use forms_rng::{Rng, StdRng};
 use forms_tensor::Tensor;
 
@@ -220,6 +220,9 @@ pub struct MvmBenchReport {
     /// Bytes of folded weight codes each design's kernel layer caches
     /// (`CrossbarGrid::code_cache_bytes` after the kernel runs), per design.
     pub code_cache_bytes: Vec<(&'static str, usize)>,
+    /// Whether the batched kernels ran the sweep's AVX2 copy
+    /// ([`forms_reram::sweep_uses_avx2`]) rather than its portable one.
+    pub sweep_avx2: bool,
 }
 
 impl MvmBenchReport {
@@ -306,6 +309,7 @@ impl MvmBenchReport {
         JsonValue::object(vec![
             ("bench", JsonValue::String("mvm".into())),
             ("mode", JsonValue::String(self.spec.mode.into())),
+            ("sweep_avx2", JsonValue::Bool(self.sweep_avx2)),
             (
                 "layer",
                 JsonValue::object(vec![
@@ -502,6 +506,7 @@ pub fn run(spec: &MvmBenchSpec) -> MvmBenchReport {
         kernels,
         images,
         code_cache_bytes,
+        sweep_avx2: sweep_uses_avx2(),
     }
 }
 
@@ -541,7 +546,8 @@ fn image_result(
 }
 
 /// Checks that a parsed `BENCH_mvm.json` document has the shape this
-/// suite writes — required top-level fields, a reference kernel row per
+/// suite writes — required top-level fields (among them the boolean
+/// `sweep_avx2`, which sweep copy the kernels ran), a reference kernel row per
 /// design with positive finite throughput, batched kernel rows per design
 /// including batch 1, and batched / parallel images/s rows per design —
 /// and enforces the kernel performance gates, per design and per MVM: the
@@ -560,6 +566,9 @@ pub fn validate(doc: &JsonValue) -> Result<(), String> {
     match doc.get("mode").and_then(JsonValue::as_str) {
         Some("full") | Some("smoke") => {}
         _ => return Err("`mode` must be \"full\" or \"smoke\"".into()),
+    }
+    if !matches!(doc.get("sweep_avx2"), Some(JsonValue::Bool(_))) {
+        return Err("missing boolean `sweep_avx2`".into());
     }
     let layer = doc.get("layer").ok_or("missing `layer` object")?;
     for key in ["rows", "cols"] {
@@ -724,6 +733,7 @@ mod tests {
                 image("ISAAC", "parallel", 2, 1500.0),
             ],
             code_cache_bytes: vec![("FORMS", 4608 * 128 * 4), ("ISAAC", 4608 * 128 * 4)],
+            sweep_avx2: true,
         }
     }
 
@@ -795,7 +805,7 @@ mod tests {
         let JsonValue::Object(fields) = &good else {
             panic!("report is an object")
         };
-        for missing in ["bench", "mode", "layer", "mvm", "images"] {
+        for missing in ["bench", "mode", "sweep_avx2", "layer", "mvm", "images"] {
             let broken = JsonValue::Object(
                 fields
                     .iter()
@@ -805,6 +815,18 @@ mod tests {
             );
             assert!(validate(&broken).is_err(), "accepted doc without {missing}");
         }
+        // `sweep_avx2` must be a boolean.
+        let stringly = JsonValue::Object(
+            fields
+                .iter()
+                .map(|(k, v)| match k.as_str() {
+                    "sweep_avx2" => (k.clone(), JsonValue::String("yes".into())),
+                    _ => (k.clone(), v.clone()),
+                })
+                .collect(),
+        );
+        let err = validate(&stringly).unwrap_err();
+        assert!(err.contains("sweep_avx2"), "{err}");
         assert!(validate(&JsonValue::Null).is_err());
     }
 }

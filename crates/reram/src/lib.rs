@@ -26,7 +26,9 @@
 //!   path over the cached codes (partial sums in `i32` or `i64`,
 //!   [`PartialSum`]) and an f64 fallback, with the per-design sub-array
 //!   height, planes paid and digital step supplied by a [`SweepEngine`]
-//!   and all working memory in one reusable [`SweepScratch`],
+//!   and all working memory in one reusable [`SweepScratch`]; compiled
+//!   twice, portable and AVX2, with the copy picked at run time
+//!   ([`sweep_uses_avx2`]) and bitwise-identical results,
 //! - [`LogNormalVariation`] / [`StuckAtFault`] — the device non-idealities
 //!   behind the paper's Table VI.
 //!
@@ -49,7 +51,10 @@
 //! ```
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
+// One `unsafe` call: `matmul_sweep` entering its AVX2 copy after run-time
+// detection. Every `unsafe` block must carry its `// SAFETY:` argument.
+#![deny(unsafe_code)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 mod bitslice;
 mod converters;
@@ -73,6 +78,6 @@ pub use grid::{CrossbarGrid, EngineHealth, GridShape};
 pub use irdrop::IrDropModel;
 pub use noise::CurrentNoise;
 pub use packing::{for_each_set_bit, pack_tile_bit_planes, plane_is_zero, plane_ones, plane_words};
-pub use sweep::{matmul_sweep, SweepEngine, SweepScratch, MATMUL_TILE};
+pub use sweep::{matmul_sweep, sweep_uses_avx2, SweepEngine, SweepScratch, MATMUL_TILE};
 pub use variation::{LogNormalVariation, StuckAtFault, StuckAtKind};
 pub use window::{partial_sums_fit_i32, PartialSum};

@@ -5,6 +5,17 @@
 //! converted slices are shifted and added. [`matmul_sweep`] does that
 //! once; a [`SweepEngine`] supplies the three things the designs differ
 //! in.
+//!
+//! The sweep's one body is compiled twice. The portable copy targets the
+//! build's baseline (SSE2 on x86-64: 4 `i32` lanes per vector add); on
+//! x86-64 a second copy is compiled with AVX2 enabled (8 lanes), inlining
+//! the same gather, row adds, engine steps and scatter. [`matmul_sweep`]
+//! runs the AVX2 copy when [`sweep_uses_avx2`] detects the feature at run
+//! time, and the portable copy otherwise; no build flag is involved. The
+//! copies are bitwise interchangeable: integer adds and shifts are exact,
+//! and Rust neither reassociates nor fuses floating-point operations, so
+//! wider lanes change how many elements one instruction handles, never a
+//! result or a counter.
 
 use crate::grid::ReadImage;
 use crate::packing::{for_each_set_bit, pack_tile_bit_planes};
@@ -109,6 +120,10 @@ pub struct SweepScratch {
 /// partial sums per (sub-array, sample) to the engine's
 /// [`digital_step`](SweepEngine::digital_step).
 ///
+/// All three read images go through one selection: the body runs in its
+/// AVX2 copy where [`sweep_uses_avx2`] holds, and in its portable copy
+/// otherwise, with bitwise-identical outputs and statistics.
+///
 /// # Panics
 ///
 /// Panics if the buffer lengths are inconsistent with `scales.len()` or
@@ -144,20 +159,82 @@ pub fn matmul_sweep<E: SweepEngine>(
     // f64 path ignores it.
     match grid.read_image() {
         ReadImage::Narrow(w) => {
-            sweep_tiles(engine, grid, Some(w), batch_codes, scales, scratch, outs)
+            sweep_tiles_on_host(engine, grid, Some(w), batch_codes, scales, scratch, outs)
         }
         ReadImage::Wide(w) => {
-            sweep_tiles(engine, grid, Some(w), batch_codes, scales, scratch, outs)
+            sweep_tiles_on_host(engine, grid, Some(w), batch_codes, scales, scratch, outs)
         }
         ReadImage::Analog => {
-            sweep_tiles::<E, i64>(engine, grid, None, batch_codes, scales, scratch, outs)
+            sweep_tiles_on_host::<E, i64>(engine, grid, None, batch_codes, scales, scratch, outs)
         }
     }
 }
 
+/// Whether [`matmul_sweep`] runs its AVX2 copy on this host: the CPU is
+/// x86-64 and reports AVX2 at run time. `false` means the portable copy.
+/// Both copies return bitwise-identical outputs and statistics.
+pub fn sweep_uses_avx2() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        // std caches the CPUID probe, so this is one atomic load.
+        std::arch::is_x86_feature_detected!("avx2")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// [`sweep_tiles`] in the widest copy this host runs (see
+/// [`sweep_uses_avx2`]).
+#[allow(unsafe_code)]
+fn sweep_tiles_on_host<E: SweepEngine, T: PartialSum>(
+    engine: &E,
+    grid: &CrossbarGrid,
+    weights: Option<&[T]>,
+    batch_codes: &[u32],
+    scales: &[f32],
+    scratch: &mut SweepScratch,
+    outs: &mut [f32],
+) -> E::Stats {
+    #[cfg(target_arch = "x86_64")]
+    if sweep_uses_avx2() {
+        // SAFETY: `sweep_tiles_avx2` only requires that the CPU supports
+        // AVX2, and `sweep_uses_avx2` has just detected it at run time.
+        return unsafe {
+            sweep_tiles_avx2(engine, grid, weights, batch_codes, scales, scratch, outs)
+        };
+    }
+    sweep_tiles(engine, grid, weights, batch_codes, scales, scratch, outs)
+}
+
+/// [`sweep_tiles`] compiled with AVX2 enabled: the same body, with 8-lane
+/// integer vectors.
+///
+/// # Safety
+///
+/// Calling it is sound only on a CPU that supports AVX2, which is why the
+/// call needs `unsafe`; [`sweep_tiles_on_host`] checks [`sweep_uses_avx2`]
+/// first.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn sweep_tiles_avx2<E: SweepEngine, T: PartialSum>(
+    engine: &E,
+    grid: &CrossbarGrid,
+    weights: Option<&[T]>,
+    batch_codes: &[u32],
+    scales: &[f32],
+    scratch: &mut SweepScratch,
+    outs: &mut [f32],
+) -> E::Stats {
+    sweep_tiles(engine, grid, weights, batch_codes, scales, scratch, outs)
+}
+
 /// [`matmul_sweep`] on checked buffers: the integer path over the grid's
 /// folded `weights` (partial sums of type `T`) when given, else the f64
-/// path.
+/// path. Always inlined, so each caller compiles the whole body for its
+/// own target features.
+#[inline(always)]
 fn sweep_tiles<E: SweepEngine, T: PartialSum>(
     engine: &E,
     grid: &CrossbarGrid,
@@ -287,4 +364,186 @@ fn sweep_tiles<E: SweepEngine, T: PartialSum>(
         }
     }
     stats
+}
+
+#[cfg(test)]
+mod tests {
+    use forms_rng::{Rng, StdRng};
+    use forms_tensor::Tensor;
+
+    use super::*;
+    use crate::{CellSpec, GridShape, LogNormalVariation};
+
+    /// What [`TestEngine`] counts: the quantities the two real engines'
+    /// statistics are built from.
+    #[derive(Debug, Default, PartialEq)]
+    struct TestStats {
+        subarrays: u64,
+        skipped: u64,
+        cycles: u64,
+        ones: u64,
+    }
+
+    /// A FORMS-like sign per sub-array, an ISAAC-like `bias × ones`
+    /// offset, and FORMS' zero-skipping plane count.
+    struct TestEngine {
+        rows: usize,
+        bias: u64,
+        negative: Vec<bool>,
+    }
+
+    impl SweepEngine for TestEngine {
+        type Stats = TestStats;
+
+        fn subarray_rows(&self) -> usize {
+            self.rows
+        }
+
+        fn sample_planes(&self, codes: &[u32], stats: &mut TestStats) -> u32 {
+            let paid = 32 - codes.iter().fold(0, |a, &c| a | c).leading_zeros();
+            stats.subarrays += 1;
+            stats.skipped += u64::from(paid == 0);
+            stats.cycles += u64::from(paid);
+            paid
+        }
+
+        fn digital_step<T: PartialSum>(
+            &self,
+            subarray: usize,
+            planes: &[u64],
+            words: usize,
+            sums: &[T],
+            accs: &mut [i64],
+            stats: &mut TestStats,
+        ) {
+            let mut offset = 0i64;
+            for (plane, mask) in planes.chunks_exact(words).enumerate() {
+                let ones = crate::plane_ones(mask);
+                stats.ones += ones;
+                offset += ((self.bias * ones) << plane) as i64;
+            }
+            for (acc, &sum) in accs.iter_mut().zip(sums) {
+                let sum = sum.into() - offset;
+                *acc += if self.negative[subarray] { -sum } else { sum };
+            }
+        }
+    }
+
+    /// The portable copy of the sweep, on the image `matmul_sweep` reads.
+    fn portable_sweep(
+        engine: &TestEngine,
+        grid: &CrossbarGrid,
+        codes: &[u32],
+        scales: &[f32],
+        outs: &mut [f32],
+    ) -> TestStats {
+        let scratch = &mut SweepScratch::default();
+        match grid.read_image() {
+            ReadImage::Narrow(w) => {
+                sweep_tiles(engine, grid, Some(w), codes, scales, scratch, outs)
+            }
+            ReadImage::Wide(w) => sweep_tiles(engine, grid, Some(w), codes, scales, scratch, outs),
+            ReadImage::Analog => {
+                sweep_tiles::<_, i64>(engine, grid, None, codes, scales, scratch, outs)
+            }
+        }
+    }
+
+    /// Maps a seeded `rows × cols` matrix (a tenth of it zero) at `shape`
+    /// with an ISAAC-style biased encoding, and a matching engine.
+    fn grid_and_engine(rows: usize, cols: usize, shape: GridShape) -> (CrossbarGrid, TestEngine) {
+        let mut rng = StdRng::seed_from_u64(0x5EED ^ rows as u64 ^ (cols as u64) << 20);
+        let matrix = Tensor::from_fn(&[rows, cols], |_| {
+            if rng.gen_bool(0.1) {
+                0.0
+            } else {
+                rng.gen_range(-1.0f32..1.0)
+            }
+        });
+        let (row_index, col_index) = CrossbarGrid::compact(&matrix).unwrap();
+        let bias = 1u64 << (shape.weight_bits - 1);
+        let grid = CrossbarGrid::new(&matrix, row_index, col_index, shape, bias, |k| {
+            (k + bias as i64) as u32
+        })
+        .unwrap();
+        let subarrays = grid.row_index().len().div_ceil(shape.subarray_rows);
+        let negative = (0..subarrays).map(|_| rng.gen_bool(0.5)).collect();
+        let engine = TestEngine {
+            rows: shape.subarray_rows,
+            bias,
+            negative,
+        };
+        (grid, engine)
+    }
+
+    /// Seeded input codes for `samples` samples: a quarter of the codes
+    /// zero, each sample at its own code width, and one all-zero sample.
+    fn seeded_codes(grid: &CrossbarGrid, samples: usize) -> (Vec<u32>, Vec<f32>) {
+        let mut rng = StdRng::seed_from_u64(0xC0DE5 ^ samples as u64);
+        let bits = grid.input_bits();
+        let mut codes = Vec::new();
+        for s in 0..samples {
+            let width = if s == 1 { 0 } else { rng.gen_range(1..=bits) };
+            codes.extend((0..grid.input_len()).map(|_| {
+                let code = rng.gen_range(0..=u32::MAX >> (32 - bits));
+                if width == 0 || rng.gen_bool(0.25) {
+                    0
+                } else {
+                    code >> (bits - width)
+                }
+            }));
+        }
+        let scales = (0..samples).map(|s| 0.5 + s as f32 / 64.0).collect();
+        (codes, scales)
+    }
+
+    #[test]
+    fn avx2_copy_matches_the_portable_copy_bitwise() {
+        if !sweep_uses_avx2() {
+            eprintln!("skipped: this CPU lacks AVX2, so the sweep runs only its portable copy");
+            return;
+        }
+        let cell = CellSpec::paper_2bit();
+        let shape = |crossbar_dim, subarray_rows, input_bits| GridShape {
+            crossbar_dim,
+            subarray_rows,
+            cell,
+            weight_bits: 8,
+            input_bits,
+        };
+        let table5 = grid_and_engine(1152, 128, shape(128, 8, 16));
+        let vgg_l1 = grid_and_engine(72, 16, shape(32, 4, 16));
+        let wide = grid_and_engine(80, 24, shape(32, 8, 31));
+        let (mut drifted, drifted_engine) = grid_and_engine(96, 20, shape(32, 4, 16));
+        let mut rng = StdRng::seed_from_u64(0xD21F7);
+        for xbar in drifted.crossbars_mut() {
+            LogNormalVariation::new(0.0, 0.05).apply(xbar, &mut rng);
+        }
+        let cases = [
+            ("Table-V", table5, "narrow"),
+            ("vgg L1", vgg_l1, "narrow"),
+            ("31-bit inputs", wide, "wide"),
+            ("drifted", (drifted, drifted_engine), "analog"),
+        ];
+        for (name, (grid, engine), image) in cases {
+            let kind = match grid.read_image() {
+                ReadImage::Narrow(_) => "narrow",
+                ReadImage::Wide(_) => "wide",
+                ReadImage::Analog => "analog",
+            };
+            assert_eq!(kind, image, "{name}: read image");
+            // Two tiles: one full, one partial.
+            let samples = MATMUL_TILE + 3;
+            let (codes, scales) = seeded_codes(&grid, samples);
+            let mut want = vec![0.0f32; samples * grid.output_len()];
+            let want_stats = portable_sweep(&engine, &grid, &codes, &scales, &mut want);
+            let mut got = vec![f32::NAN; want.len()];
+            let scratch = &mut SweepScratch::default();
+            let got_stats = matmul_sweep(&engine, &grid, &codes, &scales, scratch, &mut got);
+            assert!(want.iter().any(|&v| v != 0.0), "{name}: all-zero outputs");
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "{name}: outputs");
+            assert_eq!(got_stats, want_stats, "{name}: statistics");
+        }
+    }
 }

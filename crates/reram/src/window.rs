@@ -13,6 +13,11 @@
 //! column accumulators once per (sub-array, sample), where the design's
 //! digital step (FORMS' sign indicator, ISAAC's offset subtraction)
 //! applies.
+//!
+//! [`sum_planes`] is inlined into both compiled copies of the sweep (see
+//! [`sweep_uses_avx2`](crate::sweep_uses_avx2)): its row add runs 4 `i32`
+//! lanes wide in the portable SSE2 copy and 8 in the AVX2 copy. The adds
+//! and shifts are exact, so both copies produce the same sums.
 
 use std::ops::{Add, AddAssign, Shl};
 
@@ -54,7 +59,7 @@ pub fn partial_sums_fit_i32(rows: usize, max_code: u128, max_input: u128) -> boo
 /// [`pack_tile_bit_planes`](crate::pack_tile_bit_planes)) and every set
 /// input bit `i`, adds window row `i` shifted left by `p`. All-zero planes
 /// are skipped.
-#[inline]
+#[inline(always)]
 pub(crate) fn sum_planes<T: PartialSum>(codes: &[T], planes: &[u64], words: usize, sums: &mut [T]) {
     let weights = sums.len();
     let rows = codes.len() / weights;
