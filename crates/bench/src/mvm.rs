@@ -221,7 +221,9 @@ pub struct MvmBenchReport {
     /// (`CrossbarGrid::code_cache_bytes` after the kernel runs), per design.
     pub code_cache_bytes: Vec<(&'static str, usize)>,
     /// Whether the batched kernels ran the sweep's AVX2 copy
-    /// ([`forms_reram::sweep_uses_avx2`]) rather than its portable one.
+    /// ([`forms_reram::sweep_uses_avx2`] on the kernel layer's grid) rather
+    /// than its portable one. The images/s network's layers are narrower
+    /// than the AVX2 threshold and run the portable copy either way.
     pub sweep_avx2: bool,
 }
 
@@ -439,6 +441,7 @@ pub fn run(spec: &MvmBenchSpec) -> MvmBenchReport {
         kernels.push(kernel_result("FORMS", "batched", b, &pair[0]));
         kernels.push(kernel_result("ISAAC", "batched", b, &pair[1]));
     }
+    let sweep_avx2 = sweep_uses_avx2(forms.grid());
     let code_cache_bytes = vec![
         ("FORMS", forms.grid().code_cache_bytes()),
         ("ISAAC", isaac.grid().code_cache_bytes()),
@@ -506,7 +509,7 @@ pub fn run(spec: &MvmBenchSpec) -> MvmBenchReport {
         kernels,
         images,
         code_cache_bytes,
-        sweep_avx2: sweep_uses_avx2(),
+        sweep_avx2,
     }
 }
 

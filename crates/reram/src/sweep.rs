@@ -10,12 +10,15 @@
 //! build's baseline (SSE2 on x86-64: 4 `i32` lanes per vector add); on
 //! x86-64 a second copy is compiled with AVX2 enabled (8 lanes), inlining
 //! the same gather, row adds, engine steps and scatter. [`matmul_sweep`]
-//! runs the AVX2 copy when [`sweep_uses_avx2`] detects the feature at run
-//! time, and the portable copy otherwise; no build flag is involved. The
-//! copies are bitwise interchangeable: integer adds and shifts are exact,
-//! and Rust neither reassociates nor fuses floating-point operations, so
-//! wider lanes change how many elements one instruction handles, never a
-//! result or a counter.
+//! runs the AVX2 copy on grids of at least 32 compact weight columns
+//! when the CPU reports AVX2 at run time ([`sweep_uses_avx2`]),
+//! and the portable copy otherwise; no build flag is involved. Narrower
+//! grids stay portable because their row add is only a few vectors long
+//! and the wider lanes bought nothing there. The copies are bitwise
+//! interchangeable: integer adds and shifts are exact, and Rust neither
+//! reassociates nor fuses floating-point operations, so wider lanes
+//! change how many elements one instruction handles, never a result or a
+//! counter.
 
 use crate::grid::ReadImage;
 use crate::packing::{for_each_set_bit, pack_tile_bit_planes};
@@ -121,8 +124,8 @@ pub struct SweepScratch {
 /// [`digital_step`](SweepEngine::digital_step).
 ///
 /// All three read images go through one selection: the body runs in its
-/// AVX2 copy where [`sweep_uses_avx2`] holds, and in its portable copy
-/// otherwise, with bitwise-identical outputs and statistics.
+/// AVX2 copy where [`sweep_uses_avx2`] holds for `grid`, and in its
+/// portable copy otherwise, with bitwise-identical outputs and statistics.
 ///
 /// # Panics
 ///
@@ -155,25 +158,40 @@ pub fn matmul_sweep<E: SweepEngine>(
     for sample in batch_codes.chunks_exact(grid.orig_rows) {
         grid.validate_input_codes(sample);
     }
+    let avx2 = sweep_uses_avx2(grid);
     // The integer path's partial-sum width follows the cached codes; the
     // f64 path ignores it.
     match grid.read_image() {
         ReadImage::Narrow(w) => {
-            sweep_tiles_on_host(engine, grid, Some(w), batch_codes, scales, scratch, outs)
+            sweep_tiles_in(avx2, engine, grid, Some(w), batch_codes, scales, scratch, outs)
         }
         ReadImage::Wide(w) => {
-            sweep_tiles_on_host(engine, grid, Some(w), batch_codes, scales, scratch, outs)
+            sweep_tiles_in(avx2, engine, grid, Some(w), batch_codes, scales, scratch, outs)
         }
         ReadImage::Analog => {
-            sweep_tiles_on_host::<E, i64>(engine, grid, None, batch_codes, scales, scratch, outs)
+            sweep_tiles_in::<E, i64>(avx2, engine, grid, None, batch_codes, scales, scratch, outs)
         }
     }
 }
 
-/// Whether [`matmul_sweep`] runs its AVX2 copy on this host: the CPU is
-/// x86-64 and reports AVX2 at run time. `false` means the portable copy.
-/// Both copies return bitwise-identical outputs and statistics.
-pub fn sweep_uses_avx2() -> bool {
+/// Fewest compact weight columns for which [`matmul_sweep`] runs its AVX2
+/// copy. Each set input bit adds one row of this many partial sums. In
+/// probes of 32–256 columns the AVX2 copy was faster per MVM on nearly
+/// every shape (about 0.5–0.97× the portable time); at 8–24 columns,
+/// which include the small VGG's 8 and 16, the two copies timed alike or
+/// the AVX2 one slower.
+const AVX2_MIN_COLUMNS: usize = 32;
+
+/// Whether [`matmul_sweep`] runs its AVX2 copy on `grid` on this host:
+/// the grid has at least 32 compact weight columns, and the CPU is x86-64
+/// and reports AVX2 at run time. `false` means the portable copy. Both
+/// copies return bitwise-identical outputs and statistics.
+pub fn sweep_uses_avx2(grid: &CrossbarGrid) -> bool {
+    grid.col_index.len() >= AVX2_MIN_COLUMNS && host_has_avx2()
+}
+
+/// Whether the CPU is x86-64 and reports AVX2 at run time.
+fn host_has_avx2() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
         // std caches the CPUID probe, so this is one atomic load.
@@ -185,10 +203,13 @@ pub fn sweep_uses_avx2() -> bool {
     }
 }
 
-/// [`sweep_tiles`] in the widest copy this host runs (see
-/// [`sweep_uses_avx2`]).
+/// [`sweep_tiles`] in its AVX2 copy when `avx2` asks for it and the CPU
+/// has AVX2, else in its portable copy.
 #[allow(unsafe_code)]
-fn sweep_tiles_on_host<E: SweepEngine, T: PartialSum>(
+#[allow(clippy::too_many_arguments)]
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+fn sweep_tiles_in<E: SweepEngine, T: PartialSum>(
+    avx2: bool,
     engine: &E,
     grid: &CrossbarGrid,
     weights: Option<&[T]>,
@@ -198,9 +219,9 @@ fn sweep_tiles_on_host<E: SweepEngine, T: PartialSum>(
     outs: &mut [f32],
 ) -> E::Stats {
     #[cfg(target_arch = "x86_64")]
-    if sweep_uses_avx2() {
+    if avx2 && host_has_avx2() {
         // SAFETY: `sweep_tiles_avx2` only requires that the CPU supports
-        // AVX2, and `sweep_uses_avx2` has just detected it at run time.
+        // AVX2, and `host_has_avx2` has just detected it at run time.
         return unsafe {
             sweep_tiles_avx2(engine, grid, weights, batch_codes, scales, scratch, outs)
         };
@@ -214,8 +235,7 @@ fn sweep_tiles_on_host<E: SweepEngine, T: PartialSum>(
 /// # Safety
 ///
 /// Calling it is sound only on a CPU that supports AVX2, which is why the
-/// call needs `unsafe`; [`sweep_tiles_on_host`] checks [`sweep_uses_avx2`]
-/// first.
+/// call needs `unsafe`; [`sweep_tiles_in`] checks [`host_has_avx2`] first.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn sweep_tiles_avx2<E: SweepEngine, T: PartialSum>(
@@ -429,8 +449,10 @@ mod tests {
         }
     }
 
-    /// The portable copy of the sweep, on the image `matmul_sweep` reads.
-    fn portable_sweep(
+    /// The sweep's AVX2 copy (`avx2`) or its portable copy, on the image
+    /// `matmul_sweep` reads.
+    fn sweep_copy(
+        avx2: bool,
         engine: &TestEngine,
         grid: &CrossbarGrid,
         codes: &[u32],
@@ -440,11 +462,13 @@ mod tests {
         let scratch = &mut SweepScratch::default();
         match grid.read_image() {
             ReadImage::Narrow(w) => {
-                sweep_tiles(engine, grid, Some(w), codes, scales, scratch, outs)
+                sweep_tiles_in(avx2, engine, grid, Some(w), codes, scales, scratch, outs)
             }
-            ReadImage::Wide(w) => sweep_tiles(engine, grid, Some(w), codes, scales, scratch, outs),
+            ReadImage::Wide(w) => {
+                sweep_tiles_in(avx2, engine, grid, Some(w), codes, scales, scratch, outs)
+            }
             ReadImage::Analog => {
-                sweep_tiles::<_, i64>(engine, grid, None, codes, scales, scratch, outs)
+                sweep_tiles_in::<_, i64>(avx2, engine, grid, None, codes, scales, scratch, outs)
             }
         }
     }
@@ -497,20 +521,31 @@ mod tests {
         (codes, scales)
     }
 
+    fn shape(crossbar_dim: usize, subarray_rows: usize, input_bits: u32) -> GridShape {
+        GridShape {
+            crossbar_dim,
+            subarray_rows,
+            cell: CellSpec::paper_2bit(),
+            weight_bits: 8,
+            input_bits,
+        }
+    }
+
+    #[test]
+    fn avx2_copy_runs_from_32_compact_columns() {
+        for (cols, wide_enough) in [(8, false), (16, false), (31, false), (32, true), (128, true)] {
+            let (grid, _) = grid_and_engine(72, cols, shape(32, 4, 16));
+            assert_eq!(grid.col_index.len(), cols, "no all-zero column");
+            assert_eq!(sweep_uses_avx2(&grid), wide_enough && host_has_avx2(), "{cols} columns");
+        }
+    }
+
     #[test]
     fn avx2_copy_matches_the_portable_copy_bitwise() {
-        if !sweep_uses_avx2() {
+        if !host_has_avx2() {
             eprintln!("skipped: this CPU lacks AVX2, so the sweep runs only its portable copy");
             return;
         }
-        let cell = CellSpec::paper_2bit();
-        let shape = |crossbar_dim, subarray_rows, input_bits| GridShape {
-            crossbar_dim,
-            subarray_rows,
-            cell,
-            weight_bits: 8,
-            input_bits,
-        };
         let table5 = grid_and_engine(1152, 128, shape(128, 8, 16));
         let vgg_l1 = grid_and_engine(72, 16, shape(32, 4, 16));
         let wide = grid_and_engine(80, 24, shape(32, 8, 31));
@@ -536,10 +571,9 @@ mod tests {
             let samples = MATMUL_TILE + 3;
             let (codes, scales) = seeded_codes(&grid, samples);
             let mut want = vec![0.0f32; samples * grid.output_len()];
-            let want_stats = portable_sweep(&engine, &grid, &codes, &scales, &mut want);
+            let want_stats = sweep_copy(false, &engine, &grid, &codes, &scales, &mut want);
             let mut got = vec![f32::NAN; want.len()];
-            let scratch = &mut SweepScratch::default();
-            let got_stats = matmul_sweep(&engine, &grid, &codes, &scales, scratch, &mut got);
+            let got_stats = sweep_copy(true, &engine, &grid, &codes, &scales, &mut got);
             assert!(want.iter().any(|&v| v != 0.0), "{name}: all-zero outputs");
             let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&got), bits(&want), "{name}: outputs");

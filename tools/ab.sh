@@ -6,9 +6,10 @@
 #
 # Options:
 #   --pairs N         alternated pairs per workload (default 10)
-#   --seconds S       seconds per run (default 25, the BENCHMARK.json run length)
 #   --trace 0|1       pass --trace to perfbench (default 0; 1 adds per-layer metrics)
-#   --workloads a,b   workloads to run (default: table5-forms-closed,vgg-small-open)
+#   --workloads a,b   workloads to run (default: every workload in BENCHMARK.json)
+#
+# Every run lasts BENCHMARK.json's `run_seconds`, on both sides.
 #
 # Each revision's perfbench is built offline from a temporary git worktree
 # under target/ab/ (the worktree is removed once its binary is copied to
@@ -19,28 +20,40 @@
 # sides' quartiles, B's win count over the pairs (by the metric's
 # `better` direction in BENCHMARK.json), the median gap as a share of A's
 # median and in units of A's interquartile range, and `claim` where B
-# wins at least 9 in 10 pairs and the median gap exceeds A's IQR. In A/A
+# wins at least 9 in 10 pairs and the median gap points the `better` way
+# and exceeds A's IQR. In A/A
 # mode the gap column is the noise floor of one rebuild of the same
 # source: a claimed gain must also clear it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 usage() {
-    sed -n '2,12p' "$0" | sed 's/^# \{0,1\}//' >&2
+    sed -n '2,13p' "$0" | sed 's/^# \{0,1\}//' >&2
     exit 2
 }
 
+# BENCHMARK.json, in one pass: "seconds <run_seconds>", "workload <name>"
+# per workload, and "better <metric> <higher|lower>" per metric.
+bench=$(awk -F'"' '
+    /"run_seconds":/ { gsub(/[^0-9.]/, "", $3); print "seconds", $3 }
+    /"workloads":/ { section = "workloads" }
+    /"end_to_end":|"per_layer":/ { section = "metrics" }
+    /"name":/ { name = $4; if (section == "workloads") print "workload", name }
+    /"better":/ { print "better", name, $4 }
+' BENCHMARK.json)
+seconds=$(awk '$1 == "seconds" { print $2 }' <<< "$bench")
+workloads=$(awk '$1 == "workload" { print $2 }' <<< "$bench" | paste -sd, -)
+directions=$(awk '$1 == "better" { print $2, $3 }' <<< "$bench")
+[ -n "$seconds" ] && [ -n "$workloads" ] || { echo "ab.sh: cannot read BENCHMARK.json" >&2; exit 1; }
+
 pairs=10
-seconds=25
 trace=0
-workloads="table5-forms-closed,vgg-small-open"
 aa=0
 revs=()
 while [ $# -gt 0 ]; do
     case "$1" in
         --aa) aa=1 ;;
         --pairs) pairs="${2:?}"; shift ;;
-        --seconds) seconds="${2:?}"; shift ;;
         --trace) trace="${2:?}"; shift ;;
         --workloads) workloads="${2:?}"; shift ;;
         -h | --help) usage ;;
@@ -137,9 +150,6 @@ for pair in $(seq 1 "$pairs"); do
     done
 done
 
-# metric -> better, from BENCHMARK.json's `"name"` / `"better"` lines.
-directions=$(awk -F'"' '/"name":/ { name = $4 } /"better":/ { print name, $4 }' BENCHMARK.json)
-
 for workload in "${workload_list[@]}"; do
     if [ "$aa" -eq 1 ]; then
         label="A/A: $tag_a vs $tag_b"
@@ -200,7 +210,8 @@ for workload in "${workload_list[@]}"; do
                 iqr = A["q3"] - A["q1"]
                 agap = gap < 0 ? -gap : gap
                 ratio = iqr > 0 ? sprintf("%8.2f", agap / iqr) : (agap > 0 ? "     inf" : "       0")
-                claim = (dir != "?" && wins >= need && agap > iqr) ? "claim" : ""
+                toward = (dir == "higher" && gap > 0) || (dir == "lower" && gap < 0)
+                claim = (toward && wins >= need && agap > iqr) ? "claim" : ""
                 printf "%-36s %-6s %11.5g %11.5g %11.5g | %11.5g %11.5g %11.5g | %3d/%-2d %+8.2f %s %s\n",
                     m, dir, A["q1"], A["q2"], A["q3"], B["q1"], B["q2"], B["q3"],
                     wins, pairs, rel, ratio, claim
