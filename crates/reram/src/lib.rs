@@ -27,8 +27,9 @@
 //!   [`PartialSum`]) and an f64 fallback, with the per-design sub-array
 //!   height, planes paid and digital step supplied by a [`SweepEngine`]
 //!   and all working memory in one reusable [`SweepScratch`]; compiled
-//!   twice, portable and AVX2, with the copy picked at run time
-//!   ([`sweep_uses_avx2`]) and bitwise-identical results,
+//!   twice, portable and AVX2, with the copy picked at run time from the
+//!   CPU and the grid's width ([`sweep_uses_avx2`]) and bitwise-identical
+//!   results,
 //! - [`LogNormalVariation`] / [`StuckAtFault`] — the device non-idealities
 //!   behind the paper's Table VI.
 //!

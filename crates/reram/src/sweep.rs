@@ -162,12 +162,26 @@ pub fn matmul_sweep<E: SweepEngine>(
     // The integer path's partial-sum width follows the cached codes; the
     // f64 path ignores it.
     match grid.read_image() {
-        ReadImage::Narrow(w) => {
-            sweep_tiles_in(avx2, engine, grid, Some(w), batch_codes, scales, scratch, outs)
-        }
-        ReadImage::Wide(w) => {
-            sweep_tiles_in(avx2, engine, grid, Some(w), batch_codes, scales, scratch, outs)
-        }
+        ReadImage::Narrow(w) => sweep_tiles_in(
+            avx2,
+            engine,
+            grid,
+            Some(w),
+            batch_codes,
+            scales,
+            scratch,
+            outs,
+        ),
+        ReadImage::Wide(w) => sweep_tiles_in(
+            avx2,
+            engine,
+            grid,
+            Some(w),
+            batch_codes,
+            scales,
+            scratch,
+            outs,
+        ),
         ReadImage::Analog => {
             sweep_tiles_in::<E, i64>(avx2, engine, grid, None, batch_codes, scales, scratch, outs)
         }
@@ -533,10 +547,20 @@ mod tests {
 
     #[test]
     fn avx2_copy_runs_from_32_compact_columns() {
-        for (cols, wide_enough) in [(8, false), (16, false), (31, false), (32, true), (128, true)] {
+        for (cols, wide_enough) in [
+            (8, false),
+            (16, false),
+            (31, false),
+            (32, true),
+            (128, true),
+        ] {
             let (grid, _) = grid_and_engine(72, cols, shape(32, 4, 16));
             assert_eq!(grid.col_index.len(), cols, "no all-zero column");
-            assert_eq!(sweep_uses_avx2(&grid), wide_enough && host_has_avx2(), "{cols} columns");
+            assert_eq!(
+                sweep_uses_avx2(&grid),
+                wide_enough && host_has_avx2(),
+                "{cols} columns"
+            );
         }
     }
 

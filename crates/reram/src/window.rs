@@ -16,7 +16,8 @@
 //!
 //! [`sum_planes`] is inlined into both compiled copies of the sweep (see
 //! [`sweep_uses_avx2`](crate::sweep_uses_avx2)): its row add runs 4 `i32`
-//! lanes wide in the portable SSE2 copy and 8 in the AVX2 copy. The adds
+//! lanes wide in the portable SSE2 copy and 8 in the AVX2 copy, which
+//! grids of 32 or more compact columns run on AVX2 hosts. The adds
 //! and shifts are exact, so both copies produce the same sums.
 
 use std::ops::{Add, AddAssign, Shl};
